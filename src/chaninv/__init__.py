@@ -38,7 +38,6 @@ from .channels import (
 )
 from .ginv import (
     AxiomResidualError,
-    DrazinResult,
     FormulaMismatchError,
     GinvError,
     GinvReport,
@@ -60,7 +59,6 @@ from .linalg import (
     eigh,
     fro_dist,
     kron,
-    matmul,
     matpow,
     rank,
     svd,

@@ -8,8 +8,9 @@ Conventions, fixed once and guarded by round-trip tests:
   so a Kraus channel has ``super = sum_i conj(K_i) (x) K_i``;
 * trace preservation reads ``super^H vec(I_out) = vec(I_in)`` and
   unitality reads ``super vec(I_in) = vec(I_out)``;
-* the Choi matrix is ``sum_ij E_ij (x) apply(ch, E_ij)`` and is positive
-  semidefinite exactly when the channel is completely positive.
+* the Choi matrix is ``sum_ij E_ij (x) apply(ch, E_ij)``, a reshuffle of
+  the superoperator entries, and is positive semidefinite exactly when the
+  channel is completely positive.
 """
 
 from dataclasses import dataclass
@@ -22,9 +23,7 @@ from .linalg import (
     Tolerances,
     as_cmatrix,
     dagger,
-    eigh,
     fro_dist,
-    kron,
 )
 
 
@@ -57,13 +56,7 @@ class Channel:
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("channel dimensions must be positive")
-        s = as_cmatrix(self.super, "super")
-        if s.shape != (self.d_out**2, self.d_in**2):
-            raise DimensionMismatchError(
-                f"superoperator shape {s.shape} does not match dims "
-                f"({self.d_out**2}, {self.d_in**2})"
-            )
-        object.__setattr__(self, "super", s)
+        # Kraus operators first: kraus_to_channel leaves their validation here
         if self.kraus is not None:
             ops = tuple(as_cmatrix(k, "kraus operator") for k in self.kraus)
             for k in ops:
@@ -72,9 +65,15 @@ class Channel:
                         f"Kraus operator shape {k.shape} does not match ({self.d_out}, {self.d_in})"
                     )
             object.__setattr__(self, "kraus", ops)
-            rebuilt = _kraus_super(ops)
-            if fro_dist(s, rebuilt) > DEFAULT_RESIDUAL_ATOL:
-                raise ValueError("superoperator is inconsistent with the Kraus operators")
+        s = as_cmatrix(self.super, "super")
+        if s.shape != (self.d_out**2, self.d_in**2):
+            raise DimensionMismatchError(
+                f"superoperator shape {s.shape} does not match dims "
+                f"({self.d_out**2}, {self.d_in**2})"
+            )
+        object.__setattr__(self, "super", s)
+        if self.kraus is not None and not (fro_dist(s, _kraus_super(self.kraus)) <= DEFAULT_RESIDUAL_ATOL):
+            raise ValueError("superoperator is inconsistent with the Kraus operators")
 
 
 @dataclass(frozen=True)
@@ -119,27 +118,18 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _kraus_super(ops) -> np.ndarray:
-    total = np.zeros((ops[0].shape[0] ** 2, ops[0].shape[1] ** 2), dtype=np.complex128)
-    for k in ops:
-        total += kron(k.conj(), k)
-    return total
+    """``sum_i conj(K_i) (x) K_i`` over the stacked (d_out, d_in) operators."""
+    k = np.asarray(ops)
+    _, d_out, d_in = k.shape
+    return np.einsum("nij,nkl->ikjl", k.conj(), k).reshape(d_out * d_out, d_in * d_in)
 
 
 def kraus_to_channel(kraus_ops) -> Channel:
     """Build a channel from a non-empty list of same-shape Kraus operators."""
-    if not kraus_ops:
-        raise ValueError("at least one Kraus operator is required")
-    ops = tuple(as_cmatrix(k, "kraus operator") for k in kraus_ops)
-    shape = ops[0].shape
-    for k in ops[1:]:
-        if k.shape != shape:
-            raise ValueError(f"Kraus operators have mixed shapes: {shape} vs {k.shape}")
-    return Channel(d_in=shape[1], d_out=shape[0], super=_kraus_super(ops), kraus=ops)
-
-
-def channel_from_super(super_op: np.ndarray, d_in: int, d_out: int) -> Channel:
-    """Wrap a raw superoperator matrix as a channel."""
-    return Channel(d_in=d_in, d_out=d_out, super=super_op)
+    ops = np.asarray(kraus_ops, dtype=np.complex128)  # mixed shapes raise ValueError here
+    if ops.ndim != 3 or len(ops) == 0:
+        raise ValueError(f"need a non-empty list of same-shape 2-D Kraus operators, got shape {ops.shape}")
+    return Channel(d_in=ops.shape[2], d_out=ops.shape[1], super=_kraus_super(ops), kraus=tuple(ops))
 
 
 def identity_channel(d: int) -> Channel:
@@ -151,7 +141,7 @@ def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     rho = as_cmatrix(rho, "rho")
     if rho.shape != (ch.d_in, ch.d_in):
         raise ValueError(f"state shape {rho.shape} does not match channel input dim {ch.d_in}")
-    return unvec(ch.super @ vec(rho), ch.d_out, ch.d_out)
+    return unvec(ch.super @ rho.flatten(order="F"), ch.d_out, ch.d_out)
 
 
 def compose(second: Channel, first: Channel) -> Channel:
@@ -171,15 +161,11 @@ def adjoint_channel(ch: Channel) -> Channel:
 
 
 def choi(ch: Channel) -> ChoiMatrix:
-    """Choi matrix via action on the matrix units E_ij."""
+    """Choi matrix ``sum_ij E_ij (x) apply(ch, E_ij)``: entry ((i, p), (j, q)) is
+    ``apply(ch, E_ij)[p, q]``, held in ``super`` at row q*d_out+p, column j*d_in+i."""
     d_in, d_out = ch.d_in, ch.d_out
-    j = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
-    for i in range(d_in):
-        for k in range(d_in):
-            e = np.zeros((d_in, d_in), dtype=np.complex128)
-            e[i, k] = 1.0
-            j += kron(e, apply(ch, e))
-    return ChoiMatrix(matrix=j, d_in=d_in, d_out=d_out)
+    t = ch.super.reshape(d_out, d_out, d_in, d_in).transpose(3, 1, 2, 0)
+    return ChoiMatrix(matrix=t.reshape(d_in * d_out, d_in * d_out), d_in=d_in, d_out=d_out)
 
 
 def choi_to_kraus(j: ChoiMatrix, tol: Tolerances = DEFAULT_TOL):
@@ -192,7 +178,7 @@ def choi_to_kraus(j: ChoiMatrix, tol: Tolerances = DEFAULT_TOL):
     m = as_cmatrix(j.matrix, "choi")
     if fro_dist(m, dagger(m)) > tol.residual_atol:
         raise ValueError("Choi matrix is not Hermitian within tolerance")
-    w, v = eigh(m, tol)
+    w, v = np.linalg.eigh(m)
     if w[0] < -tol.psd_atol:
         raise NotCPError(f"Choi matrix has eigenvalue {w[0]:.3e} < -psd_atol; channel is not CP")
     ops = []
@@ -213,20 +199,19 @@ def is_cp(ch: Channel, tol: Tolerances = DEFAULT_TOL):
     """
     j = choi(ch).matrix
     hermitian = fro_dist(j, dagger(j)) <= tol.residual_atol
-    w, _ = eigh((j + dagger(j)) / 2.0, tol)
-    min_eig = float(w[0])
+    min_eig = float(np.linalg.eigvalsh(j / 2.0 + dagger(j) / 2.0)[0])  # halves first: no overflow
     return bool(hermitian and min_eig >= -tol.psd_atol), min_eig
 
 
 def is_tp(ch: Channel, tol: Tolerances = DEFAULT_TOL):
     """TP verdict and residual ``|super^H vec(I_out) - vec(I_in)|``."""
-    r = float(np.linalg.norm(dagger(ch.super) @ vec(np.eye(ch.d_out)) - vec(np.eye(ch.d_in))))
+    r = float(np.linalg.norm(dagger(ch.super) @ np.eye(ch.d_out).ravel() - np.eye(ch.d_in).ravel()))
     return r <= tol.residual_atol, r
 
 
 def is_unital(ch: Channel, tol: Tolerances = DEFAULT_TOL):
     """Unitality verdict and residual ``|super vec(I_in) - vec(I_out)|``."""
-    r = float(np.linalg.norm(ch.super @ vec(np.eye(ch.d_in)) - vec(np.eye(ch.d_out))))
+    r = float(np.linalg.norm(ch.super @ np.eye(ch.d_in).ravel() - np.eye(ch.d_out).ravel()))
     return r <= tol.residual_atol, r
 
 
@@ -261,7 +246,7 @@ def depolarizing(d: int, a: float) -> Channel:
 
 def conjugation_channel(f: np.ndarray) -> Channel:
     """Single-Kraus channel ``rho -> F rho F^H``; always CP."""
-    return kraus_to_channel([as_cmatrix(f, "f")])
+    return kraus_to_channel([f])
 
 
 def mixed_unitary(unitaries, probs, tol: Tolerances = DEFAULT_TOL) -> Channel:
@@ -349,7 +334,8 @@ def random_ucptp(d: int, n_unitaries: int, seed) -> Channel:
     rng = _get_rng(seed)
     unitaries = [haar_unitary(d, rng) for _ in range(n_unitaries)]
     probs = rng.dirichlet(np.ones(n_unitaries))
-    return mixed_unitary(unitaries, probs)
+    # unitary and normalized by construction: skip mixed_unitary's input checks
+    return kraus_to_channel([np.sqrt(p) * u for p, u in zip(probs, unitaries)])
 
 
 def partial_trace(m: np.ndarray, dims, which: int) -> np.ndarray:

@@ -127,44 +127,35 @@ def cmd_check(args) -> int:
 def cmd_inverse(args) -> int:
     cfg = _config(args)
     ch = _load_channel(args.channel)
-    tol = cfg.tolerances
     if args.kind in ("drazin", "group") and ch.d_in != ch.d_out:
         raise CliError(EXIT_DIMENSION, f"{args.kind} inverse needs d_in == d_out, got {ch.d_in} != {ch.d_out}")
+    # looked up per call, so that a rebinding of these module names takes effect
+    inverse = {"mp": mp_inverse, "drazin": drazin_inverse, "group": group_inverse,
+               "dagger-drazin": dagger_drazin}[args.kind]
     try:
-        if args.kind == "mp":
-            rep = mp_inverse(ch.super, tol)
-            inverse, residuals, index, witness_k = rep.inverse, rep.residuals, None, None
-        elif args.kind == "drazin":
-            rep = drazin_inverse(ch.super, tol)
-            inverse, residuals, index, witness_k = rep.inverse, rep.residuals, rep.index, None
-        elif args.kind == "group":
-            rep = group_inverse(ch.super, tol)
-            inverse, residuals, index, witness_k = rep.inverse, rep.residuals, rep.index, None
-        else:
-            rep = dagger_drazin(ch.super, tol)
-            inverse, residuals, index, witness_k = rep.inverse, rep.residuals, None, rep.witness_k
+        rep = inverse(ch.super, cfg.tolerances)
     except IndexTooLargeError as exc:
         raise CliError(EXIT_NO_GROUP_INVERSE, str(exc)) from exc
     except (AxiomResidualError, FormulaMismatchError) as exc:
         raise CliError(EXIT_RESIDUAL, str(exc)) from exc
-    inv_ch = chn.Channel(d_in=ch.d_out, d_out=ch.d_in, super=inverse)
+    inv_ch = chn.Channel(d_in=ch.d_out, d_out=ch.d_in, super=rep.inverse)
     payload = chn.channel_to_dict(inv_ch)
     payload["ginv"] = {
         "kind": args.kind,
-        "residuals": {k: float(v) for k, v in sorted(residuals.items())},
-        "index": index,
-        "witness_k": witness_k,
+        "residuals": {k: float(v) for k, v in sorted(rep.residuals.items())},
+        "index": rep.index,
+        "witness_k": rep.witness_k,
     }
     _write_out(payload, args.out)
     if cfg.output == "json":
         print(_dump(payload))
     else:
         print(f"kind: {args.kind}")
-        if index is not None:
-            print(f"index: {index}")
-        if witness_k is not None:
-            print(f"witness_k: {witness_k}")
-        for label, value in sorted(residuals.items()):
+        if rep.index is not None:
+            print(f"index: {rep.index}")
+        if rep.witness_k is not None:
+            print(f"witness_k: {rep.witness_k}")
+        for label, value in sorted(rep.residuals.items()):
             print(f"{label}: {float(value)!r}")
         if args.out:
             print(f"inverse channel written to {args.out}")

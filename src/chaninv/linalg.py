@@ -54,15 +54,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product."""
     return np.kron(a, b)
@@ -133,7 +124,11 @@ def eigh(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
 def rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_rtol * max(shape) * sigma_max``."""
-    m = as_cmatrix(m)
+    return _rank(as_cmatrix(m), tol)
+
+
+def _rank(m: np.ndarray, tol: Tolerances) -> int:
+    """:func:`rank` of an array built in this package, without re-validating it."""
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)

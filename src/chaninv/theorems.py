@@ -96,22 +96,22 @@ def _certifiable(s: np.ndarray, tol: Tolerances) -> bool:
     return bool(nonzero.size == 0 or nonzero[-1] / sv[0] >= MIN_REL_SIGMA)
 
 
-def draw_cptp(d: int, env_dim: int, rng, tol: Tolerances = DEFAULT_TOL) -> chn.Channel:
-    """Random CPTP test instance, redrawn while numerically uncertifiable."""
+def _redraw(draw, tol: Tolerances) -> chn.Channel:
     for _ in range(64):
-        ch = chn.random_cptp(d, d, env_dim, rng)
+        ch = draw()
         if _certifiable(ch.super, tol):
             return ch
     return ch
+
+
+def draw_cptp(d: int, env_dim: int, rng, tol: Tolerances = DEFAULT_TOL) -> chn.Channel:
+    """Random CPTP test instance, redrawn while numerically uncertifiable."""
+    return _redraw(lambda: chn.random_cptp(d, d, env_dim, rng), tol)
 
 
 def draw_ucptp(d: int, n_unitaries: int, rng, tol: Tolerances = DEFAULT_TOL) -> chn.Channel:
     """Random mixed-unitary test instance, redrawn while numerically uncertifiable."""
-    for _ in range(64):
-        ch = chn.random_ucptp(d, n_unitaries, rng)
-        if _certifiable(ch.super, tol):
-            return ch
-    return ch
+    return _redraw(lambda: chn.random_ucptp(d, n_unitaries, rng), tol)
 
 
 def check_drazin_preserves_tp_u(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -307,7 +307,7 @@ def search_mp_tp_violation(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = chn._get_rng(seed)
     evaluated = 0
     worst = 0.0
     witness = None
@@ -450,7 +450,7 @@ def check_double_inverse_gap(d: int, seed, tol: Tolerances = DEFAULT_TOL) -> The
     f^DD != f; this exhibits a TP superoperator where the gap is large while
     the Drazin inverse itself is still TP.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = chn._get_rng(seed)
     s = _index2_tp_superoperator(d, rng)
     tp_res = float(np.linalg.norm(dagger(s) @ chn.vec(np.eye(d)) - chn.vec(np.eye(d))))
     dr = drazin_inverse(s, tol)

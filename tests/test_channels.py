@@ -71,6 +71,18 @@ class TestKrausToChannel:
         with pytest.raises(ValueError):
             chn.Channel(d_in=2, d_out=2, super=np.eye(4), kraus=(X,))
 
+    def test_non_finite_operator_named(self):
+        with pytest.raises(ValueError, match="kraus operator"):
+            chn.kraus_to_channel([np.diag([np.nan, 1.0])])
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
+    def test_kraus_sum_matches_kron_loop(self, d_in, d_out):
+        # oracle: the sum of conj(K) (x) K, one Kronecker product per operator
+        rng = np.random.default_rng(40 + d_in)
+        ops = [random_complex(rng, d_out, d_in) for _ in range(3)]
+        expected = sum(np.kron(k.conj(), k) for k in ops)
+        np.testing.assert_allclose(chn._kraus_super(ops), expected, rtol=0, atol=1e-13)
+
 
 class TestApply:
     def test_identity(self):
@@ -117,6 +129,19 @@ class TestChoi:
         ch = chn.projector_channel((1, 1))
         j = chn.choi(ch).matrix
         np.testing.assert_allclose(j, np.diag(np.diagonal(j)), atol=1e-14)
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
+    def test_rectangular_matches_definition(self, d_in, d_out):
+        # oracle: the definition sum_ij E_ij (x) apply(ch, E_ij), on a map with all
+        # entries distinct, where a wrongly chosen transpose axis cannot hide
+        rng = np.random.default_rng(30 + d_in)
+        ch = chn.Channel(d_in=d_in, d_out=d_out, super=random_complex(rng, d_out**2, d_in**2))
+        expected = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+        for i in range(d_in):
+            for j in range(d_in):
+                e = basis_matrix(d_in, i, j)
+                expected += np.kron(e, chn.apply(ch, e))
+        np.testing.assert_array_equal(chn.choi(ch).matrix, expected)
 
 
 class TestChoiToKraus:
@@ -382,6 +407,13 @@ class TestRepresentationRoundTrip:
         ch = chn.random_cptp(d, d, 3, seed=100 + d)
         ops = chn.choi_to_kraus(chn.choi(ch))
         rebuilt = chn.kraus_to_channel(ops)
+        assert fro_dist(rebuilt.super, ch.super) <= 1e-8
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
+    def test_rectangular_choi_kraus_round_trip(self, d_in, d_out):
+        ch = chn.random_cptp(d_in, d_out, 2, seed=110 + d_in)
+        rebuilt = chn.kraus_to_channel(chn.choi_to_kraus(chn.choi(ch)))
+        assert (rebuilt.d_in, rebuilt.d_out) == (d_in, d_out)
         assert fro_dist(rebuilt.super, ch.super) <= 1e-8
 
 

@@ -55,6 +55,15 @@ class TestCheck:
         code, _, _ = run(capsys, ["check", f])
         assert code == 3
 
+    def test_entries_near_float_limit_exit_0(self, tmp_path, capsys):
+        # the Hermitian part of the Choi matrix must not overflow on a valid channel
+        huge = [[[1e308 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        f = write_json(tmp_path / "huge.json", {"d_in": 2, "d_out": 2, "super": huge})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run(capsys, ["check", f])
+        assert code == 0
+        assert json.loads(out)["cp"]["verdict"] is True
+
     def test_text_output_same_numbers(self, tmp_path, capsys):
         f = write_channel(tmp_path / "dep.json", chn.depolarizing(2, 0.5))
         code, out_json, _ = run(capsys, ["check", f, "--output", "json"])
@@ -121,6 +130,27 @@ class TestInverse:
         code, _, err = run(capsys, ["inverse", f, "--kind", "drazin", "--atol", "1e-30"])
         assert code == 5
         assert "residual" in err
+
+    def test_internal_overflow_exit_5(self, tmp_path, capsys):
+        # a valid channel whose gram matrix overflows: a failed certificate, not bad input
+        f = write_json(tmp_path / "big.json", {"d_in": 1, "d_out": 1, "super": [[[1e155, 0]]]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, ["inverse", f, "--kind", "dagger-drazin"])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error:") and "overflow" in err
+
+    @pytest.mark.parametrize(
+        "kind, has_index, has_witness",
+        [("mp", False, False), ("drazin", True, False), ("group", True, False), ("dagger-drazin", False, True)],
+    )
+    def test_ginv_keys_every_kind(self, tmp_path, capsys, kind, has_index, has_witness):
+        f = write_channel(tmp_path / "u.json", chn.random_ucptp(2, 2, 9))
+        code, out, _ = run(capsys, ["inverse", f, "--kind", kind])
+        assert code == 0
+        ginv = json.loads(out)["ginv"]
+        assert set(ginv) == {"kind", "residuals", "index", "witness_k"}
+        assert (ginv["index"] is not None, ginv["witness_k"] is not None) == (has_index, has_witness)
 
     def test_mp_involution_end_to_end(self, tmp_path, capsys):
         original = chn.random_ucptp(2, 3, 9)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from chaninv.ginv import (
+    AxiomResidualError,
+    GinvReport,
     IndexTooLargeError,
+    _enforce,
     dagger_drazin,
     drazin_index,
     drazin_inverse,
@@ -11,7 +14,7 @@ from chaninv.ginv import (
     mp_inverse,
     verify_axioms,
 )
-from chaninv.linalg import Tolerances, dagger, fro_dist
+from chaninv.linalg import DEFAULT_TOL, Tolerances, dagger, fro_dist
 
 ATOL = 1e-8
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -94,6 +97,11 @@ class TestDrazinInverse:
         res = drazin_inverse(np.eye(3))
         assert res.index == 0
         np.testing.assert_allclose(res.inverse, np.eye(3), atol=1e-14)
+
+    def test_report_type(self):
+        res = drazin_inverse(NILPOTENT)
+        assert isinstance(res, GinvReport)
+        assert (res.kind, res.index, res.witness_k) == ("drazin", 2, None)
 
     def test_nilpotent_is_zero(self):
         # oracle: the axioms force the inverse of a nilpotent to vanish
@@ -321,6 +329,39 @@ class TestVerifyAxioms:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             verify_axioms("cholesky", np.eye(2), np.eye(2))
+
+    def test_overflowed_residuals_reported_and_gated(self):
+        # D2 and D3 overflow to nan; D1 used to read 0.0 and the report passed the gate
+        a = np.diag([1e308, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res, _ = verify_axioms("drazin", a, a)
+        assert not np.isfinite(res["D1"])
+        assert np.isnan(res["D2"]) and np.isnan(res["D3"])
+        with pytest.raises(AxiomResidualError):
+            _enforce("drazin", res, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("residuals", [{"D1": np.nan, "D2": 0.0}, {"D1": 0.0, "D2": np.nan}])
+    def test_gate_rejects_nan_anywhere(self, residuals):
+        with pytest.raises(AxiomResidualError):
+            _enforce("drazin", residuals, DEFAULT_TOL)
+
+
+class TestInternalOverflow:
+    # finite, valid inputs whose powers or gram matrices overflow
+    @pytest.mark.parametrize(
+        "fn, m",
+        [
+            (dagger_drazin, np.array([[1e155]])),
+            (drazin_inverse, np.diag([1e200, 0.0])),
+            (group_inverse, np.diag([1e200, 0.0])),
+            (dagger_drazin, np.diag([1e200, 0.0])),
+            (drazin_inverse, np.array([[1e200, 1e200], [0.0, 0.0]])),
+            (mp_inverse, np.array([[1e200, 1e200], [0.0, 0.0]])),
+        ],
+    )
+    def test_reported_as_axiom_residual_error(self, fn, m):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AxiomResidualError):
+            fn(m)
 
 
 class TestMpDaggerDrazinLink:

@@ -9,7 +9,6 @@ from chaninv.linalg import (
     eigh,
     fro_dist,
     kron,
-    matmul,
     matpow,
     rank,
     svd,
@@ -73,24 +72,6 @@ class TestDagger:
             # comparison multiplies along two different BLAS paths
             assert fro_dist(dagger(dagger(a)), a) == 0.0
             assert fro_dist(dagger(a @ b), dagger(b) @ dagger(a)) <= 1e-12
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1, 2], [3, 4]], dtype=complex)
-        np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-    def test_nilpotent_square_is_zero(self):
-        np.testing.assert_array_equal(matmul(NILPOTENT, NILPOTENT), np.zeros((2, 2)))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            matmul(np.diag([2.0, 3.0]), np.diag([5.0, 7.0])), np.diag([10.0, 21.0])
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestKron:

@@ -285,6 +285,25 @@ class TestDoubleInverseLaws:
         assert fro_dist(double, s) > 0.5  # double inverse genuinely differs
 
 
+class TestDraws:
+    @pytest.mark.parametrize("draw, name", [(thm.draw_cptp, "random_cptp"), (thm.draw_ucptp, "random_ucptp")])
+    def test_redraw_until_certifiable(self, monkeypatch, draw, name):
+        # singular values 1 and 1e-3: below MIN_REL_SIGMA, so uncertifiable
+        bad, good = chn.depolarizing(2, 0.999), chn.identity_channel(2)
+        queue = [bad, bad, good]
+        monkeypatch.setattr(chn, name, lambda *args: queue.pop(0))
+        assert draw(2, 2, np.random.default_rng(0)) is good
+        assert not queue
+
+    @pytest.mark.parametrize("draw, name", [(thm.draw_cptp, "random_cptp"), (thm.draw_ucptp, "random_ucptp")])
+    def test_gives_up_after_64_draws(self, monkeypatch, draw, name):
+        bad = chn.depolarizing(2, 0.999)
+        calls = []
+        monkeypatch.setattr(chn, name, lambda *args: calls.append(args) or bad)
+        assert draw(2, 2, np.random.default_rng(0)) is bad
+        assert len(calls) == 64
+
+
 class TestRunSuite:
     def test_default_suite_passes(self):
         reports = thm.run_suite(seed=thm.DEFAULT_SUITE_SEED, instance_count=24)
