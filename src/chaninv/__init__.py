@@ -59,7 +59,6 @@ from .linalg import (
     eigh,
     fro_dist,
     kron,
-    matpow,
     rank,
     svd,
 )

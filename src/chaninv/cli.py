@@ -7,7 +7,7 @@ Exit codes:
   2  malformed input (bad JSON, bad parameters, invalid state/observable)
   3  dimension inconsistency
   4  group inverse does not exist (Drazin index > 1)
-  5  axiom residual overflow / formula disagreement
+  5  the inverse failed its certificate (axiom residual or overflow)
   6  channel is not trace preserving (mitigate)
 
 Channels are JSON objects ``{"d_in": n, "d_out": m, "kraus": [...]}`` or
@@ -27,8 +27,7 @@ import numpy as np
 from . import channels as chn
 from . import theorems
 from .ginv import (
-    AxiomResidualError,
-    FormulaMismatchError,
+    GinvError,
     IndexTooLargeError,
     dagger_drazin,
     drazin_inverse,
@@ -102,7 +101,12 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """Strict JSON: a non-finite float is written as the string "inf", "-inf" or "nan"."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float: rewrite the Infinity/NaN tokens as strings
+        strict = json.loads(json.dumps(payload), parse_constant=lambda token: str(float(token)))
+        return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _write_out(payload, out_path):
@@ -136,7 +140,7 @@ def cmd_inverse(args) -> int:
         rep = inverse(ch.super, cfg.tolerances)
     except IndexTooLargeError as exc:
         raise CliError(EXIT_NO_GROUP_INVERSE, str(exc)) from exc
-    except (AxiomResidualError, FormulaMismatchError) as exc:
+    except GinvError as exc:
         raise CliError(EXIT_RESIDUAL, str(exc)) from exc
     inv_ch = chn.Channel(d_in=ch.d_out, d_out=ch.d_in, super=rep.inverse)
     payload = chn.channel_to_dict(inv_ch)
@@ -203,7 +207,7 @@ def cmd_mitigate(args) -> int:
         raise CliError(EXIT_BAD_INPUT, "observable must be Hermitian")
     try:
         dr = drazin_inverse(ch.super, tol)
-    except (AxiomResidualError, FormulaMismatchError) as exc:
+    except GinvError as exc:
         raise CliError(EXIT_RESIDUAL, str(exc)) from exc
     noisy_state = rho
     for _ in range(args.repetitions):
@@ -318,7 +322,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # every non-finite result is gated or reported, so NumPy's warnings only add noise
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -19,7 +19,8 @@ DEFAULT_PSD_ATOL = 1e-8
 class Tolerances:
     """Numerical policy threaded through every inexact decision.
 
-    rank_rtol is relative to the largest singular value (rank cutoffs),
+    rank_rtol is relative to the largest singular value (the rank cutoff
+    of ``_numerical_rank``, the one helper every rank decision calls),
     residual_atol is an absolute Frobenius-norm tolerance for equality and
     axiom checks, and psd_atol is the eigenvalue floor used when deciding
     positive semidefiniteness.
@@ -57,16 +58,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product."""
     return np.kron(a, b)
-
-
-def matpow(a: np.ndarray, k: int) -> np.ndarray:
-    """``a`` raised to a non-negative integer power; a^0 is the identity."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matpow needs a square matrix, got shape {a.shape}")
-    if k < 0:
-        raise ValueError("matpow exponent must be non-negative")
-    return np.linalg.matrix_power(a, k)
 
 
 def fro_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -124,15 +115,12 @@ def eigh(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
 def rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_rtol * max(shape) * sigma_max``."""
-    return _rank(as_cmatrix(m), tol)
+    m = as_cmatrix(m)
+    return _numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, tol)
 
 
-def _rank(m: np.ndarray, tol: Tolerances) -> int:
-    """:func:`rank` of an array built in this package, without re-validating it."""
-    if m.size == 0:
+def _numerical_rank(s: np.ndarray, shape: tuple, tol: Tolerances) -> int:
+    """Count of the leading singular values ``s`` of a ``shape`` matrix above ``rank_rtol * max(shape) * s[0]``."""
+    if s.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = tol.rank_rtol * max(m.shape) * s[0]
-    return int(np.count_nonzero(s > cutoff))
+    return int(np.count_nonzero(s > tol.rank_rtol * max(shape) * s[0]))

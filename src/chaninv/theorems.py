@@ -31,7 +31,7 @@ import numpy as np
 
 from . import channels as chn
 from .ginv import dagger_drazin, drazin_index, drazin_inverse, mp_inverse
-from .linalg import DEFAULT_TOL, Tolerances, as_cmatrix, dagger, fro_dist
+from .linalg import DEFAULT_TOL, Tolerances, _numerical_rank, as_cmatrix, dagger, fro_dist
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -90,10 +90,8 @@ def _inverse_channel(ch: chn.Channel, inverse: np.ndarray) -> chn.Channel:
 def _certifiable(s: np.ndarray, tol: Tolerances) -> bool:
     """True when the nonzero part of the spectrum keeps inverses at O(1) scale."""
     sv = np.linalg.svd(s, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return True
-    nonzero = sv[sv > tol.rank_rtol * max(s.shape) * sv[0]]
-    return bool(nonzero.size == 0 or nonzero[-1] / sv[0] >= MIN_REL_SIGMA)
+    r = _numerical_rank(sv, s.shape, tol)
+    return bool(r == 0 or sv[r - 1] / sv[0] >= MIN_REL_SIGMA)
 
 
 def _redraw(draw, tol: Tolerances) -> chn.Channel:

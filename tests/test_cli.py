@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,18 @@ class TestCheck:
             code, out, _ = run(capsys, ["check", f])
         assert code == 0
         assert json.loads(out)["cp"]["verdict"] is True
+
+    def test_non_finite_residuals_are_strict_json(self, tmp_path, capsys):
+        huge = [[[1e308 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        f = write_json(tmp_path / "huge.json", {"d_in": 2, "d_out": 2, "super": huge})
+        code, out, _ = run(capsys, ["check", f])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["tp"]["residual"] == "inf" and report["tp"]["verdict"] is False
 
     def test_text_output_same_numbers(self, tmp_path, capsys):
         f = write_channel(tmp_path / "dep.json", chn.depolarizing(2, 0.5))
@@ -132,13 +145,17 @@ class TestInverse:
         assert "residual" in err
 
     def test_internal_overflow_exit_5(self, tmp_path, capsys):
-        # a valid channel whose gram matrix overflows: a failed certificate, not bad input
-        f = write_json(tmp_path / "big.json", {"d_in": 1, "d_out": 1, "super": [[[1e155, 0]]]})
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, ["inverse", f, "--kind", "dagger-drazin"])
+        # a valid channel whose superoperator's square overflows: a failed certificate,
+        # not bad input, reported on one line without NumPy warnings
+        big = [[[1e200 if i == j == 0 else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        f = write_json(tmp_path / "big.json", {"d_in": 2, "d_out": 2, "super": big})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["inverse", f, "--kind", "drazin"])
         assert code == 5
         assert out == ""
         assert err.startswith("error:") and "overflow" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "kind, has_index, has_witness",

@@ -29,6 +29,16 @@ def random_unitary(rng, n):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def power_formula_drazin(a, tol=DEFAULT_TOL):
+    """(k, a^k (a^(2k+1))^+ a^k) with k the smallest exponent where the rank of a^k stops falling."""
+    n = a.shape[0]
+    powers = [np.linalg.matrix_power(a, p) for p in range(2 * n + 2)]
+    ranks = [np.linalg.matrix_rank(p, tol=tol.rank_rtol * n * np.linalg.norm(p, 2)) for p in powers]
+    k = next(k for k in range(n + 1) if ranks[k] == ranks[k + 1])
+    pinv = np.linalg.pinv(powers[2 * k + 1], rcond=tol.rank_rtol * n)
+    return k, powers[k] @ pinv @ powers[k]
+
+
 class TestMoorePenrose:
     def test_diagonal(self):
         rep = mp_inverse(np.diag([2.0, 0.0]))
@@ -188,6 +198,30 @@ class TestDrazinInverse:
             oracle = p @ np.diag([1.0 / x if x else 0.0 for x in lam]) @ np.linalg.inv(p)
             assert fro_dist(drazin_inverse(a).inverse, oracle) <= 1e-6
 
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
+    def test_matches_power_formula_oracle(self, index):
+        # oracle: the classical a^k (a^(2k+1))^+ a^k with k from the rank sequence,
+        # on T diag(C, N) T^-1 with C invertible and N nilpotent of the given index
+        rng = np.random.default_rng(30 + index)
+        for _ in range(5):
+            n_core = int(rng.integers(1, 4))
+            c = random_unitary(rng, n_core) @ np.diag(rng.uniform(0.5, 2.0, n_core))
+            nil = [np.diag(np.ones(size - 1), 1) for size in (index, int(rng.integers(0, index + 1))) if size]
+            n = n_core + sum(b.shape[0] for b in nil)
+            j = np.zeros((n, n), dtype=complex)
+            j[:n_core, :n_core] = c
+            offset = n_core
+            for b in nil:
+                j[offset : offset + b.shape[0], offset : offset + b.shape[0]] = b
+                offset += b.shape[0]
+            t = random_unitary(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_unitary(rng, n)
+            a = t @ j @ np.linalg.inv(t)
+            k, oracle = power_formula_drazin(a)
+            assert k == index
+            res = drazin_inverse(a)
+            assert drazin_index(a) == res.index == index
+            assert fro_dist(res.inverse, oracle) <= 1e-8
+
     def test_jordan_construction_oracle(self):
         # oracle: assemble A = P J P^-1 from explicit Jordan blocks; the
         # Drazin inverse inverts the invertible blocks and zeroes the rest
@@ -295,6 +329,26 @@ class TestDaggerDrazin:
         rhs = dagger_drazin(f).inverse @ dagger_drazin(dagger(f)).inverse
         assert fro_dist(lhs, rhs) <= ATOL
 
+    @pytest.mark.parametrize("cond, certified", [(1e3, True), (1e6, False)])
+    def test_same_verdict_and_inverse_as_mp(self, cond, certified):
+        rng = np.random.default_rng(18)
+        u, v = random_unitary(rng, 6), random_unitary(rng, 6)
+        f = u @ np.diag(np.geomspace(1.0, 1.0 / cond, 6)) @ v
+        if certified:
+            mp = mp_inverse(f).inverse
+            assert fro_dist(dagger_drazin(f).inverse, mp) <= ATOL * np.linalg.norm(mp)
+        else:
+            for fn in (mp_inverse, dagger_drazin):
+                with pytest.raises(AxiomResidualError):
+                    fn(f)
+
+    def test_scale_robust_without_gram_matrix(self):
+        # F^H F overflows at this scale; one thin SVD of F does not
+        with np.errstate(over="ignore"):  # the Dd1 witness search still forms F^H F
+            rep = dagger_drazin(np.array([[1e155]]))
+        assert rep.witness_k == 0
+        np.testing.assert_allclose(rep.inverse, [[1e-155]], rtol=1e-15)
+
     def test_adjoint_inverse_is_inverse_adjoint(self):
         rng = np.random.default_rng(15)
         f = random_complex(rng, 3, 5)
@@ -347,16 +401,24 @@ class TestVerifyAxioms:
 
 
 class TestInternalOverflow:
-    # finite, valid inputs whose powers or gram matrices overflow
+    # finite, valid inputs whose powers or axiom residuals overflow; NumPy's SVD
+    # hangs on the overflowed 4x4 power, so it must be refused before its SVD
+    big4 = np.diag([1e200, 0.0, 0.0, 0.0])
+    big9 = np.diag([1e200] + [0.0] * 8)
+
     @pytest.mark.parametrize(
         "fn, m",
         [
-            (dagger_drazin, np.array([[1e155]])),
+            (dagger_drazin, big4),
             (drazin_inverse, np.diag([1e200, 0.0])),
             (group_inverse, np.diag([1e200, 0.0])),
             (dagger_drazin, np.diag([1e200, 0.0])),
             (drazin_inverse, np.array([[1e200, 1e200], [0.0, 0.0]])),
             (mp_inverse, np.array([[1e200, 1e200], [0.0, 0.0]])),
+            (drazin_inverse, big4),
+            (group_inverse, big4),
+            (drazin_inverse, big9),
+            (group_inverse, big9),
         ],
     )
     def test_reported_as_axiom_residual_error(self, fn, m):

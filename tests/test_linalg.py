@@ -4,12 +4,12 @@ import pytest
 from chaninv.linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _numerical_rank,
     as_cmatrix,
     dagger,
     eigh,
     fro_dist,
     kron,
-    matpow,
     rank,
     svd,
 )
@@ -168,6 +168,13 @@ class TestRank:
             u, v = random_unitary(rng, n), random_unitary(rng, n)
             assert rank(m) == rank(u @ m @ v) == r
 
+    def test_empty_and_cutoff_scaling(self):
+        assert rank(np.zeros((0, 3))) == 0
+        # the cutoff is rank_rtol * max(shape) * sigma_max: 1e-10 * 3 = 3e-10
+        assert _numerical_rank(np.array([1.0, 4e-10, 2e-10]), (3, 2), DEFAULT_TOL) == 2
+        assert _numerical_rank(np.array([0.0, 0.0]), (2, 2), DEFAULT_TOL) == 0
+        assert _numerical_rank(np.array([np.nan, 1.0]), (2, 2), DEFAULT_TOL) == 0
+
 
 class TestFroDist:
     def test_self_distance_zero(self):
@@ -184,17 +191,3 @@ class TestFroDist:
         with pytest.raises(ValueError):
             fro_dist(np.zeros((2, 2)), np.zeros((2, 3)))
 
-
-class TestMatpow:
-    def test_zeroth_power(self):
-        np.testing.assert_array_equal(matpow(NILPOTENT, 0), np.eye(2))
-
-    def test_nilpotent_square(self):
-        np.testing.assert_array_equal(matpow(NILPOTENT, 2), np.zeros((2, 2)))
-
-    def test_large_power(self):
-        np.testing.assert_allclose(matpow(np.array([[2.0]]), 10), np.array([[1024.0]]))
-
-    def test_non_square(self):
-        with pytest.raises(ValueError):
-            matpow(np.zeros((2, 3)), 2)
