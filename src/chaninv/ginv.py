@@ -3,10 +3,11 @@
 Four kinds are computed: Moore-Penrose (any shape), Drazin and group
 (square), and dagger-Drazin (any shape, reduces to Moore-Penrose on
 complex matrices). Each comes from one factorization: Moore-Penrose and
-dagger-Drazin from one thin SVD of the input; Drazin and group from the
-SVD of A^(k+1) that ends the index search, whose singular vectors span
-u_r = range(A^k) and v_r = range((A^k)^H), so that
-``A^D = u_r (v_r^H A u_r)^{-1} v_r^H``. Every returned inverse is
+dagger-Drazin from one thin SVD of the input; Drazin and group from a
+deflation: one SVD of A, then SVDs of r x r compressions of A, give the
+index k and bases u_r of range(A^k) and v_r of range((A^k)^H), so that
+``A^D = u_r (v_r^H A u_r)^{-1} v_r^H`` (at index 0, read off the SVD of A);
+no power of A is formed. Every returned inverse is
 self-certifying: the defining-axiom residuals are computed and enforced
 against ``Tolerances.residual_atol``, so a successful return is a
 numerical certificate.
@@ -26,7 +27,8 @@ Axiom residuals, in the left-to-right composition convention of
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import reduce
+from itertools import chain, islice
 
 import numpy as np
 
@@ -76,13 +78,21 @@ class GinvReport:
     witness_k: int | None = None
 
 
-def _pinv(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with the shared rank cutoff."""
+def _svd(m: np.ndarray, shape: tuple, tol: Tolerances):
+    """(u, s, vh, r): thin SVD of ``m`` and its rank under a ``shape`` matrix's cutoff; overflow raises."""
+    # NumPy's SVD can hang on non-finite input instead of failing
+    if not np.all(np.isfinite(m)):
+        raise AxiomResidualError("computation overflowed: a matrix to factor has non-finite entries")
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # the SVD of a finite matrix converges
+        return u, s, vh, _numerical_rank(s, shape, tol)
+    except (np.linalg.LinAlgError, OverflowError) as exc:  # a finite matrix's SVD converges: either is an overflow
         raise AxiomResidualError(f"computation overflowed: {exc}") from exc
-    r = _numerical_rank(s, m.shape, tol)
+
+
+def _pinv(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Moore-Penrose inverse via SVD with the shared rank cutoff."""
+    u, s, vh, r = _svd(m, m.shape, tol)
     return dagger(vh[:r]) @ ((1.0 / s[:r])[:, None] * dagger(u[:, :r]))
 
 
@@ -113,12 +123,12 @@ def verify_axioms(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances = DEF
 
 def _residuals(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances):
     """:func:`verify_axioms` on arrays the library built itself, without re-validating them."""
+    fg = f @ g
+    gf = g @ f
     if kind == "moore_penrose":
-        fg = f @ g
-        gf = g @ f
         return {
-            "MP1": fro_dist(f @ g @ f, f),
-            "MP2": fro_dist(g @ f @ g, g),
+            "MP1": fro_dist(fg @ f, f),
+            "MP2": fro_dist(gf @ g, g),
             "MP3": fro_dist(fg, dagger(fg)),
             "MP4": fro_dist(gf, dagger(gf)),
         }, None
@@ -126,33 +136,36 @@ def _residuals(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances):
     if kind in ("drazin", "group"):
         labels = KIND_AXIOMS[kind]
         residuals = {
-            labels[1]: fro_dist(g @ f @ g, g),
-            labels[2]: fro_dist(f @ g, g @ f),
+            labels[1]: fro_dist(gf @ g, g),
+            labels[2]: fro_dist(fg, gf),
         }
         if kind == "group":
-            residuals["G1"] = fro_dist(f @ g @ f, f)
+            residuals["G1"] = fro_dist(fg @ f, f)
             return residuals, None
-        powers = islice(_powers(f), f.shape[0] + 1)
-        best_k, residuals["D1"] = _witness((fro_dist(g @ p @ f, p) for p in powers), tol)
+        # D1 at k = 0 is |GF - I|; each later power is formed only if the previous k failed
+        later = (fro_dist(gf @ p, p) for p in islice(_powers(f), f.shape[0]))
+        best_k, residuals["D1"] = _witness(chain([_from_eye(gf)], later), tol)
         return residuals, best_k
 
-    # dagger_drazin: powers of the gram matrices F^H F and F F^H
-    gf = g @ f
-    fg = f @ g
     residuals = {
-        "Dd2": fro_dist(g @ f @ g, g),
+        "Dd2": fro_dist(gf @ g, g),
         "Dd3": fro_dist(gf, dagger(gf)),
         "Dd4": fro_dist(fg, dagger(fg)),
     }
-    pairs = islice(zip(_powers(dagger(f) @ f), _powers(f @ dagger(f))), max(f.shape) + 1)
-    rs = (float(np.maximum(fro_dist(gf @ p, p), fro_dist(q @ fg, q))) for p, q in pairs)
-    best_k, residuals["Dd1"] = _witness(rs, tol)
+    # the gram matrices P = F^H F and Q = F F^H are formed only if k = 0 fails
+    pairs = islice(zip(_powers(dagger(f), f), _powers(f, dagger(f))), max(f.shape))
+    later = (float(np.maximum(fro_dist(gf @ p, p), fro_dist(q @ fg, q))) for p, q in pairs)
+    best_k, residuals["Dd1"] = _witness(chain([float(np.maximum(_from_eye(gf), _from_eye(fg)))], later), tol)
     return residuals, best_k
 
 
-def _powers(m: np.ndarray):
-    """I, m, m^2, ... without end."""
-    p = np.eye(m.shape[0], dtype=np.complex128)
+def _from_eye(m: np.ndarray) -> float:
+    return fro_dist(m, np.eye(m.shape[0], dtype=np.complex128))
+
+
+def _powers(*factors: np.ndarray):
+    """m, m^2, m^3, ... without end, for m the product of ``factors``, formed on first use."""
+    p = m = reduce(np.matmul, factors)
     while True:
         yield p
         p = p @ m
@@ -188,36 +201,40 @@ def mp_inverse(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
 
 
 def drazin_index(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Smallest k >= 0 with rank(a^k) == rank(a^(k+1)); 0 means invertible."""
+    """Smallest k >= 0 with rank(a^k) == rank(a^(k+1)); 0 means invertible.
+
+    The ranks come from the deflation of :func:`_core`, not from powers of a. Each counts the singular
+    values above ``rank_rtol * n * sigma_max``: n is the size of a, sigma_max that of the block judged.
+    """
     return _core(_as_square(a, "Drazin index"), tol)[0]
 
 
 def _core(a: np.ndarray, tol: Tolerances):
-    """(k, u_r, v_r): the Drazin index k and orthonormal bases of range(a^k) and range((a^k)^H).
+    """(k, u, v, s): the Drazin index k and orthonormal bases u of range(a^k), v of range((a^k)^H).
 
-    a^(k+1) has the range and null space of a^k, so its SVD, which detects the index, gives both.
+    At index 0 a = v diag(s) u^H is its SVD, else s is None. range(a^j) is a-invariant and range((a^j)^H)
+    a^H-invariant, so with bases u_j, v_j of them rank(a^(j+1)) = rank(u_j^H a u_j), range(a^(j+1)) =
+    u_j range(u_j^H a u_j) and range((a^(j+1))^H) = v_j range(v_j^H a^H v_j): one n x n SVD, then r x r
+    blocks until one keeps its rank, and no power of a is formed.
     """
-    n = a.shape[0]
-    power = np.eye(n, dtype=np.complex128)
-    r_prev = n
-    for k in range(n + 1):
-        power = power @ a
-        # NumPy's SVD can hang on non-finite input instead of failing
-        if not np.all(np.isfinite(power)):
-            raise AxiomResidualError(f"computation overflowed: a^{k + 1} has non-finite entries")
-        try:
-            u, s, vh = np.linalg.svd(power)
-        except np.linalg.LinAlgError as exc:  # the SVD of a finite matrix converges
-            raise AxiomResidualError(f"computation overflowed: {exc}") from exc
-        r = _numerical_rank(s, power.shape, tol)
-        if r == r_prev:
+    u, s, vh, r = _svd(a, a.shape, tol)
+    if r == a.shape[0]:
+        return 0, dagger(vh), u, s
+    k, u, v = 1, u[:, :r], dagger(vh[:r])
+    while r:
+        p, _, _, r_next = _svd(dagger(u) @ a @ u, a.shape, tol)
+        if r_next == r:
             break
-        r_prev = r
-    return k, u[:, :r], dagger(vh[:r])
+        # the right singular vectors of v^H a v span range(v^H a^H v)
+        q = dagger(_svd(dagger(v) @ a @ v, a.shape, tol)[2][:r_next])
+        k, r, u, v = k + 1, r_next, u @ p[:, :r_next], v @ q
+    return k, u, v, None
 
 
-def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Uncertified Drazin inverse u (v^H a u)^{-1} v^H from the bases of :func:`_core`."""
+def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """Uncertified Drazin inverse u (v^H a u)^{-1} v^H from :func:`_core`; v^H a u = diag(s) at index 0."""
+    if s is not None:
+        return u @ ((1.0 / s)[:, None] * dagger(v))
     try:
         return u @ np.linalg.solve(dagger(v) @ a @ u, dagger(v))
     except np.linalg.LinAlgError as exc:  # v^H u is invertible when the index is right
@@ -225,8 +242,8 @@ def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _drazin(a: np.ndarray, tol: Tolerances) -> GinvReport:
-    k, u, v = _core(a, tol)
-    inv = _core_inverse(a, u, v)
+    k, u, v, s = _core(a, tol)
+    inv = _core_inverse(a, u, v, s)
     residuals, _ = _residuals("drazin", a, inv, tol)
     _enforce("drazin", residuals, tol)
     return GinvReport(kind="drazin", inverse=inv, residuals=residuals, index=k)
@@ -235,9 +252,10 @@ def _drazin(a: np.ndarray, tol: Tolerances) -> GinvReport:
 def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     """Drazin inverse from the core-nilpotent decomposition found by the index search.
 
-    Jordan-form routes are numerically unstable; this one needs the index
-    search's SVDs and one r x r solve, and is certified by the D1-D3
-    residuals. For invertible input (index 0) it returns the ordinary inverse.
+    Jordan-form routes are numerically unstable; this one needs the
+    deflation's SVDs (one n x n, the rest r x r) and one r x r solve, and is
+    certified by the D1-D3 residuals. For invertible input (index 0) it
+    returns the ordinary inverse, read off the SVD of the input.
     """
     return _drazin(_as_square(a, "Drazin inverse"), tol)
 
@@ -250,10 +268,10 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     double-inverse law (the group inverse of the group inverse is the input).
     """
     a = _as_square(a, "group inverse")
-    k, u, v = _core(a, tol)
+    k, u, v, s = _core(a, tol)
     if k > 1:
         raise IndexTooLargeError(k)
-    inv = _core_inverse(a, u, v)
+    inv = _core_inverse(a, u, v, s)
     residuals, _ = _residuals("group", a, inv, tol)
     _enforce("group", residuals, tol)
     gap = fro_dist(_drazin(inv, tol).inverse, a)

@@ -114,7 +114,7 @@ def eigh(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
 
 def rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above ``rank_rtol * max(shape) * sigma_max``."""
+    """Numerical rank: singular values above ``rank_rtol * max(shape) * sigma_max`` (OverflowError if that is inf)."""
     m = as_cmatrix(m)
     return _numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, tol)
 
@@ -123,4 +123,6 @@ def _numerical_rank(s: np.ndarray, shape: tuple, tol: Tolerances) -> int:
     """Count of the leading singular values ``s`` of a ``shape`` matrix above ``rank_rtol * max(shape) * s[0]``."""
     if s.size == 0:
         return 0
+    if not np.isfinite(s[0]):  # the SVD of a finite matrix whose 2-norm overflows gives s[0] = inf
+        raise OverflowError(f"largest singular value is {s[0]}")
     return int(np.count_nonzero(s > tol.rank_rtol * max(shape) * s[0]))

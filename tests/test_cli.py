@@ -145,9 +145,9 @@ class TestInverse:
         assert "residual" in err
 
     def test_internal_overflow_exit_5(self, tmp_path, capsys):
-        # a valid channel whose superoperator's square overflows: a failed certificate,
+        # a valid channel whose superoperator's 2-norm overflows: a failed certificate,
         # not bad input, reported on one line without NumPy warnings
-        big = [[[1e200 if i == j == 0 else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        big = [[[1e308, 0.0]] * 4 for _ in range(4)]
         f = write_json(tmp_path / "big.json", {"d_in": 2, "d_out": 2, "super": big})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -156,6 +156,16 @@ class TestInverse:
         assert out == ""
         assert err.startswith("error:") and "overflow" in err
         assert len(err.splitlines()) == 1
+
+    def test_huge_entry_certifies_without_powers(self, tmp_path, capsys):
+        # the square of this superoperator overflows, but the index search never forms it
+        big = [[[1e200 if i == j == 0 else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        f = write_json(tmp_path / "big.json", {"d_in": 2, "d_out": 2, "super": big})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, ["inverse", f, "--kind", "drazin"])
+        assert code == 0
+        assert json.loads(out)["ginv"]["index"] == 1
 
     @pytest.mark.parametrize(
         "kind, has_index, has_witness",

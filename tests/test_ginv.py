@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chaninv import channels as chn
 from chaninv.ginv import (
     AxiomResidualError,
     GinvReport,
@@ -37,6 +42,70 @@ def power_formula_drazin(a, tol=DEFAULT_TOL):
     k = next(k for k in range(n + 1) if ranks[k] == ranks[k + 1])
     pinv = np.linalg.pinv(powers[2 * k + 1], rcond=tol.rank_rtol * n)
     return k, powers[k] @ pinv @ powers[k]
+
+
+def power_route_core(a, tol=DEFAULT_TOL):
+    """(k, a^D) by the rank-of-powers route: a full SVD of a, a^2, ... until the rank stops falling.
+
+    The SVD of a^(k+1) that ends the search spans u = range(a^k) and v = range((a^k)^H),
+    and a^D = u (v^H a u)^{-1} v^H.
+    """
+    n = a.shape[0]
+    power = np.eye(n, dtype=complex)
+    r_prev = n
+    for k in range(n + 1):
+        power = power @ a
+        u, s, vh = np.linalg.svd(power)
+        r = int(np.count_nonzero(s > tol.rank_rtol * n * s[0])) if n else 0
+        if r == r_prev:
+            break
+        r_prev = r
+    u, v = u[:, :r], dagger(vh[:r])
+    return k, u @ np.linalg.solve(dagger(v) @ a @ u, dagger(v))
+
+
+def core_nilpotent(rng, n_core, nil_sizes):
+    """(T diag(C, N) T^-1, T diag(C^-1, 0) T^-1) with C and T of singular values in [0.5, 2].
+
+    N is block diagonal with one nilpotent Jordan block of each size in ``nil_sizes``.
+    """
+    n = n_core + sum(nil_sizes)
+    c = random_unitary(rng, n_core) @ np.diag(rng.uniform(0.5, 2.0, n_core))
+    j = np.zeros((n, n), dtype=complex)
+    jd = np.zeros((n, n), dtype=complex)
+    j[:n_core, :n_core] = c
+    jd[:n_core, :n_core] = np.linalg.inv(c)
+    offset = n_core
+    for size in nil_sizes:
+        j[offset : offset + size, offset : offset + size] = np.diag(np.ones(size - 1), 1)
+        offset += size
+    t = random_unitary(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_unitary(rng, n)
+    t_inv = np.linalg.inv(t)
+    return t @ j @ t_inv, t @ jd @ t_inv
+
+
+def reprepare_super(d, rng, noise=0.3):
+    """Superoperator of a measure-and-re-prepare channel (Drazin index 1).
+
+    Measures a random basis and re-prepares outcome b as b with probability 1 - noise,
+    else as a random pure state.
+    """
+    basis = random_unitary(rng, d)
+    ops = []
+    for b in basis.T:
+        w = random_complex(rng, d, 1)[:, 0]
+        ops.append(np.sqrt(1 - noise) * np.outer(b, b.conj()))
+        ops.append(np.sqrt(noise) * np.outer(w / np.linalg.norm(w), b.conj()))
+    return chn.kraus_to_channel(ops).super
+
+
+def index2_tp_super(d, rng):
+    """Trace-preserving superoperator of Drazin index 2: a nilpotent block on the traceless part."""
+    n = d * d
+    q = np.linalg.qr(np.column_stack([np.eye(d).flatten() / np.sqrt(d), random_complex(rng, n, n - 1)]))[0]
+    core = np.zeros((n, n), dtype=complex)
+    core[0, 0] = core[1, 2] = 1.0
+    return q @ core @ dagger(q)
 
 
 class TestMoorePenrose:
@@ -255,6 +324,79 @@ class TestDrazinInverse:
             assert res.index == max(nil_sizes)
 
 
+class TestDeflationAgainstPowerRoute:
+    # the deflation must reach the index and inverse of the rank-of-powers route it replaced
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", ["random_cptp", "random_ucptp", "reprepare", "index2_tp"])
+    def test_channel_superoperators(self, family, d):
+        rng = np.random.default_rng(100 * d)
+        for seed in range(3):
+            a = {
+                "random_cptp": lambda: chn.random_cptp(d, d, 2, seed).super,
+                "random_ucptp": lambda: chn.random_ucptp(d, 3, seed).super,
+                "reprepare": lambda: reprepare_super(d, rng),
+                "index2_tp": lambda: index2_tp_super(d, rng),
+            }[family]()
+            k, oracle = power_route_core(a)
+            res = drazin_inverse(a)
+            assert drazin_index(a) == res.index == k
+            if family in ("reprepare", "index2_tp"):
+                assert k == {"reprepare": 1, "index2_tp": 2}[family]
+            assert fro_dist(res.inverse, oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
+
+    def test_small_singular_value_kept(self):
+        # the power route squares 1e-6 under the cutoff and certifies index 2 with diag(1, 0, 0)
+        a = np.diag([1.0, 1e-6, 0.0])
+        res = drazin_inverse(a)
+        assert drazin_index(a) == res.index == 1
+        np.testing.assert_allclose(res.inverse, np.diag([1.0, 1e6, 0.0]), rtol=1e-12)
+
+    def test_block_cutoff_uses_size_of_a(self):
+        # rank(a) = 2, but the block u^H a u = diag(1, 5e-10) sits under 1e-10 * n with n = 10,
+        # though not under 1e-10 * 2: the factor is the size of a, not of the block
+        a = np.zeros((10, 10))
+        a[0, 0], a[1, 1], a[1, 2] = 1.0, 5e-10, 1.0
+        assert drazin_index(a) == power_route_core(a)[0] == 2
+
+    @pytest.mark.parametrize(
+        "fn, m, expected",
+        [
+            (drazin_inverse, np.diag([1e200, 0.0]), np.diag([1e-200, 0.0])),
+            (group_inverse, np.diag([1e200, 0.0]), np.diag([1e-200, 0.0])),
+            (drazin_inverse, np.array([[1e200, 1e200], [0.0, 0.0]]), np.array([[1e-200, 1e-200], [0.0, 0.0]])),
+            (drazin_inverse, np.diag([1e200, 0.0, 0.0, 0.0]), np.diag([1e-200, 0.0, 0.0, 0.0])),
+            (group_inverse, np.diag([1e200, 0.0, 0.0, 0.0]), np.diag([1e-200, 0.0, 0.0, 0.0])),
+            (drazin_inverse, np.diag([1e200] + [0.0] * 8), np.diag([1e-200] + [0.0] * 8)),
+            (group_inverse, np.diag([1e200] + [0.0] * 8), np.diag([1e-200] + [0.0] * 8)),
+        ],
+    )
+    def test_huge_entries_without_powers(self, fn, m, expected):
+        # a^2 overflows at this scale; the deflation never forms it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fn(m)
+        assert res.index == 1
+        np.testing.assert_allclose(res.inverse, expected, rtol=1e-14, atol=0.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n_core=st.integers(1, 6),
+    index=st.integers(0, 3),
+    more_blocks=st.lists(st.integers(1, 3), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_deflation_recovers_core_nilpotent_structure(n_core, index, more_blocks, seed):
+    # T diag(C, N) T^-1 with N nilpotent of the drawn index has Drazin inverse T diag(C^-1, 0) T^-1
+    nil_sizes = [index] + [min(size, index) for size in more_blocks] if index else []
+    while n_core + sum(nil_sizes) > 12:
+        nil_sizes.pop()
+    a, expected = core_nilpotent(np.random.default_rng(seed), n_core, nil_sizes)
+    res = drazin_inverse(a)
+    assert drazin_index(a) == res.index == index
+    assert fro_dist(res.inverse, expected) <= 1e-8 * np.linalg.norm(expected)
+
+
 class TestGroupInverse:
     def test_idempotent_self_inverse(self):
         rep = group_inverse(np.diag([1.0, 0.0]))
@@ -343,8 +485,9 @@ class TestDaggerDrazin:
                     fn(f)
 
     def test_scale_robust_without_gram_matrix(self):
-        # F^H F overflows at this scale; one thin SVD of F does not
-        with np.errstate(over="ignore"):  # the Dd1 witness search still forms F^H F
+        # F^H F overflows at this scale; one thin SVD of F does not, and Dd1 passes at k = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = dagger_drazin(np.array([[1e155]]))
         assert rep.witness_k == 0
         np.testing.assert_allclose(rep.inverse, [[1e-155]], rtol=1e-15)
@@ -401,29 +544,37 @@ class TestVerifyAxioms:
 
 
 class TestInternalOverflow:
-    # finite, valid inputs whose powers or axiom residuals overflow; NumPy's SVD
-    # hangs on the overflowed 4x4 power, so it must be refused before its SVD
+    # finite, valid inputs whose norm, inverse or axiom residuals overflow; NumPy's SVD
+    # can hang on non-finite input, so an overflowed matrix must be refused before its SVD
     big4 = np.diag([1e200, 0.0, 0.0, 0.0])
-    big9 = np.diag([1e200] + [0.0] * 8)
+    shear = np.array([[1.0, 1e300], [0.0, 1.0]])
 
     @pytest.mark.parametrize(
         "fn, m",
         [
             (dagger_drazin, big4),
-            (drazin_inverse, np.diag([1e200, 0.0])),
-            (group_inverse, np.diag([1e200, 0.0])),
+            (drazin_inverse, shear),
+            (group_inverse, shear),
             (dagger_drazin, np.diag([1e200, 0.0])),
-            (drazin_inverse, np.array([[1e200, 1e200], [0.0, 0.0]])),
+            (drazin_inverse, 1e308 * np.ones((2, 2))),
             (mp_inverse, np.array([[1e200, 1e200], [0.0, 0.0]])),
-            (drazin_inverse, big4),
-            (group_inverse, big4),
-            (drazin_inverse, big9),
-            (group_inverse, big9),
+            (drazin_inverse, 1e308 * np.ones((4, 4))),
+            (group_inverse, 1e308 * np.ones((2, 2))),
+            (drazin_inverse, 1e308 * np.ones((9, 9))),
+            (group_inverse, 1e308 * np.ones((9, 9))),
+            (group_inverse, 1e308 * np.ones((4, 4))),
         ],
     )
     def test_reported_as_axiom_residual_error(self, fn, m):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AxiomResidualError):
             fn(m)
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    @pytest.mark.parametrize("fn", [mp_inverse, drazin_inverse, group_inverse, dagger_drazin])
+    def test_overflowed_norm_named(self, fn, n):
+        # sigma_max of this finite matrix exceeds the float range; it must not read as rank 0
+        with pytest.raises(AxiomResidualError, match="overflow"):
+            fn(1e308 * np.ones((n, n)))
 
 
 class TestMpDaggerDrazinLink:

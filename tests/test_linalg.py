@@ -173,7 +173,14 @@ class TestRank:
         # the cutoff is rank_rtol * max(shape) * sigma_max: 1e-10 * 3 = 3e-10
         assert _numerical_rank(np.array([1.0, 4e-10, 2e-10]), (3, 2), DEFAULT_TOL) == 2
         assert _numerical_rank(np.array([0.0, 0.0]), (2, 2), DEFAULT_TOL) == 0
-        assert _numerical_rank(np.array([np.nan, 1.0]), (2, 2), DEFAULT_TOL) == 0
+        # a non-finite sigma_max is an overflow, not rank 0
+        with pytest.raises(OverflowError):
+            _numerical_rank(np.array([np.nan, 1.0]), (2, 2), DEFAULT_TOL)
+
+    def test_overflowed_sigma_max_raises(self):
+        # finite entries, but the 2-norm 2e308 exceeds the float range; the true rank is 1
+        with pytest.raises(OverflowError):
+            rank(1e308 * np.ones((2, 2)))
 
 
 class TestFroDist:
