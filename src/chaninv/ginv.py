@@ -78,21 +78,21 @@ class GinvReport:
     witness_k: int | None = None
 
 
-def _svd(m: np.ndarray, shape: tuple, tol: Tolerances):
-    """(u, s, vh, r): thin SVD of ``m`` and its rank under a ``shape`` matrix's cutoff; overflow raises."""
+def _svd(m: np.ndarray, tol: Tolerances, shape: tuple | None = None, top: float | None = None):
+    """(u, s, vh, r): thin SVD of ``m`` and its rank, judged as in ``_numerical_rank``; overflow raises."""
     # NumPy's SVD can hang on non-finite input instead of failing
     if not np.all(np.isfinite(m)):
         raise AxiomResidualError("computation overflowed: a matrix to factor has non-finite entries")
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        return u, s, vh, _numerical_rank(s, shape, tol)
+        return u, s, vh, _numerical_rank(s, shape or m.shape, tol, top)
     except (np.linalg.LinAlgError, OverflowError) as exc:  # a finite matrix's SVD converges: either is an overflow
         raise AxiomResidualError(f"computation overflowed: {exc}") from exc
 
 
 def _pinv(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the shared rank cutoff."""
-    u, s, vh, r = _svd(m, m.shape, tol)
+    u, s, vh, r = _svd(m, tol)
     return dagger(vh[:r]) @ ((1.0 / s[:r])[:, None] * dagger(u[:, :r]))
 
 
@@ -203,8 +203,8 @@ def mp_inverse(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
 def drazin_index(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(a^k) == rank(a^(k+1)); 0 means invertible.
 
-    The ranks come from the deflation of :func:`_core`, not from powers of a. Each counts the singular
-    values above ``rank_rtol * n * sigma_max``: n is the size of a, sigma_max that of the block judged.
+    The ranks come from the deflation of :func:`_core`, not from powers of a. In a and in every block of it
+    they count the singular values above ``rank_rtol * n * sigma_max(a)``, n the size of a: a's noise floor.
     """
     return _core(_as_square(a, "Drazin index"), tol)[0]
 
@@ -217,16 +217,16 @@ def _core(a: np.ndarray, tol: Tolerances):
     u_j range(u_j^H a u_j) and range((a^(j+1))^H) = v_j range(v_j^H a^H v_j): one n x n SVD, then r x r
     blocks until one keeps its rank, and no power of a is formed.
     """
-    u, s, vh, r = _svd(a, a.shape, tol)
+    u, s, vh, r = _svd(a, tol)
     if r == a.shape[0]:
         return 0, dagger(vh), u, s
     k, u, v = 1, u[:, :r], dagger(vh[:r])
     while r:
-        p, _, _, r_next = _svd(dagger(u) @ a @ u, a.shape, tol)
+        p, _, _, r_next = _svd(dagger(u) @ a @ u, tol, a.shape, s[0])
         if r_next == r:
             break
         # the right singular vectors of v^H a v span range(v^H a^H v)
-        q = dagger(_svd(dagger(v) @ a @ v, a.shape, tol)[2][:r_next])
+        q = dagger(_svd(dagger(v) @ a @ v, tol, a.shape, s[0])[2][:r_next])
         k, r, u, v = k + 1, r_next, u @ p[:, :r_next], v @ q
     return k, u, v, None
 

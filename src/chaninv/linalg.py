@@ -119,10 +119,14 @@ def rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return _numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, tol)
 
 
-def _numerical_rank(s: np.ndarray, shape: tuple, tol: Tolerances) -> int:
-    """Count of the leading singular values ``s`` of a ``shape`` matrix above ``rank_rtol * max(shape) * s[0]``."""
+def _numerical_rank(s: np.ndarray, shape: tuple, tol: Tolerances, top: float | None = None) -> int:
+    """Count of the singular values ``s`` above ``rank_rtol * max(shape) * top``, ``top`` defaulting to s[0].
+
+    A block cut from a larger matrix passes that matrix's shape and sigma_max: its noise is the larger one's.
+    """
     if s.size == 0:
         return 0
-    if not np.isfinite(s[0]):  # the SVD of a finite matrix whose 2-norm overflows gives s[0] = inf
-        raise OverflowError(f"largest singular value is {s[0]}")
-    return int(np.count_nonzero(s > tol.rank_rtol * max(shape) * s[0]))
+    top = s[0] if top is None else top
+    if not np.isfinite(top):  # the SVD of a finite matrix whose 2-norm overflows gives s[0] = inf
+        raise OverflowError(f"largest singular value is {top}")
+    return int(np.count_nonzero(s > tol.rank_rtol * max(shape) * top))

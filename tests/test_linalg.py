@@ -177,6 +177,14 @@ class TestRank:
         with pytest.raises(OverflowError):
             _numerical_rank(np.array([np.nan, 1.0]), (2, 2), DEFAULT_TOL)
 
+    def test_block_judged_by_outer_sigma_max(self):
+        # a block's own sigma_max of 1e-16 is rounding noise next to the outer matrix's sigma_max of 5
+        assert _numerical_rank(np.array([1e-16]), (1, 1), DEFAULT_TOL) == 1
+        assert _numerical_rank(np.array([1e-16]), (2, 2), DEFAULT_TOL, top=5.0) == 0
+        assert _numerical_rank(np.array([2.0, 1e-6]), (4, 4), DEFAULT_TOL, top=5.0) == 2
+        with pytest.raises(OverflowError):
+            _numerical_rank(np.array([1.0]), (2, 2), DEFAULT_TOL, top=np.inf)
+
     def test_overflowed_sigma_max_raises(self):
         # finite entries, but the 2-norm 2e308 exceeds the float range; the true rank is 1
         with pytest.raises(OverflowError):
