@@ -46,7 +46,6 @@ from .ginv import (
     drazin_index,
     drazin_inverse,
     group_inverse,
-    is_mp_of_dagger_drazin,
     mp_inverse,
     verify_axioms,
 )

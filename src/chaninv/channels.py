@@ -297,13 +297,17 @@ def _ginibre(rng, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    rng = _get_rng(seed)
-    q, r = np.linalg.qr(_ginibre(rng, d, d))
+def _haar_isometry(rng, rows: int, cols: int) -> np.ndarray:
+    """QR of a Ginibre matrix, with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def haar_unitary(d: int, seed) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    return _haar_isometry(_get_rng(seed), d, d)
 
 
 def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> Channel:
@@ -318,11 +322,7 @@ def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> Channel:
         raise ValueError("dimensions must be positive")
     if env_dim * d_out < d_in:
         raise ValueError("env_dim * d_out must be at least d_in for an isometry to exist")
-    rng = _get_rng(seed)
-    q, r = np.linalg.qr(_ginibre(rng, env_dim * d_out, d_in))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    v = q * phases
+    v = _haar_isometry(_get_rng(seed), env_dim * d_out, d_in)
     ops = [v[i * d_out : (i + 1) * d_out, :] for i in range(env_dim)]
     return kraus_to_channel(ops)
 
@@ -401,11 +401,10 @@ def channel_to_dict(ch: Channel) -> dict:
 def channel_from_dict(data) -> Channel:
     if not isinstance(data, dict):
         raise ChannelFormatError("channel JSON must be an object")
-    try:
-        d_in = int(data["d_in"])
-        d_out = int(data["d_out"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ChannelFormatError("channel JSON needs integer d_in and d_out") from exc
+    d_in, d_out = data.get("d_in"), data.get("d_out")
+    # JSON integers only: 2.7, "2" and true are not dimensions
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (d_in, d_out)):
+        raise ChannelFormatError("channel JSON needs integer d_in and d_out")
     if "kraus" in data:
         raw = data["kraus"]
         if not isinstance(raw, list) or not raw:

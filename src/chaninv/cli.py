@@ -20,7 +20,6 @@ Environment variables are never consulted; flags alone determine a run.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,23 +50,11 @@ class CliError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Run configuration; defaults reproduce the verification suite."""
-
-    tolerances: Tolerances
-    seed: int
-    output: str
-
-
-def _config(args) -> CliConfig:
+def _tolerances(args) -> Tolerances:
     try:
-        tol = Tolerances(
-            rank_rtol=args.rank_rtol, residual_atol=args.atol, psd_atol=args.psd_atol
-        )
+        return Tolerances(rank_rtol=args.rank_rtol, residual_atol=args.atol, psd_atol=args.psd_atol)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
-    return CliConfig(tolerances=tol, seed=args.seed, output=args.output)
 
 
 def _load_json(path: str):
@@ -115,11 +102,10 @@ def _write_out(payload, out_path):
             fh.write(_dump(payload) + "\n")
 
 
-def cmd_check(args) -> int:
-    cfg = _config(args)
+def cmd_check(args, tol: Tolerances) -> int:
     ch = _load_channel(args.channel)
-    report = chn.property_report(ch, cfg.tolerances)
-    if cfg.output == "json":
+    report = chn.property_report(ch, tol)
+    if args.output == "json":
         print(_dump(report.to_dict()))
     else:
         print(f"cp: {report.cp} (min_choi_eigenvalue={report.min_choi_eigenvalue!r})")
@@ -128,8 +114,7 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_inverse(args) -> int:
-    cfg = _config(args)
+def cmd_inverse(args, tol: Tolerances) -> int:
     ch = _load_channel(args.channel)
     if args.kind in ("drazin", "group") and ch.d_in != ch.d_out:
         raise CliError(EXIT_DIMENSION, f"{args.kind} inverse needs d_in == d_out, got {ch.d_in} != {ch.d_out}")
@@ -137,7 +122,7 @@ def cmd_inverse(args) -> int:
     inverse = {"mp": mp_inverse, "drazin": drazin_inverse, "group": group_inverse,
                "dagger-drazin": dagger_drazin}[args.kind]
     try:
-        rep = inverse(ch.super, cfg.tolerances)
+        rep = inverse(ch.super, tol)
     except IndexTooLargeError as exc:
         raise CliError(EXIT_NO_GROUP_INVERSE, str(exc)) from exc
     except GinvError as exc:
@@ -151,7 +136,7 @@ def cmd_inverse(args) -> int:
         "witness_k": rep.witness_k,
     }
     _write_out(payload, args.out)
-    if cfg.output == "json":
+    if args.output == "json":
         print(_dump(payload))
     else:
         print(f"kind: {args.kind}")
@@ -166,11 +151,10 @@ def cmd_inverse(args) -> int:
     return EXIT_OK
 
 
-def cmd_theorems(args) -> int:
-    cfg = _config(args)
-    reports = theorems.run_suite(seed=cfg.seed, instance_count=args.count, tol=cfg.tolerances)
+def cmd_theorems(args, tol: Tolerances) -> int:
+    reports = theorems.run_suite(seed=args.seed, instance_count=args.count, tol=tol)
     payload = [theorems.report_to_dict(r) for r in reports]
-    if cfg.output == "json":
+    if args.output == "json":
         print(_dump(payload))
     else:
         for r in reports:
@@ -181,9 +165,7 @@ def cmd_theorems(args) -> int:
     return EXIT_OK if theorems.suite_passed(reports) else EXIT_SUITE_FAILED
 
 
-def cmd_mitigate(args) -> int:
-    cfg = _config(args)
-    tol = cfg.tolerances
+def cmd_mitigate(args, tol: Tolerances) -> int:
     if args.repetitions < 0:
         raise CliError(EXIT_BAD_INPUT, "repetitions must be non-negative")
     ch = _load_channel(args.channel)
@@ -235,7 +217,7 @@ def cmd_mitigate(args) -> int:
         "invertible": dr.index == 0,
         "caveat": caveat,
     }
-    if cfg.output == "json":
+    if args.output == "json":
         print(_dump(payload))
     else:
         print(f"ideal: {ideal!r}")
@@ -247,14 +229,13 @@ def cmd_mitigate(args) -> int:
     return EXIT_OK
 
 
-def cmd_random(args) -> int:
-    cfg = _config(args)
+def cmd_random(args, _tol: Tolerances) -> int:
     try:
         if args.kind == "cptp":
             d_out = args.d_out if args.d_out is not None else args.d
-            ch = chn.random_cptp(args.d, d_out, args.env, cfg.seed)
+            ch = chn.random_cptp(args.d, d_out, args.env, args.seed)
         else:
-            ch = chn.random_ucptp(args.d, args.unitaries, cfg.seed)
+            ch = chn.random_ucptp(args.d, args.unitaries, args.seed)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     payload = chn.channel_to_dict(ch)
@@ -322,9 +303,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = _tolerances(args)
         # every non-finite result is gated or reported, so NumPy's warnings only add noise
         with np.errstate(all="ignore"):
-            return args.handler(args)
+            return args.handler(args, tol)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

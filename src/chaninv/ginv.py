@@ -295,18 +295,3 @@ def dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     _enforce("dagger_drazin", residuals, tol)
     return GinvReport(kind="dagger_drazin", inverse=inv, residuals=residuals, witness_k=witness_k)
 
-
-def is_mp_of_dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """Check that the double dagger-Drazin inverse recovers ``f``.
-
-    Returns ``(ok, residual)`` where residual is the Frobenius distance
-    between the double inverse and f. The dagger-Drazin inverse is computed
-    as the Moore-Penrose one, so this is the involution law (F^+)^+ = F.
-    For finite matrices it always holds; a False return signals a numerical
-    defect rather than a counterexample.
-    """
-    f = as_cmatrix(f)
-    first = dagger_drazin(f, tol)
-    second = dagger_drazin(first.inverse, tol)
-    residual = fro_dist(second.inverse, f)
-    return residual <= tol.residual_atol, residual

@@ -50,6 +50,10 @@ DEFAULT_SUITE_COUNT = 200
 # can certify nothing either way.
 MIN_REL_SIGMA = 1e-2
 
+# Dimensions and environment sizes that run_suite cycles through.
+_DIMS = (2, 3, 4)
+_ENVS = (1, 2, 3, 4)
+
 
 @dataclass(frozen=True)
 class TheoremReport:
@@ -448,11 +452,11 @@ def check_double_inverse_gap(d: int, seed, tol: Tolerances = DEFAULT_TOL) -> The
     f^DD != f; this exhibits a TP superoperator where the gap is large while
     the Drazin inverse itself is still TP.
     """
-    rng = chn._get_rng(seed)
-    s = _index2_tp_superoperator(d, rng)
-    tp_res = float(np.linalg.norm(dagger(s) @ chn.vec(np.eye(d)) - chn.vec(np.eye(d))))
+    ch = chn.Channel(d_in=d, d_out=d, super=_index2_tp_superoperator(d, chn._get_rng(seed)))
+    s = ch.super
+    tp_res = chn.is_tp(ch, tol)[1]
     dr = drazin_inverse(s, tol)
-    inv_tp_res = float(np.linalg.norm(dagger(dr.inverse) @ chn.vec(np.eye(d)) - chn.vec(np.eye(d))))
+    inv_tp_res = chn.is_tp(_inverse_channel(ch, dr.inverse), tol)[1]
     double = drazin_inverse(dr.inverse, tol).inverse
     gap = fro_dist(double, s)
     ok = (
@@ -481,6 +485,14 @@ def _aggregate(theorem_id: str, reports) -> TheoremReport:
     return TheoremReport(theorem_id, instances, worst, verdict, witness)
 
 
+def _guarded(check, args) -> TheoremReport:
+    """Run one check; an exception becomes an inconclusive report carrying its message."""
+    try:
+        return check(*args)
+    except Exception as exc:  # report, never throw: the suite must complete
+        return TheoremReport(check.__name__, 1, float("inf"), INCONCLUSIVE, {"error": str(exc)})
+
+
 def run_suite(
     seed: int = DEFAULT_SUITE_SEED,
     instance_count: int = DEFAULT_SUITE_COUNT,
@@ -488,171 +500,109 @@ def run_suite(
 ) -> list:
     """Run every theorem check over deterministic randomized instances.
 
-    Instance generation derives a private sub-seed per item, so reports are
-    reproducible for a fixed seed regardless of item order or scheduling.
-    Random channels are redrawn while uncertifiable (see MIN_REL_SIGMA).
-    Individual check failures surface as report verdicts, never exceptions.
-    ``instance_count = 0`` yields all-inconclusive empty reports.
+    The suite is one table of items ``(theorem_id, check, instances)``, each
+    instance a tuple of arguments for ``check``. Every item draws from its
+    own generator, a child of ``seed``, so reports are reproducible for a
+    fixed seed regardless of item order or scheduling. Random channels are
+    redrawn while uncertifiable (see MIN_REL_SIGMA). Individual check
+    failures surface as report verdicts, never exceptions.
+    ``instance_count = 0`` yields all-inconclusive empty reports. The table
+    is built per call, so checks and draws are looked up at run time.
     """
-    children = np.random.SeedSequence(seed).spawn(12)
-    rngs = [np.random.default_rng(c) for c in children]
-    dims = (2, 3, 4)
-    envs = (1, 2, 3, 4)
-    reports = []
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(12)]
+    n = range(instance_count)
+    fixed = int(instance_count > 0)  # the fixed-list items run in full once any instance is asked for
+    # shared by several items, so drawn up front; the other items draw each instance as it is checked
+    families = [_block_family(rngs[5], n_blocks=2 + i % 3, nilpotent=(i % 5 == 0)) for i in n]
+    squares, dagger_squares = _intertwiner_instances(rngs[7], instance_count, tol)
+    items = [
+        # Drazin TP preservation on generic CPTP channels, unitality on mixed-unitary ones.
+        ("drazin-tp-preservation", check_drazin_preserves_tp_u,
+         ((draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[0], tol), tol) for i in n)),
+        ("drazin-unital-preservation", check_drazin_preserves_tp_u,
+         ((draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol), tol) for i in n)),
+        # Depolarizing case study: inverse parameter identity and CP loss.
+        ("depolarizing-cp-loss", check_drazin_cp_loss,
+         [(d, a, tol) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed),
+        # Dagger-Drazin TP+U preservation on mixed-unitary channels.
+        ("dagger-drazin-tp-u-preservation", check_dagger_drazin_preserves_tpu,
+         ((draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol), tol) for i in n)),
+        # Moore-Penrose TP+U biconditional on mixed instances.
+        ("mp-tp-u-iff", check_mp_tpu_iff, (
+            (draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[3], tol) if i % 3 == 2
+             else draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[3], tol), tol)
+            for i in n
+        )),
+        # Moore-Penrose TP-violation search on non-unital channels: one search of count trials.
+        ("mp-tp-violation-search", search_mp_tp_violation,
+         [(2, 3, instance_count, rngs[4], tol)] * fixed),
+        # Orthogonal-sum laws on block-embedded families.
+        ("orthogonal-sum-drazin", check_orthogonal_sum, [(fs, "drazin", tol) for fs in families]),
+        ("orthogonal-sum-dagger-drazin", check_orthogonal_sum, [(fs, "dagger_drazin", tol) for fs in families]),
+        ("orthogonal-sum-moore-penrose", check_orthogonal_sum, [(fs, "mp", tol) for fs in families]),
+        # Projector channels: UCPTP and self-inverse for every kind.
+        ("projector-channel-self-inverse", check_projector_self_inverse,
+         [(partition, tol) for partition in ((1, 1), (2, 1), (2, 2))] * fixed),
+        # Pure-channel criteria on unitaries, isometries, and defective maps.
+        ("pure-channel-criteria", check_pure_channel_lemma,
+         ((_pure_channel_map(_DIMS[i % 3], i % 3, rngs[6]), tol) for i in n)),
+        # Intertwiner propagation: block instances plus the TP-functional square.
+        ("intertwiner-drazin", check_intertwiner_propagation, squares),
+        ("intertwiner-dagger-drazin", check_intertwiner_propagation, dagger_squares),
+        # Double-inverse law at index <= 1 and its failure at index 2.
+        ("group-double-inverse", check_group_double_inverse, (
+            (draw_ucptp(_DIMS[i % 3], 2, rngs[8], tol).super if i % 2 == 0
+             else chn.projector_channel((_DIMS[i % 3] - 1, 1)).super, tol)
+            for i in n
+        )),
+        ("drazin-double-inverse-gap", check_double_inverse_gap,
+         [(_DIMS[i % 2], rngs[9], tol) for i in range(min(instance_count, 16))]),
+    ]
+    return [
+        _aggregate(theorem_id, [_guarded(check, args) for args in instances])
+        for theorem_id, check, instances in items
+    ]
 
-    def guarded(item_fn, *args, theorem_id: str, **kwargs):
-        try:
-            return item_fn(*args, **kwargs)
-        except Exception as exc:  # report, never throw: suite must complete
-            return TheoremReport(theorem_id, 1, float("inf"), INCONCLUSIVE, {"error": str(exc)})
 
-    # Drazin TP preservation on generic CPTP channels.
-    batch = []
-    for i in range(instance_count):
-        ch = draw_cptp(dims[i % 3], envs[i % 4], rngs[0], tol)
-        batch.append(guarded(check_drazin_preserves_tp_u, ch, tol, theorem_id="drazin-tp-preservation"))
-    reports.append(_aggregate("drazin-tp-preservation", batch))
+def _conditioned(rng, size: int) -> np.ndarray:
+    """Random size x size matrix with singular values in [0.5, 2]."""
+    u = chn.haar_unitary(size, rng)
+    v = chn.haar_unitary(size, rng)
+    return u @ np.diag(rng.uniform(0.5, 2.0, size)).astype(np.complex128) @ v
 
-    # Drazin unitality preservation on mixed-unitary channels.
-    batch = []
-    for i in range(instance_count):
-        ch = draw_ucptp(dims[i % 3], 2 + i % 4, rngs[1], tol)
-        batch.append(guarded(check_drazin_preserves_tp_u, ch, tol, theorem_id="drazin-unital-preservation"))
-    reports.append(_aggregate("drazin-unital-preservation", batch))
 
-    # Depolarizing case study: inverse parameter identity and CP loss.
-    batch = []
-    if instance_count > 0:
-        for d in (2, 3):
-            for a in (0.25, 0.5, 0.9, 1.0):
-                batch.append(guarded(check_drazin_cp_loss, d, a, tol, theorem_id="depolarizing-cp-loss"))
-    reports.append(_aggregate("depolarizing-cp-loss", batch))
+def _pure_channel_map(d: int, kind: int, rng) -> np.ndarray:
+    """A Haar unitary (kind 0), a (d+1) x d isometry (kind 1) or a rank-deficient diagonal."""
+    if kind == 0:
+        return chn.haar_unitary(d, rng)
+    if kind == 1:
+        return np.linalg.qr(chn._ginibre(rng, d + 1, d))[0]
+    return np.diag([1.0] * (d - 1) + [0.0]).astype(np.complex128)
 
-    # Dagger-Drazin TP+U preservation on mixed-unitary channels.
-    batch = []
-    for i in range(instance_count):
-        ch = draw_ucptp(dims[i % 3], 2 + i % 3, rngs[2], tol)
-        batch.append(
-            guarded(check_dagger_drazin_preserves_tpu, ch, tol, theorem_id="dagger-drazin-tp-u-preservation")
-        )
-    reports.append(_aggregate("dagger-drazin-tp-u-preservation", batch))
 
-    # Moore-Penrose TP+U biconditional on mixed instances.
-    batch = []
-    for i in range(instance_count):
-        if i % 3 == 2:
-            ch = draw_cptp(dims[i % 3], envs[i % 4], rngs[3], tol)
-        else:
-            ch = draw_ucptp(dims[i % 3], 2 + i % 3, rngs[3], tol)
-        batch.append(guarded(check_mp_tpu_iff, ch, tol, theorem_id="mp-tp-u-iff"))
-    reports.append(_aggregate("mp-tp-u-iff", batch))
+def _intertwiner_instances(rng, count: int, tol: Tolerances):
+    """Arguments of the Drazin and dagger-Drazin intertwiner items, drawn from one stream.
 
-    # Moore-Penrose TP-violation search on non-unital channels.
-    if instance_count > 0:
-        reports.append(
-            guarded(
-                search_mp_tp_violation, 2, 3, instance_count, rngs[4], tol,
-                theorem_id="mp-tp-violation-search",
-            )
-        )
-    else:
-        reports.append(TheoremReport("mp-tp-violation-search", 0, 0.0, INCONCLUSIVE))
-
-    # Orthogonal-sum laws on block-embedded families.
-    batches = {"drazin": [], "dagger_drazin": [], "mp": []}
-    for i in range(instance_count):
-        fs = _block_family(rngs[5], n_blocks=2 + i % 3, nilpotent=(i % 5 == 0))
-        for variant, batch in batches.items():
-            batch.append(
-                guarded(check_orthogonal_sum, fs, variant, tol, theorem_id=f"orthogonal-sum-{variant}")
-            )
-    reports.append(_aggregate("orthogonal-sum-drazin", batches["drazin"]))
-    reports.append(_aggregate("orthogonal-sum-dagger-drazin", batches["dagger_drazin"]))
-    reports.append(_aggregate("orthogonal-sum-moore-penrose", batches["mp"]))
-
-    # Projector channels: UCPTP and self-inverse for every kind.
-    batch = []
-    if instance_count > 0:
-        for partition in ((1, 1), (2, 1), (2, 2)):
-            batch.append(
-                guarded(check_projector_self_inverse, partition, tol, theorem_id="projector-channel-self-inverse")
-            )
-    reports.append(_aggregate("projector-channel-self-inverse", batch))
-
-    # Pure-channel criteria on unitaries, isometries, and defective maps.
-    batch = []
-    for i in range(instance_count):
-        d = dims[i % 3]
-        kind = i % 3
-        if kind == 0:
-            f = chn.haar_unitary(d, rngs[6])
-        elif kind == 1:
-            g = rngs[6].standard_normal((d + 1, d)) + 1j * rngs[6].standard_normal((d + 1, d))
-            f = np.linalg.qr(g)[0]
-        else:
-            f = np.diag([1.0] * (d - 1) + [0.0]).astype(np.complex128)
-        batch.append(guarded(check_pure_channel_lemma, f, tol, theorem_id="pure-channel-criteria"))
-    reports.append(_aggregate("pure-channel-criteria", batch))
-
-    # Intertwiner propagation: block instances plus the TP-functional square.
-    def conditioned(rng, size):
-        u = chn.haar_unitary(size, rng)
-        v = chn.haar_unitary(size, rng)
-        return u @ np.diag(rng.uniform(0.5, 2.0, size)).astype(np.complex128) @ v
-
-    dz_batch, dd_batch = [], []
-    for i in range(instance_count):
+    Instance i is the block-diagonal ``diag(top, bottom)`` with the projection
+    onto its first block; every fourth also adds, to the Drazin item only, a
+    random unitary channel with the trace functional as intertwiner.
+    """
+    drazin_args, dagger_args = [], []
+    for i in range(count):
         b = 2 + i % 2
         c = 1 + i % 3
-        top = conditioned(rngs[7], b)
-        bottom = conditioned(rngs[7], c)
-        f = np.block([
-            [top, np.zeros((b, c))],
-            [np.zeros((c, b)), bottom],
-        ]).astype(np.complex128)
-        proj = np.hstack([np.eye(b), np.zeros((b, c))]).astype(np.complex128)
-        dz_batch.append(
-            guarded(check_intertwiner_propagation, f, top, proj, "drazin", tol, theorem_id="intertwiner-drazin")
-        )
-        dd_batch.append(
-            guarded(
-                check_intertwiner_propagation, f, top, proj, "dagger_drazin", tol,
-                theorem_id="intertwiner-dagger-drazin",
-            )
-        )
+        top = _conditioned(rng, b)
+        bottom = _conditioned(rng, c)
+        f = np.block([[top, np.zeros((b, c))], [np.zeros((c, b)), bottom]]).astype(np.complex128)
+        proj = np.eye(b, b + c, dtype=np.complex128)
+        drazin_args.append((f, top, proj, "drazin", tol))
+        dagger_args.append((f, top, proj, "dagger_drazin", tol))
         if i % 4 == 0:
-            d = dims[i % 3]
-            ch = draw_cptp(d, envs[i % 4], rngs[7], tol)
+            d = _DIMS[i % 3]
+            ch = draw_cptp(d, 1, rng, tol)
             trace_row = chn.vec(np.eye(d)).conj()[None, :]
-            dz_batch.append(
-                guarded(
-                    check_intertwiner_propagation,
-                    ch.super, np.eye(1, dtype=np.complex128), trace_row, "drazin", tol,
-                    theorem_id="intertwiner-drazin",
-                )
-            )
-    reports.append(_aggregate("intertwiner-drazin", dz_batch))
-    reports.append(_aggregate("intertwiner-dagger-drazin", dd_batch))
-
-    # Double-inverse law at index <= 1 and its failure at index 2.
-    batch = []
-    for i in range(instance_count):
-        d = dims[i % 3]
-        if i % 2 == 0:
-            mat = draw_ucptp(d, 2, rngs[8], tol).super
-        else:
-            mat = chn.projector_channel((d - 1, 1)).super
-        batch.append(guarded(check_group_double_inverse, mat, tol, theorem_id="group-double-inverse"))
-    reports.append(_aggregate("group-double-inverse", batch))
-
-    batch = []
-    for i in range(min(instance_count, 16)):
-        batch.append(
-            guarded(check_double_inverse_gap, dims[i % 2], rngs[9], tol, theorem_id="drazin-double-inverse-gap")
-        )
-    reports.append(_aggregate("drazin-double-inverse-gap", batch))
-
-    return reports
+            drazin_args.append((ch.super, np.eye(1, dtype=np.complex128), trace_row, "drazin", tol))
+    return drazin_args, dagger_args
 
 
 def _block_family(rng, n_blocks: int, nilpotent: bool):
@@ -667,9 +617,7 @@ def _block_family(rng, n_blocks: int, nilpotent: bool):
     family = []
     offset = 0
     for idx, size in enumerate(sizes):
-        u = chn.haar_unitary(size, rng)
-        v = chn.haar_unitary(size, rng)
-        block = u @ np.diag(rng.uniform(0.5, 2.0, size)).astype(np.complex128) @ v
+        block = _conditioned(rng, size)
         if nilpotent and idx == 0 and size >= 2:
             block = np.zeros((size, size), dtype=np.complex128)
             block[0, 1] = 1.0

@@ -439,6 +439,16 @@ class TestJsonWireFormat:
         with pytest.raises(chn.ChannelFormatError):
             chn.channel_from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("d_in", [2.7, 2.0, "2", True, None, [2]])
+    def test_non_integer_dims_rejected(self, d_in):
+        data = chn.channel_to_dict(chn.identity_channel(2))
+        data["d_in"] = d_in
+        with pytest.raises(chn.ChannelFormatError, match="integer d_in and d_out"):
+            chn.channel_from_dict(data)
+        data["d_in"], data["d_out"] = 2, d_in
+        with pytest.raises(chn.ChannelFormatError, match="integer d_in and d_out"):
+            chn.channel_from_dict(data)
+
     def test_dimension_mismatch_rejected(self):
         data = chn.channel_to_dict(chn.identity_channel(2))
         data["d_out"] = 3

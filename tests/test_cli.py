@@ -49,6 +49,14 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("d_in", [2.7, "2", True])
+    def test_non_integer_dims_exit_2(self, tmp_path, capsys, d_in):
+        data = chn.channel_to_dict(chn.identity_channel(2))
+        data["d_in"] = d_in
+        code, out, err = run(capsys, ["check", write_json(tmp_path / "dims.json", data)])
+        assert code == 2 and out == ""
+        assert "integer d_in and d_out" in err
+
     def test_dimension_inconsistency_exit_3(self, tmp_path, capsys):
         data = chn.channel_to_dict(chn.identity_channel(2))
         data["d_out"] = 3

@@ -15,7 +15,6 @@ from chaninv.ginv import (
     drazin_index,
     drazin_inverse,
     group_inverse,
-    is_mp_of_dagger_drazin,
     mp_inverse,
     verify_axioms,
 )
@@ -589,20 +588,6 @@ class TestInternalOverflow:
         # sigma_max of this finite matrix exceeds the float range; it must not read as rank 0
         with pytest.raises(AxiomResidualError, match="overflow"):
             fn(1e308 * np.ones((n, n)))
-
-
-class TestMpDaggerDrazinLink:
-    def test_unitary(self):
-        ok, residual = is_mp_of_dagger_drazin(random_unitary(np.random.default_rng(16), 3))
-        assert ok and residual <= 1e-10
-
-    def test_random_rectangular(self):
-        ok, _ = is_mp_of_dagger_drazin(random_complex(np.random.default_rng(17), 3, 2))
-        assert ok
-
-    def test_nilpotent(self):
-        ok, residual = is_mp_of_dagger_drazin(NILPOTENT)
-        assert ok and residual <= 1e-10
 
 
 class TestDegenerateConventions:

@@ -319,6 +319,48 @@ class TestRunSuite:
         assert all(r.verdict == thm.INCONCLUSIVE for r in reports)
         assert not thm.suite_passed(reports)
 
+    def test_instances_per_item(self):
+        counts = {r.theorem_id: r.instances for r in thm.run_suite(seed=5, instance_count=6)}
+        fixed = {
+            "depolarizing-cp-loss": 8,
+            "projector-channel-self-inverse": 3,
+            "intertwiner-drazin": 8,  # 6 block squares + the trace squares of instances 0 and 4
+            "mp-tp-violation-search": 7,  # the amplitude-damping control + 6 trials
+        }
+        assert len(counts) == 15
+        assert counts == {item: fixed.get(item, 6) for item in counts}
+        assert all(r.instances == 0 for r in thm.run_suite(seed=5, instance_count=0))
+
+    def test_raising_check_marks_only_its_item(self, monkeypatch):
+        plain = thm.run_suite(seed=5, instance_count=6)
+
+        def broken(*args):
+            raise RuntimeError("broken check")
+
+        monkeypatch.setattr(thm, "check_mp_tpu_iff", broken)
+        patched = thm.run_suite(seed=5, instance_count=6)
+        assert [r.theorem_id for r in patched] == [r.theorem_id for r in plain]
+        for before, after in zip(plain, patched):
+            if after.theorem_id != "mp-tp-u-iff":
+                assert after == before
+        hit = next(r for r in patched if r.theorem_id == "mp-tp-u-iff")
+        assert hit.verdict == thm.INCONCLUSIVE and hit.instances == 6
+        assert hit.max_residual == float("inf")
+        assert hit.witness == {"error": "broken check"}
+
+    def test_checks_looked_up_per_call(self, monkeypatch):
+        calls = []
+        original = thm.check_orthogonal_sum
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(thm, "check_orthogonal_sum", counting)
+        thm.run_suite(seed=5, instance_count=6)
+        assert len(calls) == 18
+        assert sorted(set(calls)) == ["dagger_drazin", "drazin", "mp"]
+
     def test_empty_report_list_fails(self):
         assert not thm.suite_passed([])
 
