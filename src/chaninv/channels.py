@@ -364,6 +364,10 @@ def matrix_to_pairs(m: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+# the types json.load gives a number; float() would also take "1" and true, whose type is bool
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def matrix_from_pairs(data, name: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ChannelFormatError(f"{name} must be a non-empty nested list of [re, im] pairs")
@@ -378,10 +382,13 @@ def matrix_from_pairs(data, name: str = "matrix") -> np.ndarray:
         for entry in r:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ChannelFormatError(f"{name} entries must be [re, im] pairs")
+            re, im = entry
+            if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
+                raise ChannelFormatError(f"{name} entries must be numeric [re, im] pairs")
             try:
-                row.append(complex(float(entry[0]), float(entry[1])))
-            except (TypeError, ValueError) as exc:
-                raise ChannelFormatError(f"{name} entries must be numeric [re, im] pairs") from exc
+                row.append(complex(re, im))
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ChannelFormatError(f"{name} contains an entry beyond the float range") from exc
         rows.append(row)
     try:
         return as_cmatrix(np.array(rows, dtype=np.complex128), name)

@@ -20,7 +20,8 @@ Axiom residuals, in the left-to-right composition convention of
   conditions are checked; MP3/MP4 follow the classical matrix labelling).
 * Drazin, inverse G of square A: D1 ``|G A^(k+1) - A^k|`` minimized over
   k, D2 ``|GAG - G|``, D3 ``|AG - GA|``.
-* Group: G1 ``|AGA - A|``, G2 ``|GAG - G|``, G3 ``|AG - GA|``.
+* Group: G1 ``|AGA - A|``, G2 ``|GAG - G|``, G3 ``|AG - GA|``, and
+  ``|(G^#)^# - A|`` in closed form on A's rank decision (no SVD of G).
 * Dagger-Drazin, inverse G of F with gram matrices P = F^H F and
   Q = F F^H: Dd1 ``max(|G F P^k - P^k|, |Q^k F G - Q^k|)`` minimized over
   k, Dd2 ``|GFG - G|``, Dd3 ``|GF - (GF)^H|``, Dd4 ``|FG - (FG)^H|``.
@@ -241,12 +242,28 @@ def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | N
         raise AxiomResidualError(f"Drazin core block is singular: {exc}") from exc
 
 
-def _drazin(a: np.ndarray, tol: Tolerances) -> GinvReport:
+def _double_inverse(inv: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """(G^#)^# of G = ``inv`` from :func:`_core_inverse`, on the bases u, v of the deflation of a.
+
+    G has range(u) and row space range(v), so (G^#)^# = u (v^H G u)^{-1} v^H: one r x r solve, no SVD of G,
+    and a's rank decision stands. At index 0 it is a's SVD v diag(s) u^H.
+    """
+    return v @ (s[:, None] * dagger(u)) if s is not None else _core_inverse(inv, u, v, None)
+
+
+def _drazin(a: np.ndarray, tol: Tolerances, kind: str = "drazin") -> GinvReport:
+    """Certified Drazin inverse of square ``a``; as ``kind="group"``, refuses index > 1 and checks (G^#)^# = a."""
     k, u, v, s = _core(a, tol)
+    if kind == "group" and k > 1:
+        raise IndexTooLargeError(k)
     inv = _core_inverse(a, u, v, s)
-    residuals, _ = _residuals("drazin", a, inv, tol)
-    _enforce("drazin", residuals, tol)
-    return GinvReport(kind="drazin", inverse=inv, residuals=residuals, index=k)
+    residuals, _ = _residuals(kind, a, inv, tol)
+    _enforce(kind, residuals, tol)
+    if kind == "group":
+        gap = fro_dist(_double_inverse(inv, u, v, s), a)
+        if not (gap <= tol.residual_atol):
+            raise AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
+    return GinvReport(kind=kind, inverse=inv, residuals=residuals, index=k)
 
 
 def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
@@ -265,19 +282,11 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
 
     Raises IndexTooLargeError, before forming any inverse, when the Drazin
     index exceeds 1. The result is certified against G1-G3 and the
-    double-inverse law (the group inverse of the group inverse is the input).
+    double-inverse law |(G^#)^# - a|, with (G^#)^# = u (v^H G u)^{-1} v^H on
+    the bases u, v of the deflation of a that gave G (a's SVD at index 0): no
+    SVD of G, so the check reuses a's rank decision instead of deciding G's.
     """
-    a = _as_square(a, "group inverse")
-    k, u, v, s = _core(a, tol)
-    if k > 1:
-        raise IndexTooLargeError(k)
-    inv = _core_inverse(a, u, v, s)
-    residuals, _ = _residuals("group", a, inv, tol)
-    _enforce("group", residuals, tol)
-    gap = fro_dist(_drazin(inv, tol).inverse, a)
-    if not (gap <= tol.residual_atol):
-        raise AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
-    return GinvReport(kind="group", inverse=inv, residuals=residuals, index=k)
+    return _drazin(_as_square(a, "group inverse"), tol, "group")
 
 
 def dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:

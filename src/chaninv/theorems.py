@@ -585,7 +585,8 @@ def _intertwiner_instances(rng, count: int, tol: Tolerances):
 
     Instance i is the block-diagonal ``diag(top, bottom)`` with the projection
     onto its first block; every fourth also adds, to the Drazin item only, a
-    random unitary channel with the trace functional as intertwiner.
+    random CPTP channel with the trace functional as intertwiner, its Kraus
+    count cycling through ``_ENVS`` (1, a unitary channel, up to 4).
     """
     drazin_args, dagger_args = [], []
     for i in range(count):
@@ -599,7 +600,7 @@ def _intertwiner_instances(rng, count: int, tol: Tolerances):
         dagger_args.append((f, top, proj, "dagger_drazin", tol))
         if i % 4 == 0:
             d = _DIMS[i % 3]
-            ch = draw_cptp(d, 1, rng, tol)
+            ch = draw_cptp(d, _ENVS[(i // 4) % 4], rng, tol)
             trace_row = chn.vec(np.eye(d)).conj()[None, :]
             drazin_args.append((ch.super, np.eye(1, dtype=np.complex128), trace_row, "drazin", tol))
     return drazin_args, dagger_args

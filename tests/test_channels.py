@@ -449,6 +449,20 @@ class TestJsonWireFormat:
         with pytest.raises(chn.ChannelFormatError, match="integer d_in and d_out"):
             chn.channel_from_dict(data)
 
+    @pytest.mark.parametrize("field", ["super", "kraus"])
+    @pytest.mark.parametrize("value", ["1", True, False])
+    def test_non_numeric_entries_rejected(self, field, value):
+        # float() takes "1", true and false; the wire format is JSON numbers
+        data = {"d_in": 1, "d_out": 1, "super": [[[value, 0.0]]]} if field == "super" else {
+            "d_in": 1, "d_out": 1, "kraus": [[[[1.0, value]]]]}
+        with pytest.raises(chn.ChannelFormatError, match="numeric"):
+            chn.channel_from_dict(data)
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(chn.ChannelFormatError, match="beyond the float range"):
+            chn.matrix_from_pairs([[[10**400, 0]]])
+        np.testing.assert_array_equal(chn.matrix_from_pairs([[[1, -2]]]), [[1 - 2j]])
+
     def test_dimension_mismatch_rejected(self):
         data = chn.channel_to_dict(chn.identity_channel(2))
         data["d_out"] = 3

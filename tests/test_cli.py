@@ -57,6 +57,15 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "integer d_in and d_out" in err
 
+    @pytest.mark.parametrize("command", [["check"], ["inverse", "--kind", "group"]], ids=["check", "inverse"])
+    @pytest.mark.parametrize("field", ["super", "kraus"])
+    @pytest.mark.parametrize("value", ["1", True, False])
+    def test_non_numeric_entries_exit_2(self, tmp_path, capsys, command, field, value):
+        data = {"d_in": 1, "d_out": 1, field: [[[value, 0.0]]] if field == "super" else [[[[value, 0.0]]]]}
+        code, out, err = run(capsys, [*command, write_json(tmp_path / "entries.json", data)])
+        assert code == 2 and out == ""
+        assert "numeric [re, im] pairs" in err
+
     def test_dimension_inconsistency_exit_3(self, tmp_path, capsys):
         data = chn.channel_to_dict(chn.identity_channel(2))
         data["d_out"] = 3
@@ -287,6 +296,20 @@ class TestMitigate:
         fch, frho, fobs = self._files(tmp_path, chn.identity_channel(2), rho, np.eye(2))
         code, _, _ = run(capsys, ["mitigate", fch, frho, fobs])
         assert code == 2
+
+
+    @pytest.mark.parametrize("which", ["state", "observable"])
+    @pytest.mark.parametrize("value", ["1", True, False])
+    def test_non_numeric_entries_exit_2(self, tmp_path, capsys, which, value):
+        fch, frho, fobs = self._files(tmp_path, chn.identity_channel(2), np.diag([1.0, 0.0]), np.eye(2))
+        bad = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [value, 0.0]]]
+        if which == "state":
+            frho = write_json(tmp_path / "rho.json", bad)
+        else:
+            fobs = write_json(tmp_path / "obs.json", {"matrix": bad})
+        code, out, err = run(capsys, ["mitigate", fch, frho, fobs])
+        assert code == 2 and out == ""
+        assert "numeric [re, im] pairs" in err
 
 
 class TestRandom:

@@ -6,11 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaninv import channels as chn
+from chaninv import ginv
 from chaninv.ginv import (
     AxiomResidualError,
     GinvReport,
     IndexTooLargeError,
+    _core,
+    _core_inverse,
+    _double_inverse,
+    _drazin,
     _enforce,
+    _residuals,
     dagger_drazin,
     drazin_index,
     drazin_inverse,
@@ -61,6 +67,38 @@ def power_route_core(a, tol=DEFAULT_TOL):
         r_prev = r
     u, v = u[:, :r], dagger(vh[:r])
     return k, u @ np.linalg.solve(dagger(v) @ a @ u, dagger(v))
+
+
+def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
+    """(report, gap): the group certificate by the route the closed form replaced.
+
+    G and G1-G3 as :func:`group_inverse` forms them; the double-inverse residual
+    from a second certified Drazin inverse, of G, which decides G's rank anew.
+    """
+    k, u, v, s = _core(a, tol)
+    if k > 1:
+        raise IndexTooLargeError(k)
+    inv = _core_inverse(a, u, v, s)
+    residuals, _ = _residuals("group", a, inv, tol)
+    _enforce("group", residuals, tol)
+    return GinvReport(kind="group", inverse=inv, residuals=residuals, index=k), fro_dist(_drazin(inv, tol).inverse, a)
+
+
+def closed_form_gap(a, tol=DEFAULT_TOL):
+    """The double-inverse residual |(G^#)^# - a| as :func:`group_inverse` computes it."""
+    _, u, v, s = _core(a, tol)
+    return fro_dist(_double_inverse(_core_inverse(a, u, v, s), u, v, s), a)
+
+
+def assert_same_group_certificate(a):
+    """The closed-form (G^#)^# agrees with the second deflation it replaced, where that one certifies."""
+    old, old_gap = second_deflation_group_inverse(a)
+    new = group_inverse(a)
+    assert new.index == old.index
+    assert np.array_equal(new.inverse, old.inverse)
+    assert new.residuals == old.residuals
+    assert abs(closed_form_gap(a) - old_gap) <= 1e-12
+    return new
 
 
 def core_nilpotent(rng, n_core, nil_sizes):
@@ -316,9 +354,10 @@ class TestDrazinInverse:
 
 
 class TestDeflationAgainstPowerRoute:
-    # the deflation must reach the index and inverse of the rank-of-powers route it replaced
+    # the deflation must reach the index and inverse of the rank-of-powers route it replaced, and the
+    # closed-form group certificate must match the second-deflation route it replaced
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    @pytest.mark.parametrize("family", ["random_cptp", "random_ucptp", "reprepare", "index2_tp"])
+    @pytest.mark.parametrize("family", ["random_cptp", "random_ucptp", "reprepare", "index2_tp", "projector"])
     def test_channel_superoperators(self, family, d):
         rng = np.random.default_rng(100 * d)
         for seed in range(3):
@@ -327,13 +366,16 @@ class TestDeflationAgainstPowerRoute:
                 "random_ucptp": lambda: chn.random_ucptp(d, 3, seed).super,
                 "reprepare": lambda: reprepare_super(d, rng),
                 "index2_tp": lambda: index2_tp_super(d, rng),
+                "projector": lambda: chn.projector_channel((d - 1, 1) if seed else (1,) * d).super,
             }[family]()
             k, oracle = power_route_core(a)
             res = drazin_inverse(a)
             assert drazin_index(a) == res.index == k
-            if family in ("reprepare", "index2_tp"):
-                assert k == {"reprepare": 1, "index2_tp": 2}[family]
+            if family in ("reprepare", "index2_tp", "projector"):
+                assert k == {"reprepare": 1, "index2_tp": 2, "projector": 1}[family]
             assert fro_dist(res.inverse, oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
+            if k <= 1:
+                assert_same_group_certificate(a)
 
     def test_small_singular_value_kept(self):
         # the power route squares 1e-6 under the cutoff and certifies index 2 with diag(1, 0, 0)
@@ -428,6 +470,62 @@ class TestGroupInverse:
         assert rep.index == 0
         assert fro_dist(rep.inverse, np.linalg.inv(a)) <= 1e-10
         assert set(rep.residuals) == {"G1", "G2", "G3"}
+
+
+class TestDoubleInverseClosedForm:
+    @pytest.mark.parametrize(
+        "a",
+        [np.zeros((0, 0)), np.zeros((3, 3)), np.diag([1e200, 0.0])],
+        ids=["empty", "zero", "huge"],
+    )
+    def test_edge_cases(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_group_certificate(a.astype(complex))
+
+    @pytest.mark.parametrize("a", [np.diag([1.0, 2.0]), np.diag([1.0, 0.0])], ids=["index0", "index1"])
+    @pytest.mark.parametrize("corruption", [1e-6, np.nan])
+    def test_gate_refuses_a_wrong_double_inverse(self, monkeypatch, a, corruption):
+        # G1-G3 pass on these inputs, so only the double-inverse gate can refuse them
+        closed_form = ginv._double_inverse
+        monkeypatch.setattr(ginv, "_double_inverse", lambda *args: closed_form(*args) + corruption)
+        with pytest.raises(AxiomResidualError, match="group inverse double-inverse law violated: residual"):
+            group_inverse(a)
+
+    def test_index_two_still_refused(self):
+        a = index2_tp_super(3, np.random.default_rng(5))
+        for route in (group_inverse, second_deflation_group_inverse):
+            with pytest.raises(IndexTooLargeError) as exc:
+                route(a)
+            assert exc.value.index == 2
+
+    def test_non_normal_input_near_the_cutoff_of_g(self):
+        # sigma(a) = (1, 1, 0), but G = diag(1, [[2^16, 2^32], [0, 0]]) has sigma(G) ~ (2^32, 1, 0): the
+        # ratio 2^-32 falls under G's cutoff 3e-10, so the second deflation reads G as rank 1 and its
+        # own D1 gate fails; the closed form keeps a's rank decision and certifies the law
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 2.0**-16, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
+        with pytest.raises(AxiomResidualError, match=r"drazin inverse failed its axiom gate: max residual 1\.000e\+00"):
+            second_deflation_group_inverse(a)
+        res = group_inverse(a)
+        assert res.index == 1
+        assert max(res.residuals.values()) <= 1e-8
+        assert closed_form_gap(a) <= 1e-8
+        expected = np.zeros((3, 3))
+        expected[0, 0], expected[1, 1], expected[1, 2] = 1.0, 2.0**16, 2.0**32
+        np.testing.assert_allclose(res.inverse, expected, rtol=1e-12, atol=0.0)
+        # at 2^-15 the ratio 2^-30 clears G's cutoff, and the two routes agree again
+        assert_same_group_certificate(np.array([[1.0, 0.0, 0.0], [0.0, 2.0**-15, 1.0], [0.0, 0.0, 0.0]], dtype=complex))
+
+
+@settings(derandomize=True, deadline=None)
+@given(n_core=st.integers(0, 8), n_zero=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_double_inverse_routes_agree_on_index_one(n_core, n_zero, seed):
+    # T diag(C, 0) T^-1 has index <= 1; both routes certify it with the same report and residual
+    assume(n_core + n_zero)
+    a, expected = core_nilpotent(np.random.default_rng(seed), n_core, [1] * n_zero)
+    res = assert_same_group_certificate(a)
+    assert res.index == int(n_zero > 0)
+    assert fro_dist(res.inverse, expected) <= 1e-8 * max(1.0, np.linalg.norm(expected))
 
 
 class TestDaggerDrazin:

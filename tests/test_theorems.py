@@ -331,6 +331,14 @@ class TestRunSuite:
         assert counts == {item: fixed.get(item, 6) for item in counts}
         assert all(r.instances == 0 for r in thm.run_suite(seed=5, instance_count=0))
 
+    def test_trace_squares_cover_non_unitary_channels(self):
+        # the trace-functional squares of instances 0, 4, 8, 12 draw 1, 2, 3, 4 Kraus operators: TP
+        # propagation through vec(I)^H must also run on channels whose superoperator is not unitary
+        drazin_args, _ = thm._intertwiner_instances(np.random.default_rng(3), 16, thm.DEFAULT_TOL)
+        supers = [f for f, top, *_ in drazin_args if top.shape == (1, 1)]
+        unitary = [fro_dist(dagger(s) @ s, np.eye(s.shape[0])) <= ATOL for s in supers]
+        assert unitary == [True, False, False, False]
+
     def test_raising_check_marks_only_its_item(self, monkeypatch):
         plain = thm.run_suite(seed=5, instance_count=6)
 
