@@ -361,7 +361,7 @@ def partial_trace(m: np.ndarray, dims, which: int) -> np.ndarray:
 
 def matrix_to_pairs(m: np.ndarray):
     m = as_cmatrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 # the types json.load gives a number; float() would also take "1" and true, whose type is bool

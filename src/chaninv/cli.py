@@ -14,10 +14,15 @@ Channels are JSON objects ``{"d_in": n, "d_out": m, "kraus": [...]}`` or
 ``{"d_in": n, "d_out": m, "super": [...]}`` with matrices as row-major
 nested lists of [re, im] pairs. States and observables for ``mitigate`` are
 either a bare nested matrix or ``{"matrix": ...}`` in the same entry format.
+
+JSON output (the default ``--output json``, and every ``--out`` file) is one
+line of strict JSON with sorted keys: a non-finite number is written as the
+string "inf", "-inf" or "nan". ``--output text`` is the form for reading.
 Environment variables are never consulted; flags alone determine a run.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -88,18 +93,22 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _dump(payload) -> str:
-    """Strict JSON: a non-finite float is written as the string "inf", "-inf" or "nan"."""
+    """One line of strict JSON with sorted keys: a non-finite float is written
+    as the string "inf", "-inf" or "nan"."""
+    # json.dumps runs CPython's C encoder only when indent is None; any indent
+    # selects the pure-Python encoder, which dominates a d = 8 inverse call
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError:  # a non-finite float: rewrite the Infinity/NaN tokens as strings
         strict = json.loads(json.dumps(payload), parse_constant=lambda token: str(float(token)))
-        return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(strict, sort_keys=True, allow_nan=False)
 
 
-def _write_out(payload, out_path):
+def _write_out(text, out_path) -> None:
+    """Write the encoded ``text`` and a newline to ``out_path``, when one is given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(_dump(payload) + "\n")
+            fh.write(text + "\n")
 
 
 def cmd_check(args, tol: Tolerances) -> int:
@@ -135,9 +144,10 @@ def cmd_inverse(args, tol: Tolerances) -> int:
         "index": rep.index,
         "witness_k": rep.witness_k,
     }
-    _write_out(payload, args.out)
+    text = _dump(payload) if args.out or args.output == "json" else None
+    _write_out(text, args.out)
     if args.output == "json":
-        print(_dump(payload))
+        print(text)
     else:
         print(f"kind: {args.kind}")
         if rep.index is not None:
@@ -238,12 +248,13 @@ def cmd_random(args, _tol: Tolerances) -> int:
             ch = chn.random_ucptp(args.d, args.unitaries, args.seed)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
-    payload = chn.channel_to_dict(ch)
-    _write_out(payload, args.out)
-    print(_dump(payload))
+    text = _dump(chn.channel_to_dict(ch))
+    _write_out(text, args.out)
+    print(text)
     return EXIT_OK
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank-rtol", type=float, default=Tolerances().rank_rtol,
@@ -300,8 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         tol = _tolerances(args)
         # every non-finite result is gated or reported, so NumPy's warnings only add noise

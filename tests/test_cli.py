@@ -6,7 +6,8 @@ import pytest
 
 from chaninv import channels as chn
 from chaninv import theorems as thm
-from chaninv.cli import main
+from chaninv.cli import _build_parser, main
+from chaninv.ginv import dagger_drazin, drazin_inverse, group_inverse, mp_inverse
 from chaninv.linalg import dagger, fro_dist
 
 
@@ -344,3 +345,143 @@ class TestRandom:
             ["random", "--kind", "cptp", "-d", "5", "--d-out", "2", "--env", "1", "--seed", "3"],
         )
         assert code == 2
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def bits(m):
+    """The IEEE-754 bit patterns of a complex matrix, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(m, dtype=np.complex128).view(np.uint64)
+
+
+def pairs_by_entry(m):
+    """The entry-by-entry conversion that ``matrix_to_pairs`` replaced, kept as its reference."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
+
+
+def signed_zero_channel(d):
+    # every exact zero of the superoperator becomes -0.0, in both parts
+    s = chn.random_ucptp(d, 3, 20 + d).super.copy()
+    s.real[s.real == 0] = -0.0
+    s.imag[s.imag == 0] = -0.0
+    s[0, 1] = complex(-0.0, -0.0)
+    return chn.Channel(d, d, s)
+
+
+def subnormal_channel(d):
+    s = chn.random_ucptp(d, 3, 30 + d).super.copy()
+    s[0, -1] += complex(5e-324, -2.5e-320)
+    s[-1, 0] += complex(-1e-310, 5e-324)
+    return chn.Channel(d, d, s)
+
+
+class TestWireFormat:
+    @pytest.mark.parametrize("kind", ["mp", "drazin", "group", "dagger-drazin"])
+    @pytest.mark.parametrize("make", [signed_zero_channel, subnormal_channel], ids=["signed-zero", "subnormal"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_inverse_round_trip_is_bitwise(self, tmp_path, capsys, kind, make, d):
+        ch = make(d)
+        f = write_channel(tmp_path / "ch.json", ch)
+        loaded = chn.channel_from_dict(json.loads((tmp_path / "ch.json").read_text()))
+        np.testing.assert_array_equal(bits(loaded.super), bits(ch.super))
+        code, out, _ = run(capsys, ["inverse", f, "--kind", kind])
+        assert code == 0
+        inverse = {"mp": mp_inverse, "drazin": drazin_inverse, "group": group_inverse,
+                   "dagger-drazin": dagger_drazin}[kind]
+        expected = inverse(ch.super).inverse
+        np.testing.assert_array_equal(bits(chn.channel_from_dict(json.loads(out)).super), bits(expected))
+
+    def test_random_out_reloads_bitwise(self, tmp_path, capsys):
+        target = tmp_path / "ch.json"
+        code, _, _ = run(capsys, ["random", "--kind", "cptp", "-d", "3", "--env", "2", "--seed", "4",
+                                  "--out", str(target)])
+        assert code == 0
+        reloaded = chn.channel_from_dict(json.loads(target.read_text()))
+        expected = chn.random_cptp(3, 3, 2, 4)
+        assert len(reloaded.kraus) == len(expected.kraus)
+        for got, want in zip(reloaded.kraus, expected.kraus):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("m", [
+        np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, 1.0), 2.0]]),
+        np.array([[5e-324, complex(-2.5e-320, 1e-310)], [1.7976931348623157e308, complex(0.1, -1 / 3)]]),
+        chn.haar_unitary(4, 3),
+        np.arange(6.0).reshape(2, 3),
+    ], ids=["signed-zero", "extremes", "unitary", "real-rectangular"])
+    def test_matrix_to_pairs_matches_entry_loop(self, m):
+        pairs = chn.matrix_to_pairs(m)
+        # repr is exact for floats and tells -0.0 from 0.0
+        assert repr(pairs) == repr(pairs_by_entry(m))
+        assert all(type(x) is float for row in pairs for entry in row for x in entry)
+        np.testing.assert_array_equal(bits(chn.matrix_from_pairs(json.loads(json.dumps(pairs)))), bits(m))
+
+    @pytest.mark.parametrize("command", [
+        ["inverse", "{channel}", "--kind", "group"],
+        ["random", "--kind", "ucptp", "-d", "2", "--seed", "3"],
+    ], ids=["inverse", "random"])
+    def test_out_file_equals_stdout(self, tmp_path, capsys, command):
+        f = write_channel(tmp_path / "ch.json", chn.random_ucptp(2, 3, 11))
+        target = tmp_path / "out.json"
+        code, out, _ = run(capsys, [a.format(channel=f) for a in command] + ["--out", str(target)])
+        assert code == 0
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("command", ["check", "inverse", "theorems", "mitigate", "random"])
+    def test_json_stdout_is_one_strict_line(self, tmp_path, capsys, command):
+        f = write_channel(tmp_path / "ch.json", chn.depolarizing(2, 0.3))
+        argv = {
+            "check": ["check", f],
+            "inverse": ["inverse", f, "--kind", "drazin"],
+            "theorems": ["theorems", "--count", "1"],
+            "mitigate": ["mitigate", f, write_json(tmp_path / "rho.json", chn.matrix_to_pairs(np.diag([1.0, 0.0]))),
+                         write_json(tmp_path / "obs.json", chn.matrix_to_pairs(np.diag([1.0, -1.0])))],
+            "random": ["random", "--kind", "cptp", "-d", "2", "--seed", "5"],
+        }[command]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may leave state for the next."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_atol_returns_to_default(self, tmp_path, capsys):
+        # trace preserving only to about 1.4e-5: passes at --atol 1e-3, fails at the default 1e-8
+        dep = chn.depolarizing(2, 0.5)
+        f = write_channel(tmp_path / "dep.json", chn.Channel(2, 2, dep.super * (1 + 1e-5)))
+        code, out, _ = run(capsys, ["check", f, "--atol", "1e-3"])
+        assert code == 0 and json.loads(out)["tp"]["verdict"] is True
+        code, out, _ = run(capsys, ["check", f])
+        assert code == 0 and json.loads(out)["tp"]["verdict"] is False
+
+    def test_output_returns_to_json(self, tmp_path, capsys):
+        f = write_channel(tmp_path / "id.json", chn.identity_channel(2))
+        code, out, _ = run(capsys, ["check", f, "--output", "text"])
+        assert code == 0 and out.startswith("cp: True")
+        code, out, _ = run(capsys, ["check", f])
+        assert code == 0 and json.loads(out)["cp"]["verdict"] is True
+
+    def test_good_call_after_bad_atol(self, tmp_path, capsys):
+        f = write_channel(tmp_path / "id.json", chn.identity_channel(2))
+        code, out, err = run(capsys, ["check", f, "--atol", "-1"])
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run(capsys, ["check", f])
+        assert code == 0 and err == ""
+        json.loads(out)
+
+    def test_out_not_carried_to_next_call(self, tmp_path, capsys):
+        f = write_channel(tmp_path / "dep.json", chn.depolarizing(2, 0.25))
+        target = tmp_path / "x.json"
+        code, _, _ = run(capsys, ["inverse", f, "--kind", "mp", "--out", str(target)])
+        assert code == 0 and target.exists()
+        target.unlink()
+        code, out, _ = run(capsys, ["inverse", f, "--kind", "mp"])
+        assert code == 0 and json.loads(out)["ginv"]["kind"] == "mp"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dep.json"]
