@@ -42,6 +42,7 @@ from .ginv import (
     GinvError,
     GinvReport,
     IndexTooLargeError,
+    certify_many,
     dagger_drazin,
     drazin_index,
     drazin_inverse,

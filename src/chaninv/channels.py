@@ -13,6 +13,7 @@ Conventions, fixed once and guarded by round-trip tests:
   channel is completely positive.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,14 +206,28 @@ def is_cp(ch: Channel, tol: Tolerances = DEFAULT_TOL):
 
 def is_tp(ch: Channel, tol: Tolerances = DEFAULT_TOL):
     """TP verdict and residual ``|super^H vec(I_out) - vec(I_in)|``."""
-    r = float(np.linalg.norm(dagger(ch.super) @ np.eye(ch.d_out).ravel() - np.eye(ch.d_in).ravel()))
+    r = float(_tp_unital_residuals(ch.super[None])[0][0])
     return r <= tol.residual_atol, r
 
 
 def is_unital(ch: Channel, tol: Tolerances = DEFAULT_TOL):
     """Unitality verdict and residual ``|super vec(I_in) - vec(I_out)|``."""
-    r = float(np.linalg.norm(ch.super @ np.eye(ch.d_in).ravel() - np.eye(ch.d_out).ravel()))
+    r = float(_tp_unital_residuals(ch.super[None])[1][0])
     return r <= tol.residual_atol, r
+
+
+def _tp_unital_residuals(supers: np.ndarray):
+    """(tp, unital): the residuals of :func:`is_tp` and :func:`is_unital` for each superoperator of a stack.
+
+    ``supers`` has shape (N, d_out^2, d_in^2); each result is an array of N residuals, one product each.
+    """
+    n_out, n_in = supers.shape[-2:]
+    e_out = np.eye(math.isqrt(n_out)).ravel()
+    e_in = np.eye(math.isqrt(n_in)).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        tp = np.linalg.norm((e_out @ supers).conj() - e_in, axis=-1)
+        unital = np.linalg.norm(supers @ e_in - e_out, axis=-1)
+    return tp, unital
 
 
 def property_report(ch: Channel, tol: Tolerances = DEFAULT_TOL) -> PropertyReport:
@@ -298,11 +313,15 @@ def _ginibre(rng, rows: int, cols: int) -> np.ndarray:
 
 
 def _haar_isometry(rng, rows: int, cols: int) -> np.ndarray:
-    """QR of a Ginibre matrix, with the phases of R's diagonal moved into Q."""
-    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
-    phases = np.diagonal(r).copy()
+    return _phase_fixed_qr(_ginibre(rng, rows, cols))
+
+
+def _phase_fixed_qr(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of each Ginibre matrix of ``g`` (one or a stack), with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:
@@ -332,10 +351,11 @@ def random_ucptp(d: int, n_unitaries: int, seed) -> Channel:
     if d < 1 or n_unitaries < 1:
         raise ValueError("dimensions must be positive")
     rng = _get_rng(seed)
-    unitaries = [haar_unitary(d, rng) for _ in range(n_unitaries)]
+    # the Ginibre matrices in the order haar_unitary draws them, then one stacked QR
+    unitaries = _phase_fixed_qr(np.stack([_ginibre(rng, d, d) for _ in range(n_unitaries)]))
     probs = rng.dirichlet(np.ones(n_unitaries))
     # unitary and normalized by construction: skip mixed_unitary's input checks
-    return kraus_to_channel([np.sqrt(p) * u for p, u in zip(probs, unitaries)])
+    return kraus_to_channel(np.sqrt(probs)[:, None, None] * unitaries)
 
 
 def partial_trace(m: np.ndarray, dims, which: int) -> np.ndarray:

@@ -136,16 +136,16 @@ def cmd_inverse(args, tol: Tolerances) -> int:
         raise CliError(EXIT_NO_GROUP_INVERSE, str(exc)) from exc
     except GinvError as exc:
         raise CliError(EXIT_RESIDUAL, str(exc)) from exc
-    inv_ch = chn.Channel(d_in=ch.d_out, d_out=ch.d_in, super=rep.inverse)
-    payload = chn.channel_to_dict(inv_ch)
-    payload["ginv"] = {
-        "kind": args.kind,
-        "residuals": {k: float(v) for k, v in sorted(rep.residuals.items())},
-        "index": rep.index,
-        "witness_k": rep.witness_k,
-    }
-    text = _dump(payload) if args.out or args.output == "json" else None
-    _write_out(text, args.out)
+    if args.out or args.output == "json":  # the payload is built only to be encoded
+        payload = chn.channel_to_dict(chn.Channel(d_in=ch.d_out, d_out=ch.d_in, super=rep.inverse))
+        payload["ginv"] = {
+            "kind": args.kind,
+            "residuals": {k: float(v) for k, v in sorted(rep.residuals.items())},
+            "index": rep.index,
+            "witness_k": rep.witness_k,
+        }
+        text = _dump(payload)
+        _write_out(text, args.out)
     if args.output == "json":
         print(text)
     else:

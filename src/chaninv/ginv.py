@@ -12,6 +12,12 @@ self-certifying: the defining-axiom residuals are computed and enforced
 against ``Tolerances.residual_atol``, so a successful return is a
 numerical certificate.
 
+The kernels work on stacks (N, m, n) of same-shape matrices: one stacked
+SVD, stacked Moore-Penrose and index-0 Drazin inverses, and one stacked
+norm per axiom; only the deflation of a singular member runs one member at
+a time. :func:`certify_many` certifies a list of matrices through them,
+one stack per shape; the four public inverses run them on a stack of one.
+
 Axiom residuals, in the left-to-right composition convention of
 :mod:`chaninv.linalg` (f;g on column vectors is G @ F):
 
@@ -34,7 +40,7 @@ from itertools import chain, islice
 import numpy as np
 
 # svd is not called here; perfbench's tracer test rebinds it as chaninv.ginv.svd
-from .linalg import DEFAULT_TOL, Tolerances, _numerical_rank, as_cmatrix, dagger, fro_dist, svd  # noqa: F401
+from .linalg import DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, as_cmatrix, dagger, svd  # noqa: F401
 
 KIND_AXIOMS = {
     "moore_penrose": ("MP1", "MP2", "MP3", "MP4"),
@@ -80,21 +86,28 @@ class GinvReport:
 
 
 def _svd(m: np.ndarray, tol: Tolerances, shape: tuple | None = None, top: float | None = None):
-    """(u, s, vh, r): thin SVD of ``m`` and its rank, judged as in ``_numerical_rank``; overflow raises."""
+    """(u, s, vh, r): thin SVD of ``m`` and its rank, judged as in ``_numerical_rank``; overflow raises.
+
+    ``m`` may be a stack (N, p, q): one finiteness check, one stacked SVD and a rank per member.
+    """
     # NumPy's SVD can hang on non-finite input instead of failing
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise AxiomResidualError("computation overflowed: a matrix to factor has non-finite entries")
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        return u, s, vh, _numerical_rank(s, shape or m.shape, tol, top)
+        return u, s, vh, _numerical_rank(s, shape or m.shape[-2:], tol, top)
     except (np.linalg.LinAlgError, OverflowError) as exc:  # a finite matrix's SVD converges: either is an overflow
         raise AxiomResidualError(f"computation overflowed: {exc}") from exc
 
 
-def _pinv(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with the shared rank cutoff."""
-    u, s, vh, r = _svd(m, tol)
-    return dagger(vh[:r]) @ ((1.0 / s[:r])[:, None] * dagger(u[:, :r]))
+def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r) -> np.ndarray:
+    """Moore-Penrose inverses from the stacked thin SVDs of :func:`_svd`: weight 1/s up to each rank, 0 past it.
+
+    Only the leading max(r) singular triplets enter the product.
+    """
+    k = int(np.asarray(r).max(initial=0))
+    w = 1.0 / np.where(np.arange(k) < np.asarray(r)[..., None], s[..., :k], np.inf)
+    return dagger(vh[..., :k, :]) @ (w[..., None] * dagger(u[..., :k]))
 
 
 def _as_square(a, what: str) -> np.ndarray:
@@ -119,49 +132,61 @@ def verify_axioms(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances = DEF
         raise ValueError(f"shape mismatch: inverse of {f.shape} must be {(f.shape[1], f.shape[0])}, got {g.shape}")
     if kind in ("drazin", "group") and f.shape[0] != f.shape[1]:
         raise ValueError(f"{kind} axioms need a square matrix, got shape {f.shape}")
-    return _residuals(kind, f, g, tol)
+    residuals, witness_k = _residuals(kind, f, g, tol)
+    return {label: float(r) for label, r in residuals.items()}, None if witness_k is None else int(witness_k)
+
+
+def _norm(m: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack: one ``vecdot`` of the flattened matrices."""
+    v = m.reshape(*m.shape[:-2], -1)
+    return np.sqrt(np.vecdot(v, v).real)
 
 
 def _residuals(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances):
-    """:func:`verify_axioms` on arrays the library built itself, without re-validating them."""
-    fg = f @ g
-    gf = g @ f
-    if kind == "moore_penrose":
-        return {
-            "MP1": fro_dist(fg @ f, f),
-            "MP2": fro_dist(gf @ g, g),
-            "MP3": fro_dist(fg, dagger(fg)),
-            "MP4": fro_dist(gf, dagger(gf)),
-        }, None
+    """:func:`verify_axioms` on arrays the library built itself, without re-validating them.
 
-    if kind in ("drazin", "group"):
-        labels = KIND_AXIOMS[kind]
+    ``f`` and ``g`` may be stacks (N, m, n) and (N, n, m); each residual and the witness are then arrays over
+    the stack. An overflow gives an inf or nan residual, which fails the gate, and no NumPy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        fg = f @ g
+        gf = g @ f
+        if kind == "moore_penrose":
+            return {
+                "MP1": _norm(fg @ f - f),
+                "MP2": _norm(gf @ g - g),
+                "MP3": _norm(fg - dagger(fg)),
+                "MP4": _norm(gf - dagger(gf)),
+            }, None
+
+        if kind in ("drazin", "group"):
+            labels = KIND_AXIOMS[kind]
+            residuals = {
+                labels[1]: _norm(gf @ g - g),
+                labels[2]: _norm(fg - gf),
+            }
+            if kind == "group":
+                residuals["G1"] = _norm(fg @ f - f)
+                return residuals, None
+            # D1 at k = 0 is |GF - I|; each later power is formed only while some member has not passed
+            later = (_norm(gf @ p - p) for p in islice(_powers(f), f.shape[-1]))
+            best_k, residuals["D1"] = _witness(chain([_from_eye(gf)], later), tol)
+            return residuals, best_k
+
         residuals = {
-            labels[1]: fro_dist(gf @ g, g),
-            labels[2]: fro_dist(fg, gf),
+            "Dd2": _norm(gf @ g - g),
+            "Dd3": _norm(gf - dagger(gf)),
+            "Dd4": _norm(fg - dagger(fg)),
         }
-        if kind == "group":
-            residuals["G1"] = fro_dist(fg @ f, f)
-            return residuals, None
-        # D1 at k = 0 is |GF - I|; each later power is formed only if the previous k failed
-        later = (fro_dist(gf @ p, p) for p in islice(_powers(f), f.shape[0]))
-        best_k, residuals["D1"] = _witness(chain([_from_eye(gf)], later), tol)
+        # the gram matrices P = F^H F and Q = F F^H are formed only if k = 0 fails
+        pairs = islice(zip(_powers(dagger(f), f), _powers(f, dagger(f))), max(f.shape[-2:]))
+        later = (np.maximum(_norm(gf @ p - p), _norm(q @ fg - q)) for p, q in pairs)
+        best_k, residuals["Dd1"] = _witness(chain([np.maximum(_from_eye(gf), _from_eye(fg))], later), tol)
         return residuals, best_k
 
-    residuals = {
-        "Dd2": fro_dist(gf @ g, g),
-        "Dd3": fro_dist(gf, dagger(gf)),
-        "Dd4": fro_dist(fg, dagger(fg)),
-    }
-    # the gram matrices P = F^H F and Q = F F^H are formed only if k = 0 fails
-    pairs = islice(zip(_powers(dagger(f), f), _powers(f, dagger(f))), max(f.shape))
-    later = (float(np.maximum(fro_dist(gf @ p, p), fro_dist(q @ fg, q))) for p, q in pairs)
-    best_k, residuals["Dd1"] = _witness(chain([float(np.maximum(_from_eye(gf), _from_eye(fg)))], later), tol)
-    return residuals, best_k
 
-
-def _from_eye(m: np.ndarray) -> float:
-    return fro_dist(m, np.eye(m.shape[0], dtype=np.complex128))
+def _from_eye(m: np.ndarray):
+    return _norm(m - np.eye(m.shape[-1], dtype=np.complex128))
 
 
 def _powers(*factors: np.ndarray):
@@ -173,14 +198,24 @@ def _powers(*factors: np.ndarray):
 
 
 def _witness(residuals, tol: Tolerances):
-    """(k, r) of the first passing residual, else of the smallest; nan only if all are nan."""
-    best_k, best = 0, np.nan
+    """(k, r) of the first passing residual, else of the smallest; nan only if all are nan.
+
+    Item k of ``residuals`` holds the k-th residual of every member of a stack; items are drawn only while some
+    member has passed none of them. The bookkeeping is per member in Python: the stacks are small.
+    """
+    atol = tol.residual_atol
     for k, r in enumerate(residuals):
-        if r <= tol.residual_atol:
-            return k, r
-        if np.isnan(best) or r < best:
-            best_k, best = k, r
-    return best_k, best
+        if k == 0:
+            shape, best = np.shape(r), np.ravel(r).tolist()
+            best_k = [0] * len(best)
+        else:
+            for j, x in enumerate(np.ravel(r).tolist()):
+                b = best[j]
+                if not b <= atol and (x <= atol or b != b or x < b):  # b != b: b is nan
+                    best_k[j], best[j] = k, x
+        if all(b <= atol for b in best):
+            break
+    return np.array(best_k).reshape(shape), np.array(best).reshape(shape)
 
 
 def _enforce(kind: str, residuals: dict, tol: Tolerances) -> None:
@@ -192,13 +227,128 @@ def _enforce(kind: str, residuals: dict, tol: Tolerances) -> None:
         )
 
 
+# the square kinds, with the name their single calls give the input in a shape error
+_SQUARE_KINDS = {"drazin": "Drazin inverse", "group": "group inverse"}
+
+
+def certify_many(kind: str, mats, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Certified inverses of ``kind`` for every matrix of ``mats``, one stacked kernel run per shape.
+
+    The result keeps the input order. Entry i is what the single call of that kind (:func:`mp_inverse`,
+    :func:`drazin_inverse`, :func:`group_inverse` or :func:`dagger_drazin`) gives for ``mats[i]``: its
+    GinvReport, or the exception it raises, of the same type and with the same message (a GinvError for a
+    refused certificate, a ValueError for malformed input). One member's failure leaves the others' results
+    unchanged.
+    """
+    if kind not in KIND_AXIOMS:
+        raise ValueError(f"unknown inverse kind {kind!r}")
+    out = [_attempt(ValueError, _as_square, m, _SQUARE_KINDS[kind]) if kind in _SQUARE_KINDS
+           else _attempt(ValueError, as_cmatrix, m) for m in mats]
+    valid = [i for i, m in enumerate(out) if not isinstance(m, ValueError)]
+    for i, result in zip(valid, _by_shape(lambda a: _certify(kind, a, tol), [out[i] for i in valid])):
+        out[i] = result
+    return out
+
+
+def _single(kind: str, a: np.ndarray, tol: Tolerances) -> GinvReport:
+    """The N = 1 case of :func:`_certify` for the validated matrix ``a``: its report, or its error raised."""
+    (result,) = _certify(kind, a[None], tol)
+    if isinstance(result, GinvError):
+        try:
+            raise result
+        finally:  # the traceback holds this frame: no reference back to the exception from it
+            del result
+    return result
+
+
+def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
+    """GinvReport or GinvError for each member of the validated stack ``a`` (N, m, n), square for Drazin/group.
+
+    One stacked SVD serves the whole stack. Moore-Penrose and dagger-Drazin inverses, and the Drazin and group
+    inverses of index-0 members, are read off it for every member at once; the other members continue one at a
+    time through the r x r blocks of :func:`_core`. The residuals of all members are evaluated on the stack.
+    """
+    factors = _attempt(AxiomResidualError, _svd, a, tol)
+    if isinstance(factors, AxiomResidualError):  # some member overflowed: factor each member alone
+        return [factors] if len(a) == 1 else [res for m in a for res in _certify(kind, m[None], tol)]
+    u, s, vh, r = factors
+    out = [None] * len(a)
+    if kind in ("moore_penrose", "dagger_drazin"):
+        return _reports(kind, a, _pinv(u, s, vh, r), tol, out)
+    full = r == a.shape[-1]
+    inv = _at_index0(_core_inverse, full, a, u, s, vh)
+    cores = {}
+    for i in [i for i, is_full in enumerate(full.tolist()) if not is_full]:
+        deflated = _attempt(GinvError, _deflated_inverse, kind, a[i], (u[i], s[i], vh[i], r[i]), tol)
+        if isinstance(deflated, GinvError):
+            out[i] = deflated
+        else:
+            *cores[i], inv[i] = deflated
+    out = _reports(kind, a, inv, tol, out, [cores[i][0] if i in cores else 0 for i in range(len(a))])
+    if kind == "group" and any(isinstance(result, GinvReport) for result in out):
+        # (G^#)^# on the bases of a's deflation: a's SVD for every member at once, then the index-1 members
+        double = _at_index0(_double_inverse, full, inv, u, s, vh)
+        for i, (_, cu, cv) in cores.items():
+            if isinstance(out[i], GinvReport):
+                member = _attempt(AxiomResidualError, _double_inverse, inv[i], cu, cv, None)
+                if isinstance(member, AxiomResidualError):
+                    out[i] = member
+                else:
+                    double[i] = member
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = _norm(double - a)
+        for i, gap in enumerate(gaps):
+            if isinstance(out[i], GinvReport) and not (gap <= tol.residual_atol):
+                out[i] = AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
+    return out
+
+
+def _at_index0(fn, full, x: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """``fn(x, v, u, s)`` of :func:`_core_inverse` or :func:`_double_inverse` for the index-0 (``full``) members.
+
+    Their core bases are the SVD's v and u. The other members are zero, to be filled one at a time.
+    """
+    count = np.count_nonzero(full)
+    if count == len(full):
+        return fn(x, dagger(vh), u, s)
+    out = np.zeros_like(x)
+    if count:
+        out[full] = fn(x[full], dagger(vh[full]), u[full], s[full])
+    return out
+
+
+def _reports(kind: str, a: np.ndarray, inv: np.ndarray, tol: Tolerances, out: list, index=None) -> list:
+    """``out`` with each empty entry filled: the GinvReport of (a[i], inv[i]) if its residuals pass, else the error."""
+    live = [i for i, result in enumerate(out) if result is None]
+    if not live:
+        return out
+    if len(live) < len(out):
+        a, inv = a[live], inv[live]
+    residuals, witness_k = _residuals(kind, a, inv, tol)
+    witness_k = witness_k if kind == "dagger_drazin" else None  # the D1 exponent is the index, reported as such
+    for j, i in enumerate(live):
+        member = {label: float(r[j]) for label, r in residuals.items()}
+        out[i] = _attempt(AxiomResidualError, _enforce, kind, member, tol) or GinvReport(
+            kind=kind,
+            inverse=inv[j],
+            residuals=member,
+            index=None if index is None else int(index[i]),
+            witness_k=None if witness_k is None else int(witness_k[j]),
+        )
+    return out
+
+
+def _deflated_inverse(kind: str, a: np.ndarray, factors: tuple, tol: Tolerances):
+    """(k, u, v, inverse) of a singular square ``a`` from its SVD ``factors``; index > 1 refused for the group kind."""
+    k, u, v, _ = _core(a, tol, factors)
+    if kind == "group" and k > 1:
+        raise IndexTooLargeError(k)
+    return k, u, v, _core_inverse(a, u, v, None)
+
+
 def mp_inverse(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     """Moore-Penrose inverse via SVD, certified against MP1-MP4."""
-    m = as_cmatrix(m)
-    inv = _pinv(m, tol)
-    residuals, _ = _residuals("moore_penrose", m, inv, tol)
-    _enforce("moore_penrose", residuals, tol)
-    return GinvReport(kind="moore_penrose", inverse=inv, residuals=residuals)
+    return _single("moore_penrose", as_cmatrix(m), tol)
 
 
 def drazin_index(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -210,15 +360,15 @@ def drazin_index(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return _core(_as_square(a, "Drazin index"), tol)[0]
 
 
-def _core(a: np.ndarray, tol: Tolerances):
+def _core(a: np.ndarray, tol: Tolerances, factors: tuple | None = None):
     """(k, u, v, s): the Drazin index k and orthonormal bases u of range(a^k), v of range((a^k)^H).
 
     At index 0 a = v diag(s) u^H is its SVD, else s is None. range(a^j) is a-invariant and range((a^j)^H)
     a^H-invariant, so with bases u_j, v_j of them rank(a^(j+1)) = rank(u_j^H a u_j), range(a^(j+1)) =
     u_j range(u_j^H a u_j) and range((a^(j+1))^H) = v_j range(v_j^H a^H v_j): one n x n SVD, then r x r
-    blocks until one keeps its rank, and no power of a is formed.
+    blocks until one keeps its rank, and no power of a is formed. ``factors`` is a's ``_svd`` when at hand.
     """
-    u, s, vh, r = _svd(a, tol)
+    u, s, vh, r = _svd(a, tol) if factors is None else factors
     if r == a.shape[0]:
         return 0, dagger(vh), u, s
     k, u, v = 1, u[:, :r], dagger(vh[:r])
@@ -233,9 +383,12 @@ def _core(a: np.ndarray, tol: Tolerances):
 
 
 def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | None) -> np.ndarray:
-    """Uncertified Drazin inverse u (v^H a u)^{-1} v^H from :func:`_core`; v^H a u = diag(s) at index 0."""
+    """Uncertified Drazin inverse u (v^H a u)^{-1} v^H from :func:`_core`; v^H a u = diag(s) at index 0.
+
+    At index 0 the arguments may be stacks of index-0 members.
+    """
     if s is not None:
-        return u @ ((1.0 / s)[:, None] * dagger(v))
+        return u @ ((1.0 / s)[..., None] * dagger(v))
     try:
         return u @ np.linalg.solve(dagger(v) @ a @ u, dagger(v))
     except np.linalg.LinAlgError as exc:  # v^H u is invertible when the index is right
@@ -246,24 +399,9 @@ def _double_inverse(inv: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray
     """(G^#)^# of G = ``inv`` from :func:`_core_inverse`, on the bases u, v of the deflation of a.
 
     G has range(u) and row space range(v), so (G^#)^# = u (v^H G u)^{-1} v^H: one r x r solve, no SVD of G,
-    and a's rank decision stands. At index 0 it is a's SVD v diag(s) u^H.
+    and a's rank decision stands. At index 0 it is a's SVD v diag(s) u^H, also for stacks.
     """
-    return v @ (s[:, None] * dagger(u)) if s is not None else _core_inverse(inv, u, v, None)
-
-
-def _drazin(a: np.ndarray, tol: Tolerances, kind: str = "drazin") -> GinvReport:
-    """Certified Drazin inverse of square ``a``; as ``kind="group"``, refuses index > 1 and checks (G^#)^# = a."""
-    k, u, v, s = _core(a, tol)
-    if kind == "group" and k > 1:
-        raise IndexTooLargeError(k)
-    inv = _core_inverse(a, u, v, s)
-    residuals, _ = _residuals(kind, a, inv, tol)
-    _enforce(kind, residuals, tol)
-    if kind == "group":
-        gap = fro_dist(_double_inverse(inv, u, v, s), a)
-        if not (gap <= tol.residual_atol):
-            raise AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
-    return GinvReport(kind=kind, inverse=inv, residuals=residuals, index=k)
+    return v @ (s[..., None] * dagger(u)) if s is not None else _core_inverse(inv, u, v, None)
 
 
 def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
@@ -274,7 +412,7 @@ def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     certified by the D1-D3 residuals. For invertible input (index 0) it
     returns the ordinary inverse, read off the SVD of the input.
     """
-    return _drazin(_as_square(a, "Drazin inverse"), tol)
+    return _single("drazin", _as_square(a, "Drazin inverse"), tol)
 
 
 def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
@@ -286,7 +424,7 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     the bases u, v of the deflation of a that gave G (a's SVD at index 0): no
     SVD of G, so the check reuses a's rank decision instead of deciding G's.
     """
-    return _drazin(_as_square(a, "group inverse"), tol, "group")
+    return _single("group", _as_square(a, "group inverse"), tol)
 
 
 def dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
@@ -298,9 +436,4 @@ def dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     thin SVD of F, without forming a gram matrix, and certified against
     Dd1-Dd4; the reported ``witness_k`` realizes Dd1.
     """
-    f = as_cmatrix(f)
-    inv = _pinv(f, tol)
-    residuals, witness_k = _residuals("dagger_drazin", f, inv, tol)
-    _enforce("dagger_drazin", residuals, tol)
-    return GinvReport(kind="dagger_drazin", inverse=inv, residuals=residuals, witness_k=witness_k)
-
+    return _single("dagger_drazin", as_cmatrix(f), tol)

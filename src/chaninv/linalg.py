@@ -51,8 +51,8 @@ def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., rows, cols)."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,6 +67,38 @@ def fro_dist(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
+
+
+def _attempt(errors, fn, *args):
+    """``fn(*args)``, or the exception of type ``errors`` it raised, returned as a value without its traceback.
+
+    A stored traceback would keep its frames, and through them every calling frame, alive; a caller holding
+    the exception in a result list would then form a reference cycle that only the cyclic garbage collector
+    frees, with every array of those frames. The exceptions it was raised from lose their tracebacks too.
+    """
+    try:
+        return fn(*args)
+    except errors as exc:
+        chained = exc
+        while chained is not None:
+            chained.__traceback__ = None
+            chained = chained.__cause__ or chained.__context__
+        return exc
+
+
+def _by_shape(fn, mats) -> list:
+    """``fn`` applied once per stack of the same-shape arrays in ``mats``; its per-member results, in order.
+
+    ``fn`` takes a stack (N, ...) and returns N results, one per member.
+    """
+    groups = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(i)
+    out = [None] * len(mats)
+    for members in groups.values():
+        for i, result in zip(members, fn(np.stack([mats[i] for i in members]))):
+            out[i] = result
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,17 +148,18 @@ def eigh(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 def rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_rtol * max(shape) * sigma_max`` (OverflowError if that is inf)."""
     m = as_cmatrix(m)
-    return _numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, tol)
+    return int(_numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, tol))
 
 
-def _numerical_rank(s: np.ndarray, shape: tuple, tol: Tolerances, top: float | None = None) -> int:
+def _numerical_rank(s: np.ndarray, shape: tuple, tol: Tolerances, top: float | None = None):
     """Count of the singular values ``s`` above ``rank_rtol * max(shape) * top``, ``top`` defaulting to s[0].
 
-    A block cut from a larger matrix passes that matrix's shape and sigma_max: its noise is the larger one's.
+    ``s`` may be a stack (..., k) of spectra, one count per spectrum, each judged by its own s[0]. A block
+    cut from a larger matrix passes that matrix's shape and sigma_max: its noise is the larger one's.
     """
-    if s.size == 0:
-        return 0
-    top = s[0] if top is None else top
-    if not np.isfinite(top):  # the SVD of a finite matrix whose 2-norm overflows gives s[0] = inf
-        raise OverflowError(f"largest singular value is {top}")
-    return int(np.count_nonzero(s > tol.rank_rtol * max(shape) * top))
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=np.intp)
+    top = s[..., :1] if top is None else top
+    if not np.isfinite(top).all():  # the SVD of a finite matrix whose 2-norm overflows gives s[0] = inf
+        raise OverflowError(f"largest singular value is {np.max(top)}")
+    return np.add.reduce(s > tol.rank_rtol * max(shape) * top, axis=-1, dtype=np.intp)

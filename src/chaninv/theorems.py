@@ -26,12 +26,13 @@ Facts exercised here, all certified by residuals rather than assumed:
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import channels as chn
-from .ginv import dagger_drazin, drazin_index, drazin_inverse, mp_inverse
-from .linalg import DEFAULT_TOL, Tolerances, _numerical_rank, as_cmatrix, dagger, fro_dist
+from .ginv import GinvReport, certify_many, dagger_drazin, drazin_inverse, mp_inverse
+from .linalg import DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, as_cmatrix, dagger, fro_dist
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -49,6 +50,10 @@ DEFAULT_SUITE_COUNT = 200
 # (the residual of W S W - W floats at eps * |W|^2 * |S|), so such draws
 # can certify nothing either way.
 MIN_REL_SIGMA = 1e-2
+
+# Instances that run_suite draws, then certifies as one batch. Stacks of a few dozen small matrices
+# already spread the per-call overhead; larger ones only add to the peak memory.
+_BATCH_SIZE = 32
 
 # Dimensions and environment sizes that run_suite cycles through.
 _DIMS = (2, 3, 4)
@@ -116,34 +121,73 @@ def draw_ucptp(d: int, n_unitaries: int, rng, tol: Tolerances = DEFAULT_TOL) -> 
     return _redraw(lambda: chn.random_ucptp(d, n_unitaries, rng), tol)
 
 
+# Each check below is the one-instance case of a batch function that takes an item's whole instance list
+# and returns one result per instance: its TheoremReport, or the exception that instance raised.
+
+
+def _one(results):
+    """The only result of a one-instance batch, raised if it is an exception."""
+    (result,) = results
+    if isinstance(result, Exception):
+        try:
+            raise result
+        finally:  # the traceback holds this frame: no reference back to the exception from it
+            del result, results
+    return result
+
+
+def _each(check, instances, tol: Tolerances) -> list:
+    """``check(*args, tol)`` for each argument tuple of ``instances``: its report, or the exception it raised."""
+    return [_attempt(Exception, check, *args, tol) for args in instances]
+
+
+def _tpu(mats) -> list:
+    """(tp, unital) residual pair of each superoperator of ``mats``, one stacked product per shape."""
+    return _by_shape(lambda s: zip(*(r.tolist() for r in chn._tp_unital_residuals(s))), mats)
+
+
+def _first_error(results):
+    return next((r for r in results if not isinstance(r, GinvReport)), None)
+
+
+def _inverse_keeps_tp_u(theorem_id: str, kind: str, chs, both: bool, tol: Tolerances) -> list:
+    """TP and unitality of each channel survive its ``kind`` inverse.
+
+    A channel needs TP and unitality (``both``) or one of them to be checked, else it is inconclusive; each
+    property it has must hold for its certified inverse.
+    """
+    atol = tol.residual_atol
+    results = [TheoremReport(theorem_id, 1, 0.0, INCONCLUSIVE)] * len(chs)
+    held = {}
+    for i, (tp_r, u_r) in enumerate(_tpu([ch.super for ch in chs])):
+        tp, u = tp_r <= atol, u_r <= atol
+        if (tp and u) if both else (tp or u):
+            held[i] = tp, u
+    inverses = dict(zip(held, certify_many(kind, [chs[i].super for i in held], tol)))
+    certified = {i: rep for i, rep in inverses.items() if isinstance(rep, GinvReport)}
+    for i, rep in inverses.items():
+        results[i] = rep
+    for (i, rep), kept in zip(certified.items(), _tpu([rep.inverse for rep in certified.values()])):
+        worst = max(r for r, had in zip(kept, held[i]) if had)
+        ok = worst <= atol
+        witness = None if ok else chn.channel_to_dict(_inverse_channel(chs[i], rep.inverse))
+        results[i] = TheoremReport(theorem_id, 1, worst, VERIFIED if ok else FALSIFIED, witness)
+    return results
+
+
 def check_drazin_preserves_tp_u(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """TP and/or unitality of a square channel survive Drazin inversion.
 
     Inconclusive when the channel is neither TP nor unital (empty
     hypothesis); numeric failures from the inverse computation propagate.
     """
-    if ch.d_in != ch.d_out:
-        raise ValueError("Drazin inversion needs d_in == d_out")
-    tp_in, _ = chn.is_tp(ch, tol)
-    u_in, _ = chn.is_unital(ch, tol)
-    if not tp_in and not u_in:
-        return TheoremReport("drazin-tp-u-preservation", 1, 0.0, INCONCLUSIVE)
-    dr = drazin_inverse(ch.super, tol)
-    inv_ch = _inverse_channel(ch, dr.inverse)
-    residuals = []
-    if tp_in:
-        residuals.append(chn.is_tp(inv_ch, tol)[1])
-    if u_in:
-        residuals.append(chn.is_unital(inv_ch, tol)[1])
-    worst = max(residuals)
-    ok = worst <= tol.residual_atol
-    return TheoremReport(
-        "drazin-tp-u-preservation",
-        1,
-        worst,
-        VERIFIED if ok else FALSIFIED,
-        None if ok else chn.channel_to_dict(inv_ch),
-    )
+    return _one(_drazin_preserves_tp_u_batch([ch], tol))
+
+
+def _drazin_preserves_tp_u_batch(chs, tol: Tolerances) -> list:
+    square = [ch for ch in chs if ch.d_in == ch.d_out]
+    results = iter(_inverse_keeps_tp_u("drazin-tp-u-preservation", "drazin", square, False, tol))
+    return [next(results) if ch.d_in == ch.d_out else ValueError("Drazin inversion needs d_in == d_out") for ch in chs]
 
 
 def check_drazin_cp_loss(d: int, a: float, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -156,6 +200,14 @@ def check_drazin_cp_loss(d: int, a: float, tol: Tolerances = DEFAULT_TOL) -> The
     (CP lost, with the inverse channel as witness) whenever b leaves the CP
     region, "verified" when the inverse stays CP (a = 1).
     """
+    return _one(_drazin_cp_loss_batch([(d, a)], tol))
+
+
+def _drazin_cp_loss_batch(cases, tol: Tolerances) -> list:
+    return _each(_drazin_cp_loss, cases, tol)
+
+
+def _drazin_cp_loss(d: int, a: float, tol: Tolerances) -> TheoremReport:
     if a == 0:
         raise ValueError("a = 0 is the identity channel; pick a nonzero parameter")
     b = 1.0 if a == 1 else a / (a - 1.0)
@@ -199,49 +251,56 @@ def check_intertwiner_propagation(
     K (F^p)^H = (G^p)^H H for the dagger-Drazin inverses. Non-commuting
     inputs give an inconclusive verdict rather than an error.
     """
-    f = as_cmatrix(f, "f")
-    g = as_cmatrix(g, "g")
-    k = as_cmatrix(k, "k")
-    if variant == "drazin":
-        theorem_id = "intertwiner-drazin"
-        input_res = fro_dist(k @ f, g @ k)
-        if input_res > tol.residual_atol:
-            return TheoremReport(theorem_id, 1, input_res, INCONCLUSIVE)
-        fd = drazin_inverse(f, tol).inverse
-        gd = drazin_inverse(g, tol).inverse
-        out_res = fro_dist(k @ fd, gd @ k)
-    elif variant == "dagger_drazin":
-        theorem_id = "intertwiner-dagger-drazin"
-        h = k if h is None else as_cmatrix(h, "h")
-        input_res = max(fro_dist(k @ f, g @ h), fro_dist(h @ dagger(f), dagger(g) @ k))
-        if input_res > tol.residual_atol:
-            return TheoremReport(theorem_id, 1, input_res, INCONCLUSIVE)
-        fp = dagger_drazin(f, tol).inverse
-        gp = dagger_drazin(g, tol).inverse
-        out_res = max(fro_dist(h @ fp, gp @ k), fro_dist(k @ dagger(fp), dagger(gp) @ h))
-    else:
+    return _one(_intertwiner_propagation_batch([(f, g, k, h)], variant, tol))
+
+
+def _intertwiner_propagation_batch(squares, variant: str, tol: Tolerances) -> list:
+    """Squares ``(f, g, k)`` or ``(f, g, k, h)``; the inverses of every commuting square are certified together."""
+    if variant not in ("drazin", "dagger_drazin"):
         raise ValueError(f"unknown variant {variant!r}")
-    ok = out_res <= tol.residual_atol
-    return TheoremReport(theorem_id, 1, out_res, VERIFIED if ok else FALSIFIED)
+    theorem_id = "intertwiner-drazin" if variant == "drazin" else "intertwiner-dagger-drazin"
+    results = [_attempt(ValueError, _square, variant, *square) for square in squares]
+    commuting = {}
+    for i, square in enumerate(results):
+        if isinstance(square, ValueError):
+            continue
+        *args, input_res = square
+        if input_res > tol.residual_atol:
+            results[i] = TheoremReport(theorem_id, 1, input_res, INCONCLUSIVE)
+        else:
+            commuting[i] = args
+    inverses = iter(certify_many(variant, [m for f, g, *_ in commuting.values() for m in (f, g)], tol))
+    for i, (f, g, k, h) in commuting.items():
+        pair = next(inverses), next(inverses)
+        results[i] = _first_error(pair)
+        if results[i] is not None:
+            continue
+        fp, gp = pair[0].inverse, pair[1].inverse
+        if variant == "drazin":
+            out_res = fro_dist(k @ fp, gp @ k)
+        else:
+            out_res = max(fro_dist(h @ fp, gp @ k), fro_dist(k @ dagger(fp), dagger(gp) @ h))
+        ok = out_res <= tol.residual_atol
+        results[i] = TheoremReport(theorem_id, 1, out_res, VERIFIED if ok else FALSIFIED)
+    return results
+
+
+def _square(variant: str, f, g, k, h=None):
+    """(f, g, k, h, hypothesis residual) of one intertwiner square, validated; h is k if not given."""
+    f, g, k = as_cmatrix(f, "f"), as_cmatrix(g, "g"), as_cmatrix(k, "k")
+    if variant == "drazin":
+        return f, g, k, None, fro_dist(k @ f, g @ k)
+    h = k if h is None else as_cmatrix(h, "h")
+    return f, g, k, h, max(fro_dist(k @ f, g @ h), fro_dist(h @ dagger(f), dagger(g) @ k))
 
 
 def check_dagger_drazin_preserves_tpu(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """TP + unitality survive dagger-Drazin inversion (square or not)."""
-    tp_in, _ = chn.is_tp(ch, tol)
-    u_in, _ = chn.is_unital(ch, tol)
-    if not (tp_in and u_in):
-        return TheoremReport("dagger-drazin-tp-u-preservation", 1, 0.0, INCONCLUSIVE)
-    dd = dagger_drazin(ch.super, tol)
-    inv_ch = _inverse_channel(ch, dd.inverse)
-    worst = max(chn.is_tp(inv_ch, tol)[1], chn.is_unital(inv_ch, tol)[1])
-    ok = worst <= tol.residual_atol
-    return TheoremReport(
-        "dagger-drazin-tp-u-preservation",
-        1,
-        worst,
-        VERIFIED if ok else FALSIFIED,
-        None if ok else chn.channel_to_dict(inv_ch),
-    )
+    return _one(_dagger_drazin_preserves_tpu_batch([ch], tol))
+
+
+def _dagger_drazin_preserves_tpu_batch(chs, tol: Tolerances) -> list:
+    return _inverse_keeps_tp_u("dagger-drazin-tp-u-preservation", "dagger_drazin", chs, True, tol)
 
 
 def check_mp_tpu_iff(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -250,23 +309,27 @@ def check_mp_tpu_iff(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremR
     Both directions are evaluated on the instance; an instance where
     neither side is TP+unital satisfies the biconditional vacuously.
     """
-    mp = mp_inverse(ch.super, tol)
-    inv_ch = _inverse_channel(ch, mp.inverse)
-    fwd_tp, fwd_u = chn.is_tp(ch, tol)[0], chn.is_unital(ch, tol)[0]
-    bwd_tp, bwd_u = chn.is_tp(inv_ch, tol)[0], chn.is_unital(inv_ch, tol)[0]
-    residuals = [0.0]
-    if fwd_tp and fwd_u:
-        residuals += [chn.is_tp(inv_ch, tol)[1], chn.is_unital(inv_ch, tol)[1]]
-    if bwd_tp and bwd_u:
-        residuals += [chn.is_tp(ch, tol)[1], chn.is_unital(ch, tol)[1]]
-    ok = (fwd_tp and fwd_u) == (bwd_tp and bwd_u) and max(residuals) <= tol.residual_atol
-    return TheoremReport(
-        "mp-tp-u-iff",
-        1,
-        max(residuals),
-        VERIFIED if ok else FALSIFIED,
-        None if ok else chn.channel_to_dict(inv_ch),
-    )
+    return _one(_mp_tpu_iff_batch([ch], tol))
+
+
+def _mp_tpu_iff_batch(chs, tol: Tolerances) -> list:
+    atol = tol.residual_atol
+    results = certify_many("moore_penrose", [ch.super for ch in chs], tol)
+    certified = [i for i, rep in enumerate(results) if isinstance(rep, GinvReport)]
+    forward = _tpu([chs[i].super for i in certified])
+    backward = _tpu([results[i].inverse for i in certified])
+    for i, (tp_r, u_r), (inv_tp_r, inv_u_r) in zip(certified, forward, backward):
+        fwd = tp_r <= atol and u_r <= atol
+        bwd = inv_tp_r <= atol and inv_u_r <= atol
+        residuals = [0.0]
+        if fwd:
+            residuals += [inv_tp_r, inv_u_r]
+        if bwd:
+            residuals += [tp_r, u_r]
+        ok = fwd == bwd and max(residuals) <= atol
+        witness = None if ok else chn.channel_to_dict(_inverse_channel(chs[i], results[i].inverse))
+        results[i] = TheoremReport("mp-tp-u-iff", 1, max(residuals), VERIFIED if ok else FALSIFIED, witness)
+    return results
 
 
 def amplitude_damping(gamma: float) -> chn.Channel:
@@ -305,26 +368,21 @@ def search_mp_tp_violation(
     gamma = 0.5 is always evaluated first; being invertible, it preserves TP
     and serves as a negative control. Witness = the first channel whose
     inverse has TP residual above 10x ``residual_atol``. The report is
-    empirical evidence, not a proof.
+    empirical evidence, not a proof. Every candidate is drawn first, then all
+    their inverses are certified together.
     """
+    return _one(_search_mp_tp_violation_batch([(d, env_dim, trials, seed)], tol))
+
+
+def _search_mp_tp_violation_batch(searches, tol: Tolerances) -> list:
+    return _each(_search_mp_tp_violation, searches, tol)
+
+
+def _search_mp_tp_violation(d: int, env_dim: int, trials: int, seed, tol: Tolerances) -> TheoremReport:
     if trials < 1:
         raise ValueError("at least one trial is required")
     rng = chn._get_rng(seed)
-    evaluated = 0
-    worst = 0.0
-    witness = None
-
-    def consider(ch: chn.Channel):
-        nonlocal evaluated, worst, witness
-        mp = mp_inverse(ch.super, tol)
-        r = chn.is_tp(_inverse_channel(ch, mp.inverse), tol)[1]
-        evaluated += 1
-        worst = max(worst, r)
-        if witness is None and r > 10.0 * tol.residual_atol:
-            witness = chn.channel_to_dict(ch)
-
-    if d == 2:
-        consider(amplitude_damping(0.5))
+    candidates = [amplitude_damping(0.5)] if d == 2 else []
     for i in range(trials):
         for _ in range(8):
             if i % 2 == 0:
@@ -332,12 +390,26 @@ def search_mp_tp_violation(
             else:
                 ch = chn.random_cptp(d, d, env_dim, rng)
             if not chn.is_unital(ch, tol)[0] and _certifiable(ch.super, tol):
-                consider(ch)
+                candidates.append(ch)
                 break
-    if evaluated == 0:
+    if not candidates:
         return TheoremReport("mp-tp-violation-search", 0, 0.0, INCONCLUSIVE)
+    inverses = certify_many("moore_penrose", [ch.super for ch in candidates], tol)
+    error = _first_error(inverses)
+    if error is not None:
+        raise error
+    tp = [tp_r for tp_r, _ in _tpu([rep.inverse for rep in inverses])]
+    witness = next((chn.channel_to_dict(ch) for ch, r in zip(candidates, tp) if r > 10.0 * tol.residual_atol), None)
     verdict = FALSIFIED if witness is not None else VERIFIED
-    return TheoremReport("mp-tp-violation-search", evaluated, worst, verdict, witness)
+    return TheoremReport("mp-tp-violation-search", len(candidates), max([0.0] + tp), verdict, witness)
+
+
+# variant -> (theorem id, inverse kind)
+_ORTHOGONAL_SUMS = {
+    "drazin": ("orthogonal-sum-drazin", "drazin"),
+    "dagger_drazin": ("orthogonal-sum-dagger-drazin", "dagger_drazin"),
+    "mp": ("orthogonal-sum-moore-penrose", "moore_penrose"),
+}
 
 
 def check_orthogonal_sum(fs, variant: str, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -347,45 +419,58 @@ def check_orthogonal_sum(fs, variant: str, tol: Tolerances = DEFAULT_TOL) -> The
     variant, ``f_j^H f_i = 0`` for the dagger-Drazin and Moore-Penrose
     variants. A violated hypothesis yields an inconclusive verdict.
     """
-    kinds = {
-        "drazin": lambda m: drazin_inverse(m, tol).inverse,
-        "dagger_drazin": lambda m: dagger_drazin(m, tol).inverse,
-        "mp": lambda m: mp_inverse(m, tol).inverse,
-    }
-    if variant not in kinds:
+    return _one(_orthogonal_sum_batch([fs], variant, tol))
+
+
+def _orthogonal_sum_batch(families, variant: str, tol: Tolerances) -> list:
+    """One orthogonality product per family; the sums and summands of every family are certified together."""
+    if variant not in _ORTHOGONAL_SUMS:
         raise ValueError(f"unknown variant {variant!r}")
-    theorem_id = {
-        "drazin": "orthogonal-sum-drazin",
-        "dagger_drazin": "orthogonal-sum-dagger-drazin",
-        "mp": "orthogonal-sum-moore-penrose",
-    }[variant]
+    theorem_id, kind = _ORTHOGONAL_SUMS[variant]
+    results = [_attempt(ValueError, _summands, fs) for fs in families]
+    orthogonal = {}
+    for i, mats in enumerate(results):
+        if isinstance(mats, ValueError):
+            continue
+        stack = np.stack(mats)
+        left = stack if variant == "drazin" else dagger(stack)
+        products = np.linalg.norm(left[:, None] @ stack[None, :], axis=(-2, -1))  # [j, i]: f_j f_i or f_j^H f_i
+        np.fill_diagonal(products, 0.0)
+        orth = float(products.max())
+        if orth > tol.residual_atol:
+            results[i] = TheoremReport(theorem_id, 1, orth, INCONCLUSIVE)
+        else:
+            orthogonal[i] = [sum(mats[1:], start=mats[0].copy()), *mats]
+    inverses = iter(certify_many(kind, [m for mats in orthogonal.values() for m in mats], tol))
+    for i, mats in orthogonal.items():
+        total, *parts = [next(inverses) for _ in mats]
+        results[i] = _first_error([total, *parts])
+        if results[i] is None:
+            residual = fro_dist(total.inverse, sum(p.inverse for p in parts))
+            ok = residual <= tol.residual_atol
+            results[i] = TheoremReport(theorem_id, 1, residual, VERIFIED if ok else FALSIFIED)
+    return results
+
+
+def _summands(fs) -> list:
     mats = [as_cmatrix(f, "summand") for f in fs]
     if not mats:
         raise ValueError("at least one summand is required")
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise ValueError("summands must share one shape")
-    orth = 0.0
-    for i, fi in enumerate(mats):
-        for j, fj in enumerate(mats):
-            if i == j:
-                continue
-            if variant == "drazin":
-                orth = max(orth, float(np.linalg.norm(fj @ fi)))
-            else:
-                orth = max(orth, float(np.linalg.norm(dagger(fj) @ fi)))
-    if orth > tol.residual_atol:
-        return TheoremReport(theorem_id, 1, orth, INCONCLUSIVE)
-    inverse = kinds[variant]
-    total = sum(mats[1:], start=mats[0].copy())
-    residual = fro_dist(inverse(total), sum(inverse(m) for m in mats))
-    ok = residual <= tol.residual_atol
-    return TheoremReport(theorem_id, 1, residual, VERIFIED if ok else FALSIFIED)
+    if any(m.shape != mats[0].shape for m in mats[1:]):
+        raise ValueError("summands must share one shape")
+    return mats
 
 
 def check_pure_channel_lemma(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """Conjugation channels: CP always; TP iff isometry; unital iff coisometry."""
+    return _one(_pure_channel_lemma_batch([f], tol))
+
+
+def _pure_channel_lemma_batch(fs, tol: Tolerances) -> list:
+    return _each(_pure_channel_lemma, [(f,) for f in fs], tol)
+
+
+def _pure_channel_lemma(f: np.ndarray, tol: Tolerances) -> TheoremReport:
     f = as_cmatrix(f, "f")
     ch = chn.conjugation_channel(f)
     report = chn.property_report(ch, tol)
@@ -409,6 +494,14 @@ def check_pure_channel_lemma(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Th
 
 def check_projector_self_inverse(block_dims, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """Block-dephasing channels are UCPTP and equal all three of their inverses."""
+    return _one(_projector_self_inverse_batch([block_dims], tol))
+
+
+def _projector_self_inverse_batch(partitions, tol: Tolerances) -> list:
+    return _each(_projector_self_inverse, [(p,) for p in partitions], tol)
+
+
+def _projector_self_inverse(block_dims, tol: Tolerances) -> TheoremReport:
     ch = chn.projector_channel(block_dims)
     report = chn.property_report(ch, tol)
     s = ch.super
@@ -424,13 +517,36 @@ def check_projector_self_inverse(block_dims, tol: Tolerances = DEFAULT_TOL) -> T
 
 def check_group_double_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """At Drazin index <= 1 the double Drazin inverse recovers the input."""
+    return _one(_group_double_inverse_batch([a], tol))
+
+
+def _group_double_inverse_batch(mats, tol: Tolerances) -> list:
+    """The index comes from each certified Drazin inverse; the second inverses are certified together."""
+    results = [_attempt(ValueError, _square_matrix, a) for a in mats]
+    valid = {i: a for i, a in enumerate(results) if not isinstance(a, ValueError)}
+    firsts = {}
+    for i, rep in zip(valid, certify_many("drazin", list(valid.values()), tol)):
+        if not isinstance(rep, GinvReport):
+            results[i] = rep
+        elif rep.index > 1:
+            results[i] = TheoremReport("group-double-inverse", 1, 0.0, INCONCLUSIVE)
+        else:
+            firsts[i] = rep.inverse
+    for i, rep in zip(firsts, certify_many("drazin", list(firsts.values()), tol)):
+        if not isinstance(rep, GinvReport):
+            results[i] = rep
+            continue
+        residual = fro_dist(rep.inverse, valid[i])
+        ok = residual <= tol.residual_atol
+        results[i] = TheoremReport("group-double-inverse", 1, residual, VERIFIED if ok else FALSIFIED)
+    return results
+
+
+def _square_matrix(a) -> np.ndarray:
     a = as_cmatrix(a, "a")
-    if drazin_index(a, tol) > 1:
-        return TheoremReport("group-double-inverse", 1, 0.0, INCONCLUSIVE)
-    first = drazin_inverse(a, tol).inverse
-    residual = fro_dist(drazin_inverse(first, tol).inverse, a)
-    ok = residual <= tol.residual_atol
-    return TheoremReport("group-double-inverse", 1, residual, VERIFIED if ok else FALSIFIED)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"Drazin index needs a square matrix, got shape {a.shape}")
+    return a
 
 
 def _index2_tp_superoperator(d: int, rng) -> np.ndarray:
@@ -445,6 +561,10 @@ def _index2_tp_superoperator(d: int, rng) -> np.ndarray:
     return q @ core @ dagger(q)
 
 
+def _tp_index2_channel(d: int, seed) -> chn.Channel:
+    return chn.Channel(d_in=d, d_out=d, super=_index2_tp_superoperator(d, chn._get_rng(seed)))
+
+
 def check_double_inverse_gap(d: int, seed, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """On TP maps of index >= 2 the double Drazin inverse genuinely differs.
 
@@ -452,22 +572,32 @@ def check_double_inverse_gap(d: int, seed, tol: Tolerances = DEFAULT_TOL) -> The
     f^DD != f; this exhibits a TP superoperator where the gap is large while
     the Drazin inverse itself is still TP.
     """
-    ch = chn.Channel(d_in=d, d_out=d, super=_index2_tp_superoperator(d, chn._get_rng(seed)))
-    s = ch.super
-    tp_res = chn.is_tp(ch, tol)[1]
-    dr = drazin_inverse(s, tol)
-    inv_tp_res = chn.is_tp(_inverse_channel(ch, dr.inverse), tol)[1]
-    double = drazin_inverse(dr.inverse, tol).inverse
-    gap = fro_dist(double, s)
-    ok = (
-        tp_res <= tol.residual_atol
-        and inv_tp_res <= tol.residual_atol
-        and dr.index >= 2
-        and gap > tol.residual_atol
-    )
-    return TheoremReport(
-        "drazin-double-inverse-gap", 1, max(tp_res, inv_tp_res), VERIFIED if ok else FALSIFIED
-    )
+    return _one(_double_inverse_gap_batch([(d, seed)], tol))
+
+
+def _double_inverse_gap_batch(cases, tol: Tolerances) -> list:
+    """Every instance is drawn first, in order; then the first and the second inverses are certified together."""
+    atol = tol.residual_atol
+    results = [_attempt(ValueError, _tp_index2_channel, d, seed) for d, seed in cases]
+    supers = {i: ch.super for i, ch in enumerate(results) if not isinstance(ch, ValueError)}
+    firsts = {}
+    for i, rep in zip(supers, certify_many("drazin", list(supers.values()), tol)):
+        if isinstance(rep, GinvReport):
+            firsts[i] = rep
+        else:
+            results[i] = rep
+    tp = _tpu([supers[i] for i in firsts])
+    inv_tp = _tpu([rep.inverse for rep in firsts.values()])
+    doubles = certify_many("drazin", [rep.inverse for rep in firsts.values()], tol)
+    for (i, dr), (tp_res, _), (inv_tp_res, _), double in zip(firsts.items(), tp, inv_tp, doubles):
+        if not isinstance(double, GinvReport):
+            results[i] = double
+            continue
+        gap = fro_dist(double.inverse, supers[i])
+        ok = tp_res <= atol and inv_tp_res <= atol and dr.index >= 2 and gap > atol
+        verdict = VERIFIED if ok else FALSIFIED
+        results[i] = TheoremReport("drazin-double-inverse-gap", 1, max(tp_res, inv_tp_res), verdict)
+    return results
 
 
 def _aggregate(theorem_id: str, reports) -> TheoremReport:
@@ -485,12 +615,21 @@ def _aggregate(theorem_id: str, reports) -> TheoremReport:
     return TheoremReport(theorem_id, instances, worst, verdict, witness)
 
 
-def _guarded(check, args) -> TheoremReport:
-    """Run one check; an exception becomes an inconclusive report carrying its message."""
-    try:
-        return check(*args)
-    except Exception as exc:  # report, never throw: the suite must complete
-        return TheoremReport(check.__name__, 1, float("inf"), INCONCLUSIVE, {"error": str(exc)})
+def _run_item(theorem_id: str, batch, instances, extra, tol: Tolerances) -> TheoremReport:
+    """Check an item's instances in batches of ``_BATCH_SIZE``, each drawn just before it is checked.
+
+    An exception result becomes an inconclusive report carrying its message; a batch that raises as a whole
+    marks each of its instances with that exception.
+    """
+    results = []
+    instances = iter(instances)
+    while chunk := list(islice(instances, _BATCH_SIZE)):
+        outcome = _attempt(Exception, batch, chunk, *extra, tol)  # report, never throw: the suite must complete
+        results += [outcome] * len(chunk) if isinstance(outcome, Exception) else outcome
+    return _aggregate(theorem_id, [
+        TheoremReport(theorem_id, 1, float("inf"), INCONCLUSIVE, {"error": str(r)}) if isinstance(r, Exception) else r
+        for r in results
+    ])
 
 
 def run_suite(
@@ -500,68 +639,66 @@ def run_suite(
 ) -> list:
     """Run every theorem check over deterministic randomized instances.
 
-    The suite is one table of items ``(theorem_id, check, instances)``, each
-    instance a tuple of arguments for ``check``. Every item draws from its
+    The suite is one table of items ``(theorem_id, batch, instances, *extra)``:
+    an item's instances are drawn ``_BATCH_SIZE`` at a time, and each such
+    list is checked at once by ``batch(instances, *extra, tol)``, which
+    returns one result per instance. Every item draws from its
     own generator, a child of ``seed``, so reports are reproducible for a
     fixed seed regardless of item order or scheduling. Random channels are
     redrawn while uncertifiable (see MIN_REL_SIGMA). Individual check
-    failures surface as report verdicts, never exceptions.
+    failures surface as report verdicts, never exceptions: an exception
+    marks only its own instance inconclusive.
     ``instance_count = 0`` yields all-inconclusive empty reports. The table
     is built per call, so checks and draws are looked up at run time.
     """
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(12)]
     n = range(instance_count)
     fixed = int(instance_count > 0)  # the fixed-list items run in full once any instance is asked for
-    # shared by several items, so drawn up front; the other items draw each instance as it is checked
+    # shared by several items, so drawn up front; the other items draw their instances when their turn comes
     families = [_block_family(rngs[5], n_blocks=2 + i % 3, nilpotent=(i % 5 == 0)) for i in n]
     squares, dagger_squares = _intertwiner_instances(rngs[7], instance_count, tol)
     items = [
         # Drazin TP preservation on generic CPTP channels, unitality on mixed-unitary ones.
-        ("drazin-tp-preservation", check_drazin_preserves_tp_u,
-         ((draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[0], tol), tol) for i in n)),
-        ("drazin-unital-preservation", check_drazin_preserves_tp_u,
-         ((draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol), tol) for i in n)),
+        ("drazin-tp-preservation", _drazin_preserves_tp_u_batch,
+         (draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[0], tol) for i in n)),
+        ("drazin-unital-preservation", _drazin_preserves_tp_u_batch,
+         (draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol) for i in n)),
         # Depolarizing case study: inverse parameter identity and CP loss.
-        ("depolarizing-cp-loss", check_drazin_cp_loss,
-         [(d, a, tol) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed),
+        ("depolarizing-cp-loss", _drazin_cp_loss_batch,
+         [(d, a) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed),
         # Dagger-Drazin TP+U preservation on mixed-unitary channels.
-        ("dagger-drazin-tp-u-preservation", check_dagger_drazin_preserves_tpu,
-         ((draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol), tol) for i in n)),
+        ("dagger-drazin-tp-u-preservation", _dagger_drazin_preserves_tpu_batch,
+         (draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol) for i in n)),
         # Moore-Penrose TP+U biconditional on mixed instances.
-        ("mp-tp-u-iff", check_mp_tpu_iff, (
-            (draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[3], tol) if i % 3 == 2
-             else draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[3], tol), tol)
+        ("mp-tp-u-iff", _mp_tpu_iff_batch, (
+            draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[3], tol) if i % 3 == 2
+            else draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[3], tol)
             for i in n
         )),
         # Moore-Penrose TP-violation search on non-unital channels: one search of count trials.
-        ("mp-tp-violation-search", search_mp_tp_violation,
-         [(2, 3, instance_count, rngs[4], tol)] * fixed),
+        ("mp-tp-violation-search", _search_mp_tp_violation_batch, [(2, 3, instance_count, rngs[4])] * fixed),
         # Orthogonal-sum laws on block-embedded families.
-        ("orthogonal-sum-drazin", check_orthogonal_sum, [(fs, "drazin", tol) for fs in families]),
-        ("orthogonal-sum-dagger-drazin", check_orthogonal_sum, [(fs, "dagger_drazin", tol) for fs in families]),
-        ("orthogonal-sum-moore-penrose", check_orthogonal_sum, [(fs, "mp", tol) for fs in families]),
+        ("orthogonal-sum-drazin", _orthogonal_sum_batch, families, "drazin"),
+        ("orthogonal-sum-dagger-drazin", _orthogonal_sum_batch, families, "dagger_drazin"),
+        ("orthogonal-sum-moore-penrose", _orthogonal_sum_batch, families, "mp"),
         # Projector channels: UCPTP and self-inverse for every kind.
-        ("projector-channel-self-inverse", check_projector_self_inverse,
-         [(partition, tol) for partition in ((1, 1), (2, 1), (2, 2))] * fixed),
+        ("projector-channel-self-inverse", _projector_self_inverse_batch, [(1, 1), (2, 1), (2, 2)] * fixed),
         # Pure-channel criteria on unitaries, isometries, and defective maps.
-        ("pure-channel-criteria", check_pure_channel_lemma,
-         ((_pure_channel_map(_DIMS[i % 3], i % 3, rngs[6]), tol) for i in n)),
+        ("pure-channel-criteria", _pure_channel_lemma_batch,
+         (_pure_channel_map(_DIMS[i % 3], i % 3, rngs[6]) for i in n)),
         # Intertwiner propagation: block instances plus the TP-functional square.
-        ("intertwiner-drazin", check_intertwiner_propagation, squares),
-        ("intertwiner-dagger-drazin", check_intertwiner_propagation, dagger_squares),
+        ("intertwiner-drazin", _intertwiner_propagation_batch, squares, "drazin"),
+        ("intertwiner-dagger-drazin", _intertwiner_propagation_batch, dagger_squares, "dagger_drazin"),
         # Double-inverse law at index <= 1 and its failure at index 2.
-        ("group-double-inverse", check_group_double_inverse, (
-            (draw_ucptp(_DIMS[i % 3], 2, rngs[8], tol).super if i % 2 == 0
-             else chn.projector_channel((_DIMS[i % 3] - 1, 1)).super, tol)
+        ("group-double-inverse", _group_double_inverse_batch, (
+            draw_ucptp(_DIMS[i % 3], 2, rngs[8], tol).super if i % 2 == 0
+            else chn.projector_channel((_DIMS[i % 3] - 1, 1)).super
             for i in n
         )),
-        ("drazin-double-inverse-gap", check_double_inverse_gap,
-         [(_DIMS[i % 2], rngs[9], tol) for i in range(min(instance_count, 16))]),
+        ("drazin-double-inverse-gap", _double_inverse_gap_batch,
+         [(_DIMS[i % 2], rngs[9]) for i in range(min(instance_count, 16))]),
     ]
-    return [
-        _aggregate(theorem_id, [_guarded(check, args) for args in instances])
-        for theorem_id, check, instances in items
-    ]
+    return [_run_item(theorem_id, batch, instances, extra, tol) for theorem_id, batch, instances, *extra in items]
 
 
 def _conditioned(rng, size: int) -> np.ndarray:
@@ -596,13 +733,13 @@ def _intertwiner_instances(rng, count: int, tol: Tolerances):
         bottom = _conditioned(rng, c)
         f = np.block([[top, np.zeros((b, c))], [np.zeros((c, b)), bottom]]).astype(np.complex128)
         proj = np.eye(b, b + c, dtype=np.complex128)
-        drazin_args.append((f, top, proj, "drazin", tol))
-        dagger_args.append((f, top, proj, "dagger_drazin", tol))
+        drazin_args.append((f, top, proj))
+        dagger_args.append((f, top, proj))
         if i % 4 == 0:
             d = _DIMS[i % 3]
             ch = draw_cptp(d, _ENVS[(i // 4) % 4], rng, tol)
             trace_row = chn.vec(np.eye(d)).conj()[None, :]
-            drazin_args.append((ch.super, np.eye(1, dtype=np.complex128), trace_row, "drazin", tol))
+            drazin_args.append((ch.super, np.eye(1, dtype=np.complex128), trace_row))
     return drazin_args, dagger_args
 
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +210,25 @@ class TestInverse:
         back = chn.channel_from_dict(json.loads(out2))
         assert fro_dist(back.super, original.super) <= 1e-8
 
+    # the text report of a projector channel's inverses, as printed before the JSON payload became lazy
+    PROJECTOR_TEXT = {
+        "mp": "kind: mp\nMP1: 0.0\nMP2: 0.0\nMP3: 0.0\nMP4: 0.0\n",
+        "drazin": "kind: drazin\nindex: 1\nD1: 0.0\nD2: 0.0\nD3: 0.0\n",
+        "group": "kind: group\nindex: 1\nG1: 0.0\nG2: 0.0\nG3: 0.0\n",
+        "dagger-drazin": "kind: dagger-drazin\nwitness_k: 1\nDd1: 0.0\nDd2: 0.0\nDd3: 0.0\nDd4: 0.0\n",
+    }
+
+    @pytest.mark.parametrize("kind", list(PROJECTOR_TEXT))
+    def test_text_output_builds_no_payload(self, tmp_path, capsys, monkeypatch, kind):
+        f = write_channel(tmp_path / "proj.json", chn.projector_channel((2, 1)))
+        calls = []
+        original = chn.channel_to_dict
+        monkeypatch.setattr(chn, "channel_to_dict", lambda ch: calls.append(ch) or original(ch))
+        code, out, _ = run(capsys, ["inverse", f, "--kind", kind, "--output", "text"])
+        assert (code, out, len(calls)) == (0, self.PROJECTOR_TEXT[kind], 0)
+        code, _, _ = run(capsys, ["inverse", f, "--kind", kind, "--output", "text", "--out", str(tmp_path / "i.json")])
+        assert (code, len(calls)) == (0, 1)
+
     def test_out_file_written(self, tmp_path, capsys):
         f = write_channel(tmp_path / "dep.json", chn.depolarizing(2, 0.25))
         target = tmp_path / "inverse.json"
@@ -230,6 +250,21 @@ class TestTheorems:
         code, out, _ = run(capsys, ["theorems", "--count", "0"])
         assert code == 1
         assert all(r["verdict"] == "inconclusive" for r in json.loads(out))
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "suite_golden.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN, key=int))
+    def test_count_200_matches_golden_record(self, capsys, seed):
+        # recorded from the per-instance suite before items were certified as one batch each
+        code, out, _ = run(capsys, ["theorems", "--count", "200", "--seed", seed])
+        golden = self.GOLDEN[seed]
+        assert code == golden["exit_code"]
+        reports = json.loads(out)
+        assert [(r["theorem_id"], r["verdict"], r["instances"], r["witness"] is not None) for r in reports] == [
+            (g["theorem_id"], g["verdict"], g["instances"], g["witness"]) for g in golden["items"]
+        ]
+        for r, g in zip(reports, golden["items"]):
+            assert abs(r["max_residual"] - g["max_residual"]) <= 1e-12, r["theorem_id"]
 
     def test_fixed_seed_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, ["theorems", "--count", "6", "--seed", "42"])

@@ -9,14 +9,15 @@ from chaninv import channels as chn
 from chaninv import ginv
 from chaninv.ginv import (
     AxiomResidualError,
+    GinvError,
     GinvReport,
     IndexTooLargeError,
     _core,
     _core_inverse,
     _double_inverse,
-    _drazin,
     _enforce,
     _residuals,
+    certify_many,
     dagger_drazin,
     drazin_index,
     drazin_inverse,
@@ -81,7 +82,8 @@ def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
     inv = _core_inverse(a, u, v, s)
     residuals, _ = _residuals("group", a, inv, tol)
     _enforce("group", residuals, tol)
-    return GinvReport(kind="group", inverse=inv, residuals=residuals, index=k), fro_dist(_drazin(inv, tol).inverse, a)
+    report = GinvReport(kind="group", inverse=inv, residuals=residuals, index=k)
+    return report, fro_dist(drazin_inverse(inv, tol).inverse, a)
 
 
 def closed_form_gap(a, tol=DEFAULT_TOL):
@@ -686,6 +688,84 @@ class TestInternalOverflow:
         # sigma_max of this finite matrix exceeds the float range; it must not read as rank 0
         with pytest.raises(AxiomResidualError, match="overflow"):
             fn(1e308 * np.ones((n, n)))
+
+
+class TestNoWarningsEscape:
+    # overflowed residuals and gram powers fail the gate without a NumPy RuntimeWarning
+    @pytest.mark.parametrize(
+        "fn, m",
+        [(mp_inverse, np.diag([1.0, 2.0]) * 1e-300), (dagger_drazin, np.diag([1e200, 0.0]))],
+    )
+    def test_refused_without_warning(self, fn, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AxiomResidualError):
+                fn(m)
+
+
+SINGLE_CALLS = {
+    "moore_penrose": mp_inverse,
+    "drazin": drazin_inverse,
+    "group": group_inverse,
+    "dagger_drazin": dagger_drazin,
+}
+FAMILIES = ("invertible", "singular", "index2", "nilpotent", "zero", "huge", "rectangular")
+
+
+def family_member(family, n, seed):
+    """An n x n (n x (n+1) if rectangular) matrix of ``family``; huge ones overflow or certify at 1e200."""
+    rng = np.random.default_rng(seed)
+    if family == "invertible":
+        return random_complex(rng, n, n)
+    if family == "singular":
+        return random_complex(rng, n, n - 1) @ random_complex(rng, n - 1, n)
+    if family == "index2":
+        return core_nilpotent(rng, n - 2, [2])[0]
+    if family == "nilpotent":
+        return np.eye(n, k=1)
+    if family == "zero":
+        return np.zeros((n, n))
+    if family == "huge":
+        huge = [np.diag([1e200] + [0.0] * (n - 1)), 1e308 * np.ones((n, n)), 1e200 * random_complex(rng, n, n)]
+        return huge[seed % 3]
+    return random_complex(rng, n, n + 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    kind=st.sampled_from(list(SINGLE_CALLS)),
+    members=st.lists(
+        st.tuples(st.sampled_from(FAMILIES), st.integers(2, 4), st.integers(0, 2**32 - 1)), min_size=1, max_size=8
+    ),
+)
+def test_certify_many_matches_single_calls(kind, members):
+    # one stacked kernel per shape gives every member what the single call gives it, whatever its neighbours
+    mats = [family_member(*m) for m in members]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = certify_many(kind, mats)
+        assert len(batch) == len(mats)
+        for m, got in zip(mats, batch):
+            try:
+                want = SINGLE_CALLS[kind](m)
+            except (GinvError, ValueError) as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                continue
+            assert isinstance(got, GinvReport)
+            assert (got.kind, got.index, got.witness_k) == (want.kind, want.index, want.witness_k)
+            assert got.residuals.keys() == want.residuals.keys()
+            assert fro_dist(got.inverse, want.inverse) <= 1e-14 * np.linalg.norm(want.inverse)
+
+
+def test_certify_many_keeps_order_across_shapes():
+    mats = [np.eye(2), np.diag([1.0, 0.0, 0.0]), NILPOTENT, 2 * np.eye(3), np.ones((2, 3))]
+    out = certify_many("group", mats)
+    assert [type(r).__name__ for r in out] == [
+        "GinvReport", "GinvReport", "IndexTooLargeError", "GinvReport", "ValueError"
+    ]
+    assert [r.index for r in out if isinstance(r, GinvReport)] == [0, 1, 0]
+    np.testing.assert_allclose(out[3].inverse, np.eye(3) / 2)
+    with pytest.raises(ValueError, match="unknown inverse kind"):
+        certify_many("bogus", mats)
 
 
 class TestDegenerateConventions:

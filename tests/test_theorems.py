@@ -345,7 +345,7 @@ class TestRunSuite:
         def broken(*args):
             raise RuntimeError("broken check")
 
-        monkeypatch.setattr(thm, "check_mp_tpu_iff", broken)
+        monkeypatch.setattr(thm, "_mp_tpu_iff_batch", broken)
         patched = thm.run_suite(seed=5, instance_count=6)
         assert [r.theorem_id for r in patched] == [r.theorem_id for r in plain]
         for before, after in zip(plain, patched):
@@ -358,13 +358,13 @@ class TestRunSuite:
 
     def test_checks_looked_up_per_call(self, monkeypatch):
         calls = []
-        original = thm.check_orthogonal_sum
+        original = thm._orthogonal_sum_batch
 
         def counting(*args):
-            calls.append(args[1])
+            calls.extend([args[1]] * len(args[0]))
             return original(*args)
 
-        monkeypatch.setattr(thm, "check_orthogonal_sum", counting)
+        monkeypatch.setattr(thm, "_orthogonal_sum_batch", counting)
         thm.run_suite(seed=5, instance_count=6)
         assert len(calls) == 18
         assert sorted(set(calls)) == ["dagger_drazin", "drazin", "mp"]
