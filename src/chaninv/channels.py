@@ -46,35 +46,45 @@ class Channel:
 
     ``super`` has shape (d_out^2, d_in^2) and acts on column-stacked
     vectorizations; ``kraus`` is an optional tuple of (d_out, d_in)
-    operators kept when the channel was built from one.
+    operators kept when the channel was built from one. Given only
+    ``kraus``, the superoperator is computed from it; given both, they
+    must agree.
     """
 
     d_in: int
     d_out: int
-    super: np.ndarray
+    super: np.ndarray | None = None
     kraus: tuple | None = None
 
     def __post_init__(self):
-        if self.d_in < 1 or self.d_out < 1:
-            raise ValueError("channel dimensions must be positive")
-        # Kraus operators first: kraus_to_channel leaves their validation here
+        both = self.super is not None and self.kraus is not None
         if self.kraus is not None:
-            ops = tuple(as_cmatrix(k, "kraus operator") for k in self.kraus)
-            for k in ops:
-                if k.shape != (self.d_out, self.d_in):
-                    raise DimensionMismatchError(
-                        f"Kraus operator shape {k.shape} does not match ({self.d_out}, {self.d_in})"
-                    )
-            object.__setattr__(self, "kraus", ops)
-        s = as_cmatrix(self.super, "super")
+            # kraus_to_channel and channel_from_dict leave the operators' validation here
+            shapes = {np.shape(k) for k in self.kraus}
+            if shapes != {(self.d_out, self.d_in)}:
+                raise DimensionMismatchError(
+                    f"Kraus operator shapes {sorted(shapes)} do not match ({self.d_out}, {self.d_in})"
+                )
+            ops = np.asarray(self.kraus, dtype=np.complex128)
+            if not np.isfinite(ops).all():
+                raise ValueError("kraus operator contains non-finite entries")
+            object.__setattr__(self, "kraus", tuple(ops))
+            if self.super is None:
+                object.__setattr__(self, "super", _kraus_super(ops))
+        if self.super is None:
+            raise ValueError("a channel needs a superoperator or Kraus operators")
+        s = as_cmatrix(self.super, "super")  # also catches a Kraus sum that overflowed
         if s.shape != (self.d_out**2, self.d_in**2):
             raise DimensionMismatchError(
                 f"superoperator shape {s.shape} does not match dims "
                 f"({self.d_out**2}, {self.d_in**2})"
             )
         object.__setattr__(self, "super", s)
-        if self.kraus is not None and not (fro_dist(s, _kraus_super(self.kraus)) <= DEFAULT_RESIDUAL_ATOL):
+        if both and not fro_dist(s, _kraus_super(ops)) <= DEFAULT_RESIDUAL_ATOL:
             raise ValueError("superoperator is inconsistent with the Kraus operators")
+        # after the shape checks: matrices that contradict their dims are a dimension error whatever the dims
+        if self.d_in < 1 or self.d_out < 1:
+            raise ValueError("channel dimensions must be positive")
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ def kraus_to_channel(kraus_ops) -> Channel:
     ops = np.asarray(kraus_ops, dtype=np.complex128)  # mixed shapes raise ValueError here
     if ops.ndim != 3 or len(ops) == 0:
         raise ValueError(f"need a non-empty list of same-shape 2-D Kraus operators, got shape {ops.shape}")
-    return Channel(d_in=ops.shape[2], d_out=ops.shape[1], super=_kraus_super(ops), kraus=tuple(ops))
+    return Channel(d_in=ops.shape[2], d_out=ops.shape[1], kraus=ops)
 
 
 def identity_channel(d: int) -> Channel:
@@ -436,18 +446,7 @@ def channel_from_dict(data) -> Channel:
         raw = data["kraus"]
         if not isinstance(raw, list) or not raw:
             raise ChannelFormatError("kraus must be a non-empty list of matrices")
-        ops = [matrix_from_pairs(k, "kraus operator") for k in raw]
-        for k in ops:
-            if k.shape != (d_out, d_in):
-                raise DimensionMismatchError(
-                    f"Kraus operator shape {k.shape} does not match (d_out, d_in) = ({d_out}, {d_in})"
-                )
-        return kraus_to_channel(ops)
+        return Channel(d_in=d_in, d_out=d_out, kraus=[matrix_from_pairs(k, "kraus operator") for k in raw])
     if "super" in data:
-        s = matrix_from_pairs(data["super"], "super")
-        if s.shape != (d_out**2, d_in**2):
-            raise DimensionMismatchError(
-                f"superoperator shape {s.shape} does not match ({d_out**2}, {d_in**2})"
-            )
-        return Channel(d_in=d_in, d_out=d_out, super=s)
+        return Channel(d_in=d_in, d_out=d_out, super=matrix_from_pairs(data["super"], "super"))
     raise ChannelFormatError("channel JSON needs a 'kraus' or 'super' field")

@@ -4,7 +4,8 @@ and a deterministic error-mitigation demonstration.
 Exit codes:
   0  success
   1  theorem suite verification failure
-  2  malformed input (bad JSON, bad parameters, invalid state/observable)
+  2  malformed input (bad JSON, bad parameters, invalid state/observable,
+     an unwritable --out path)
   3  dimension inconsistency
   4  group inverse does not exist (Drazin index > 1)
   5  the inverse failed its certificate (axiom residual or overflow)
@@ -107,8 +108,11 @@ def _dump(payload) -> str:
 def _write_out(text, out_path) -> None:
     """Write the encoded ``text`` and a newline to ``out_path``, when one is given."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(EXIT_BAD_INPUT, f"cannot write {out_path}: {exc}") from exc
 
 
 def cmd_check(args, tol: Tolerances) -> int:
@@ -162,7 +166,10 @@ def cmd_inverse(args, tol: Tolerances) -> int:
 
 
 def cmd_theorems(args, tol: Tolerances) -> int:
-    reports = theorems.run_suite(seed=args.seed, instance_count=args.count, tol=tol)
+    try:
+        reports = theorems.run_suite(seed=args.seed, instance_count=args.count, tol=tol)
+    except ValueError as exc:  # a negative seed or count
+        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     payload = [theorems.report_to_dict(r) for r in reports]
     if args.output == "json":
         print(_dump(payload))

@@ -40,7 +40,9 @@ from itertools import chain, islice
 import numpy as np
 
 # svd is not called here; perfbench's tracer test rebinds it as chaninv.ginv.svd
-from .linalg import DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, as_cmatrix, dagger, svd  # noqa: F401
+from .linalg import (  # noqa: F401
+    DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, _one, as_cmatrix, dagger, svd,
+)
 
 KIND_AXIOMS = {
     "moore_penrose": ("MP1", "MP2", "MP3", "MP4"),
@@ -250,17 +252,6 @@ def certify_many(kind: str, mats, tol: Tolerances = DEFAULT_TOL) -> list:
     return out
 
 
-def _single(kind: str, a: np.ndarray, tol: Tolerances) -> GinvReport:
-    """The N = 1 case of :func:`_certify` for the validated matrix ``a``: its report, or its error raised."""
-    (result,) = _certify(kind, a[None], tol)
-    if isinstance(result, GinvError):
-        try:
-            raise result
-        finally:  # the traceback holds this frame: no reference back to the exception from it
-            del result
-    return result
-
-
 def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     """GinvReport or GinvError for each member of the validated stack ``a`` (N, m, n), square for Drazin/group.
 
@@ -348,7 +339,7 @@ def _deflated_inverse(kind: str, a: np.ndarray, factors: tuple, tol: Tolerances)
 
 def mp_inverse(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     """Moore-Penrose inverse via SVD, certified against MP1-MP4."""
-    return _single("moore_penrose", as_cmatrix(m), tol)
+    return _one(_certify("moore_penrose", as_cmatrix(m)[None], tol))
 
 
 def drazin_index(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -412,7 +403,7 @@ def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     certified by the D1-D3 residuals. For invertible input (index 0) it
     returns the ordinary inverse, read off the SVD of the input.
     """
-    return _single("drazin", _as_square(a, "Drazin inverse"), tol)
+    return _one(_certify("drazin", _as_square(a, "Drazin inverse")[None], tol))
 
 
 def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
@@ -424,7 +415,7 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     the bases u, v of the deflation of a that gave G (a's SVD at index 0): no
     SVD of G, so the check reuses a's rank decision instead of deciding G's.
     """
-    return _single("group", _as_square(a, "group inverse"), tol)
+    return _one(_certify("group", _as_square(a, "group inverse")[None], tol))
 
 
 def dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
@@ -436,4 +427,4 @@ def dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     thin SVD of F, without forming a gram matrix, and certified against
     Dd1-Dd4; the reported ``witness_k`` realizes Dd1.
     """
-    return _single("dagger_drazin", as_cmatrix(f), tol)
+    return _one(_certify("dagger_drazin", as_cmatrix(f)[None], tol))

@@ -86,6 +86,17 @@ def _attempt(errors, fn, *args):
         return exc
 
 
+def _one(results):
+    """The only result of a one-member batch, raised if it is an exception."""
+    (result,) = results
+    if isinstance(result, Exception):
+        try:
+            raise result
+        finally:  # the traceback holds this frame: no reference back to the exception from it
+            del result, results
+    return result
+
+
 def _by_shape(fn, mats) -> list:
     """``fn`` applied once per stack of the same-shape arrays in ``mats``; its per-member results, in order.
 

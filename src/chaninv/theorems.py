@@ -32,7 +32,7 @@ import numpy as np
 
 from . import channels as chn
 from .ginv import GinvReport, certify_many, dagger_drazin, drazin_inverse, mp_inverse
-from .linalg import DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, as_cmatrix, dagger, fro_dist
+from .linalg import DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, _one, as_cmatrix, dagger, fro_dist
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -121,22 +121,12 @@ def draw_ucptp(d: int, n_unitaries: int, rng, tol: Tolerances = DEFAULT_TOL) -> 
     return _redraw(lambda: chn.random_ucptp(d, n_unitaries, rng), tol)
 
 
-# Each check below is the one-instance case of a batch function that takes an item's whole instance list
-# and returns one result per instance: its TheoremReport, or the exception that instance raised.
+# A check below that certifies its inverses together across instances is the one-instance case of a batch
+# function that takes an item's whole instance list and returns one result per instance: its TheoremReport,
+# or the exception that instance raised. The other checks run once per instance through _each.
 
 
-def _one(results):
-    """The only result of a one-instance batch, raised if it is an exception."""
-    (result,) = results
-    if isinstance(result, Exception):
-        try:
-            raise result
-        finally:  # the traceback holds this frame: no reference back to the exception from it
-            del result, results
-    return result
-
-
-def _each(check, instances, tol: Tolerances) -> list:
+def _each(instances, check, tol: Tolerances) -> list:
     """``check(*args, tol)`` for each argument tuple of ``instances``: its report, or the exception it raised."""
     return [_attempt(Exception, check, *args, tol) for args in instances]
 
@@ -200,14 +190,6 @@ def check_drazin_cp_loss(d: int, a: float, tol: Tolerances = DEFAULT_TOL) -> The
     (CP lost, with the inverse channel as witness) whenever b leaves the CP
     region, "verified" when the inverse stays CP (a = 1).
     """
-    return _one(_drazin_cp_loss_batch([(d, a)], tol))
-
-
-def _drazin_cp_loss_batch(cases, tol: Tolerances) -> list:
-    return _each(_drazin_cp_loss, cases, tol)
-
-
-def _drazin_cp_loss(d: int, a: float, tol: Tolerances) -> TheoremReport:
     if a == 0:
         raise ValueError("a = 0 is the identity channel; pick a nonzero parameter")
     b = 1.0 if a == 1 else a / (a - 1.0)
@@ -371,14 +353,6 @@ def search_mp_tp_violation(
     empirical evidence, not a proof. Every candidate is drawn first, then all
     their inverses are certified together.
     """
-    return _one(_search_mp_tp_violation_batch([(d, env_dim, trials, seed)], tol))
-
-
-def _search_mp_tp_violation_batch(searches, tol: Tolerances) -> list:
-    return _each(_search_mp_tp_violation, searches, tol)
-
-
-def _search_mp_tp_violation(d: int, env_dim: int, trials: int, seed, tol: Tolerances) -> TheoremReport:
     if trials < 1:
         raise ValueError("at least one trial is required")
     rng = chn._get_rng(seed)
@@ -463,14 +437,6 @@ def _summands(fs) -> list:
 
 def check_pure_channel_lemma(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """Conjugation channels: CP always; TP iff isometry; unital iff coisometry."""
-    return _one(_pure_channel_lemma_batch([f], tol))
-
-
-def _pure_channel_lemma_batch(fs, tol: Tolerances) -> list:
-    return _each(_pure_channel_lemma, [(f,) for f in fs], tol)
-
-
-def _pure_channel_lemma(f: np.ndarray, tol: Tolerances) -> TheoremReport:
     f = as_cmatrix(f, "f")
     ch = chn.conjugation_channel(f)
     report = chn.property_report(ch, tol)
@@ -494,14 +460,6 @@ def _pure_channel_lemma(f: np.ndarray, tol: Tolerances) -> TheoremReport:
 
 def check_projector_self_inverse(block_dims, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """Block-dephasing channels are UCPTP and equal all three of their inverses."""
-    return _one(_projector_self_inverse_batch([block_dims], tol))
-
-
-def _projector_self_inverse_batch(partitions, tol: Tolerances) -> list:
-    return _each(_projector_self_inverse, [(p,) for p in partitions], tol)
-
-
-def _projector_self_inverse(block_dims, tol: Tolerances) -> TheoremReport:
     ch = chn.projector_channel(block_dims)
     report = chn.property_report(ch, tol)
     s = ch.super
@@ -522,13 +480,12 @@ def check_group_double_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
 
 def _group_double_inverse_batch(mats, tol: Tolerances) -> list:
     """The index comes from each certified Drazin inverse; the second inverses are certified together."""
-    results = [_attempt(ValueError, _square_matrix, a) for a in mats]
-    valid = {i: a for i, a in enumerate(results) if not isinstance(a, ValueError)}
+    results = certify_many("drazin", mats, tol)
     firsts = {}
-    for i, rep in zip(valid, certify_many("drazin", list(valid.values()), tol)):
+    for i, rep in enumerate(results):
         if not isinstance(rep, GinvReport):
-            results[i] = rep
-        elif rep.index > 1:
+            continue
+        if rep.index > 1:
             results[i] = TheoremReport("group-double-inverse", 1, 0.0, INCONCLUSIVE)
         else:
             firsts[i] = rep.inverse
@@ -536,17 +493,10 @@ def _group_double_inverse_batch(mats, tol: Tolerances) -> list:
         if not isinstance(rep, GinvReport):
             results[i] = rep
             continue
-        residual = fro_dist(rep.inverse, valid[i])
+        residual = fro_dist(rep.inverse, mats[i])
         ok = residual <= tol.residual_atol
         results[i] = TheoremReport("group-double-inverse", 1, residual, VERIFIED if ok else FALSIFIED)
     return results
-
-
-def _square_matrix(a) -> np.ndarray:
-    a = as_cmatrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"Drazin index needs a square matrix, got shape {a.shape}")
-    return a
 
 
 def _index2_tp_superoperator(d: int, rng) -> np.ndarray:
@@ -648,9 +598,12 @@ def run_suite(
     redrawn while uncertifiable (see MIN_REL_SIGMA). Individual check
     failures surface as report verdicts, never exceptions: an exception
     marks only its own instance inconclusive.
-    ``instance_count = 0`` yields all-inconclusive empty reports. The table
-    is built per call, so checks and draws are looked up at run time.
+    ``instance_count = 0`` yields all-inconclusive empty reports; a negative
+    count or seed raises ValueError. The table is built per call, so checks
+    and draws are looked up at run time.
     """
+    if instance_count < 0:
+        raise ValueError(f"instance count must be non-negative, got {instance_count}")
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(12)]
     n = range(instance_count)
     fixed = int(instance_count > 0)  # the fixed-list items run in full once any instance is asked for
@@ -664,8 +617,8 @@ def run_suite(
         ("drazin-unital-preservation", _drazin_preserves_tp_u_batch,
          (draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol) for i in n)),
         # Depolarizing case study: inverse parameter identity and CP loss.
-        ("depolarizing-cp-loss", _drazin_cp_loss_batch,
-         [(d, a) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed),
+        ("depolarizing-cp-loss", _each,
+         [(d, a) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed, check_drazin_cp_loss),
         # Dagger-Drazin TP+U preservation on mixed-unitary channels.
         ("dagger-drazin-tp-u-preservation", _dagger_drazin_preserves_tpu_batch,
          (draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol) for i in n)),
@@ -676,16 +629,17 @@ def run_suite(
             for i in n
         )),
         # Moore-Penrose TP-violation search on non-unital channels: one search of count trials.
-        ("mp-tp-violation-search", _search_mp_tp_violation_batch, [(2, 3, instance_count, rngs[4])] * fixed),
+        ("mp-tp-violation-search", _each, [(2, 3, instance_count, rngs[4])] * fixed, search_mp_tp_violation),
         # Orthogonal-sum laws on block-embedded families.
         ("orthogonal-sum-drazin", _orthogonal_sum_batch, families, "drazin"),
         ("orthogonal-sum-dagger-drazin", _orthogonal_sum_batch, families, "dagger_drazin"),
         ("orthogonal-sum-moore-penrose", _orthogonal_sum_batch, families, "mp"),
         # Projector channels: UCPTP and self-inverse for every kind.
-        ("projector-channel-self-inverse", _projector_self_inverse_batch, [(1, 1), (2, 1), (2, 2)] * fixed),
+        ("projector-channel-self-inverse", _each, [((1, 1),), ((2, 1),), ((2, 2),)] * fixed,
+         check_projector_self_inverse),
         # Pure-channel criteria on unitaries, isometries, and defective maps.
-        ("pure-channel-criteria", _pure_channel_lemma_batch,
-         (_pure_channel_map(_DIMS[i % 3], i % 3, rngs[6]) for i in n)),
+        ("pure-channel-criteria", _each,
+         ((_pure_channel_map(_DIMS[i % 3], i % 3, rngs[6]),) for i in n), check_pure_channel_lemma),
         # Intertwiner propagation: block instances plus the TP-functional square.
         ("intertwiner-drazin", _intertwiner_propagation_batch, squares, "drazin"),
         ("intertwiner-dagger-drazin", _intertwiner_propagation_batch, dagger_squares, "dagger_drazin"),

@@ -74,6 +74,36 @@ class TestKrausToChannel:
     def test_non_finite_operator_named(self):
         with pytest.raises(ValueError, match="kraus operator"):
             chn.kraus_to_channel([np.diag([np.nan, 1.0])])
+        with pytest.raises(ValueError, match="kraus operator"):
+            chn.Channel(2, 2, kraus=(X, np.diag([np.inf, 1.0])))
+
+    def test_channel_needs_super_or_kraus(self):
+        with pytest.raises(ValueError, match="superoperator or Kraus"):
+            chn.Channel(2, 2)
+
+    def test_kraus_super_computed_once(self, monkeypatch):
+        calls = []
+        original = chn._kraus_super
+        monkeypatch.setattr(chn, "_kraus_super", lambda ops: calls.append(1) or original(ops))
+        rng = np.random.default_rng(50)
+        for d in (2, 3, 4):
+            chn.kraus_to_channel([random_complex(rng, d, d) for _ in range(2)])
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kraus_only_channel_super_is_the_kraus_sum(self, d):
+        # bitwise: the einsum over the complex128 stack, which kraus_to_channel also builds
+        rng = np.random.default_rng(60 + d)
+        ops = [random_complex(rng, d, d) for _ in range(3)]
+        expected = chn._kraus_super(np.asarray(ops, dtype=np.complex128))
+        for ch in (chn.Channel(d, d, kraus=ops), chn.kraus_to_channel(ops)):
+            np.testing.assert_array_equal(ch.super, expected)
+            assert ch.super.dtype == np.complex128 and len(ch.kraus) == 3
+
+    @pytest.mark.parametrize("shapes", [[(3, 2)], [(2, 2), (2, 3)]], ids=["mismatched", "ragged"])
+    def test_kraus_shape_error_is_dimension_mismatch(self, shapes):
+        with pytest.raises(chn.DimensionMismatchError, match="Kraus operator shapes"):
+            chn.Channel(2, 2, kraus=[np.ones(s) for s in shapes])
 
     @pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
     def test_kraus_sum_matches_kron_loop(self, d_in, d_out):

@@ -75,6 +75,12 @@ class TestCheck:
         code, _, _ = run(capsys, ["check", f])
         assert code == 3
 
+    def test_ragged_kraus_exit_3(self, tmp_path, capsys):
+        data = {"d_in": 2, "d_out": 3, "kraus": [chn.matrix_to_pairs(np.eye(3, 2)), chn.matrix_to_pairs(np.eye(3))]}
+        code, out, err = run(capsys, ["check", write_json(tmp_path / "ragged.json", data)])
+        assert code == 3 and out == ""
+        assert "Kraus operator shapes [(3, 2), (3, 3)] do not match (3, 2)" in err
+
     def test_entries_near_float_limit_exit_0(self, tmp_path, capsys):
         # the Hermitian part of the Choi matrix must not overflow on a valid channel
         huge = [[[1e308 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
@@ -265,6 +271,13 @@ class TestTheorems:
         ]
         for r, g in zip(reports, golden["items"]):
             assert abs(r["max_residual"] - g["max_residual"]) <= 1e-12, r["theorem_id"]
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--count", "-3")])
+    def test_negative_seed_or_count_exit_2(self, capsys, flag, value):
+        # exit 1 would read as a failed suite
+        code, out, err = run(capsys, ["theorems", flag, value])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_fixed_seed_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, ["theorems", "--count", "6", "--seed", "42"])
@@ -462,6 +475,17 @@ class TestWireFormat:
         code, out, _ = run(capsys, [a.format(channel=f) for a in command] + ["--out", str(target)])
         assert code == 0
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("command", [
+        ["inverse", "{channel}", "--kind", "group"],
+        ["random", "--kind", "ucptp", "-d", "2", "--seed", "3"],
+    ], ids=["inverse", "random"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        f = write_channel(tmp_path / "ch.json", chn.random_ucptp(2, 3, 11))
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, [a.format(channel=f) for a in command] + ["--out", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["check", "inverse", "theorems", "mitigate", "random"])
     def test_json_stdout_is_one_strict_line(self, tmp_path, capsys, command):

@@ -369,6 +369,25 @@ class TestRunSuite:
         assert len(calls) == 18
         assert sorted(set(calls)) == ["dagger_drazin", "drazin", "mp"]
 
+    def test_per_instance_checks_run_through_public_names(self, monkeypatch):
+        # the suite calls these checks once per instance, looked up by their public names
+        expected = {"check_drazin_cp_loss": 8, "search_mp_tp_violation": 1,
+                    "check_pure_channel_lemma": 6, "check_projector_self_inverse": 3}
+        calls = dict.fromkeys(expected, 0)
+        for name in expected:
+
+            def counting(*args, _name=name, _original=getattr(thm, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(thm, name, counting)
+        thm.run_suite(seed=5, instance_count=6)
+        assert calls == expected
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            thm.run_suite(seed=5, instance_count=-3)
+
     def test_empty_report_list_fails(self):
         assert not thm.suite_passed([])
 
