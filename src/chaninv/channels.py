@@ -46,9 +46,11 @@ class Channel:
 
     ``super`` has shape (d_out^2, d_in^2) and acts on column-stacked
     vectorizations; ``kraus`` is an optional tuple of (d_out, d_in)
-    operators kept when the channel was built from one. Given only
-    ``kraus``, the superoperator is computed from it; given both, they
-    must agree.
+    operators kept when the channel was built from one. What the caller
+    passes is validated (ValueError). Given only ``kraus``, the
+    superoperator is computed from it, and OverflowError is raised if that
+    overflows. Given both, they must agree within ``DEFAULT_RESIDUAL_ATOL``
+    in Frobenius norm, whatever ``Tolerances`` the caller uses elsewhere.
     """
 
     d_in: int
@@ -57,7 +59,7 @@ class Channel:
     kraus: tuple | None = None
 
     def __post_init__(self):
-        both = self.super is not None and self.kraus is not None
+        computed = None
         if self.kraus is not None:
             # kraus_to_channel and channel_from_dict leave the operators' validation here
             shapes = {np.shape(k) for k in self.kraus}
@@ -69,19 +71,23 @@ class Channel:
             if not np.isfinite(ops).all():
                 raise ValueError("kraus operator contains non-finite entries")
             object.__setattr__(self, "kraus", tuple(ops))
-            if self.super is None:
-                object.__setattr__(self, "super", _kraus_super(ops))
+            computed = _kraus_super(ops)
         if self.super is None:
-            raise ValueError("a channel needs a superoperator or Kraus operators")
-        s = as_cmatrix(self.super, "super")  # also catches a Kraus sum that overflowed
-        if s.shape != (self.d_out**2, self.d_in**2):
-            raise DimensionMismatchError(
-                f"superoperator shape {s.shape} does not match dims "
-                f"({self.d_out**2}, {self.d_in**2})"
-            )
-        object.__setattr__(self, "super", s)
-        if both and not fro_dist(s, _kraus_super(ops)) <= DEFAULT_RESIDUAL_ATOL:
-            raise ValueError("superoperator is inconsistent with the Kraus operators")
+            if computed is None:
+                raise ValueError("a channel needs a superoperator or Kraus operators")
+            if not np.isfinite(computed).all():  # the operators are finite: their sum overflowed
+                raise OverflowError("the superoperator of the Kraus operators overflowed")
+            object.__setattr__(self, "super", computed)
+        else:
+            s = as_cmatrix(self.super, "super")
+            if s.shape != (self.d_out**2, self.d_in**2):
+                raise DimensionMismatchError(
+                    f"superoperator shape {s.shape} does not match dims "
+                    f"({self.d_out**2}, {self.d_in**2})"
+                )
+            object.__setattr__(self, "super", s)
+            if computed is not None and not fro_dist(s, computed) <= DEFAULT_RESIDUAL_ATOL:
+                raise ValueError("superoperator is inconsistent with the Kraus operators")
         # after the shape checks: matrices that contradict their dims are a dimension error whatever the dims
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("channel dimensions must be positive")
@@ -156,19 +162,27 @@ def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
 
 
 def compose(second: Channel, first: Channel) -> Channel:
-    """Channel applying ``first`` and then ``second``."""
+    """Channel applying ``first`` and then ``second``; OverflowError if the composed map overflows.
+
+    Built from one form, so nothing is cross-checked: the Kraus products (at most 64), else the superoperators'.
+    """
     if first.d_out != second.d_in:
         raise ValueError(f"cannot compose: {first.d_out} -> input of dim {second.d_in}")
-    kraus = None
-    if first.kraus is not None and second.kraus is not None and len(first.kraus) * len(second.kraus) <= 64:
-        kraus = tuple(k2 @ k1 for k1 in first.kraus for k2 in second.kraus)
-    return Channel(d_in=first.d_in, d_out=second.d_out, super=second.super @ first.super, kraus=kraus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if first.kraus is not None and second.kraus is not None and len(first.kraus) * len(second.kraus) <= 64:
+            form, value = "kraus", np.stack([k2 @ k1 for k1 in first.kraus for k2 in second.kraus])
+        else:
+            form, value = "super", second.super @ first.super
+    if not np.isfinite(value).all():
+        raise OverflowError("the composed channel overflowed")
+    return Channel(d_in=first.d_in, d_out=second.d_out, **{form: value})
 
 
 def adjoint_channel(ch: Channel) -> Channel:
-    """Adjoint map: superoperator daggered, input/output dimensions swapped."""
-    kraus = tuple(dagger(k) for k in ch.kraus) if ch.kraus is not None else None
-    return Channel(d_in=ch.d_out, d_out=ch.d_in, super=dagger(ch.super), kraus=kraus)
+    """Adjoint map: superoperator (or Kraus operators, if any) daggered, input/output dimensions swapped."""
+    if ch.kraus is not None:
+        return Channel(d_in=ch.d_out, d_out=ch.d_in, kraus=dagger(np.asarray(ch.kraus)))
+    return Channel(d_in=ch.d_out, d_out=ch.d_in, super=dagger(ch.super))
 
 
 def choi(ch: Channel) -> ChoiMatrix:

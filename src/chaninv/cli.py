@@ -8,7 +8,7 @@ Exit codes:
      an unwritable --out path)
   3  dimension inconsistency
   4  group inverse does not exist (Drazin index > 1)
-  5  the inverse failed its certificate (axiom residual or overflow)
+  5  the computation overflowed, or the inverse failed its certificate
   6  channel is not trace preserving (mitigate)
 
 Channels are JSON objects ``{"d_in": n, "d_out": m, "kraus": [...]}`` or
@@ -39,7 +39,7 @@ from .ginv import (
     group_inverse,
     mp_inverse,
 )
-from .linalg import Tolerances, dagger, eigh, fro_dist
+from .linalg import Tolerances, dagger, fro_dist
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -81,6 +81,8 @@ def _load_channel(path: str) -> chn.Channel:
         raise CliError(EXIT_DIMENSION, f"{path}: {exc}") from exc
     except (chn.ChannelFormatError, ValueError) as exc:
         raise CliError(EXIT_BAD_INPUT, f"{path}: {exc}") from exc
+    except OverflowError as exc:  # finite input whose superoperator overflowed
+        raise CliError(EXIT_RESIDUAL, f"{path}: {exc}") from exc
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -200,7 +202,7 @@ def cmd_mitigate(args, tol: Tolerances) -> int:
         raise CliError(EXIT_NOT_TP, "channel is not trace preserving")
     if fro_dist(rho, dagger(rho)) > tol.residual_atol or abs(np.trace(rho) - 1.0) > tol.residual_atol:
         raise CliError(EXIT_BAD_INPUT, "state must be Hermitian with unit trace")
-    if eigh((rho + dagger(rho)) / 2, tol)[0][0] < -tol.psd_atol:
+    if np.linalg.eigvalsh((rho + dagger(rho)) / 2)[0] < -tol.psd_atol:
         raise CliError(EXIT_BAD_INPUT, "state must be positive semidefinite")
     if fro_dist(obs, dagger(obs)) > tol.residual_atol:
         raise CliError(EXIT_BAD_INPUT, "observable must be Hermitian")

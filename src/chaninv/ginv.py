@@ -15,8 +15,8 @@ numerical certificate.
 The kernels work on stacks (N, m, n) of same-shape matrices: one stacked
 SVD, stacked Moore-Penrose and index-0 Drazin inverses, and one stacked
 norm per axiom; only the deflation of a singular member runs one member at
-a time. :func:`certify_many` certifies a list of matrices through them,
-one stack per shape; the four public inverses run them on a stack of one.
+a time. :func:`certify_many` validates a list of matrices, then certifies
+them one stack per shape; the four public inverses run them on a stack of one.
 
 Axiom residuals, in the left-to-right composition convention of
 :mod:`chaninv.linalg` (f;g on column vectors is G @ F):
@@ -247,9 +247,14 @@ def certify_many(kind: str, mats, tol: Tolerances = DEFAULT_TOL) -> list:
     out = [_attempt(ValueError, _as_square, m, _SQUARE_KINDS[kind]) if kind in _SQUARE_KINDS
            else _attempt(ValueError, as_cmatrix, m) for m in mats]
     valid = [i for i, m in enumerate(out) if not isinstance(m, ValueError)]
-    for i, result in zip(valid, _by_shape(lambda a: _certify(kind, a, tol), [out[i] for i in valid])):
+    for i, result in zip(valid, _certify_all(kind, [out[i] for i in valid], tol)):
         out[i] = result
     return out
+
+
+def _certify_all(kind: str, mats, tol: Tolerances) -> list:
+    """:func:`certify_many` on complex128 matrices the library built itself, square for Drazin/group: not re-validated."""
+    return _by_shape(lambda a: _certify(kind, a, tol), mats)
 
 
 def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:

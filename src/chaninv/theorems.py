@@ -31,7 +31,7 @@ from itertools import islice
 import numpy as np
 
 from . import channels as chn
-from .ginv import GinvReport, certify_many, dagger_drazin, drazin_inverse, mp_inverse
+from .ginv import GinvReport, _as_square, _certify_all, dagger_drazin, drazin_inverse, mp_inverse
 from .linalg import DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, _one, as_cmatrix, dagger, fro_dist
 
 VERIFIED = "verified"
@@ -123,7 +123,8 @@ def draw_ucptp(d: int, n_unitaries: int, rng, tol: Tolerances = DEFAULT_TOL) -> 
 
 # A check below that certifies its inverses together across instances is the one-instance case of a batch
 # function that takes an item's whole instance list and returns one result per instance: its TheoremReport,
-# or the exception that instance raised. The other checks run once per instance through _each.
+# or the exception that instance raised. The public check validates its arguments; the batch function takes
+# instances that are already valid, as the suite draws them. The other checks run once per instance through _each.
 
 
 def _each(instances, check, tol: Tolerances) -> list:
@@ -140,12 +141,13 @@ def _first_error(results):
     return next((r for r in results if not isinstance(r, GinvReport)), None)
 
 
-def _inverse_keeps_tp_u(theorem_id: str, kind: str, chs, both: bool, tol: Tolerances) -> list:
-    """TP and unitality of each channel survive its ``kind`` inverse.
+def _inverse_keeps_tp_u(chs, kind: str, both: bool, tol: Tolerances) -> list:
+    """TP and unitality of each channel survive its ``kind`` inverse: the batch of the two preservation checks.
 
     A channel needs TP and unitality (``both``) or one of them to be checked, else it is inconclusive; each
     property it has must hold for its certified inverse.
     """
+    theorem_id = f"{kind.replace('_', '-')}-tp-u-preservation"
     atol = tol.residual_atol
     results = [TheoremReport(theorem_id, 1, 0.0, INCONCLUSIVE)] * len(chs)
     held = {}
@@ -153,7 +155,7 @@ def _inverse_keeps_tp_u(theorem_id: str, kind: str, chs, both: bool, tol: Tolera
         tp, u = tp_r <= atol, u_r <= atol
         if (tp and u) if both else (tp or u):
             held[i] = tp, u
-    inverses = dict(zip(held, certify_many(kind, [chs[i].super for i in held], tol)))
+    inverses = dict(zip(held, _certify_all(kind, [chs[i].super for i in held], tol)))
     certified = {i: rep for i, rep in inverses.items() if isinstance(rep, GinvReport)}
     for i, rep in inverses.items():
         results[i] = rep
@@ -171,13 +173,9 @@ def check_drazin_preserves_tp_u(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) 
     Inconclusive when the channel is neither TP nor unital (empty
     hypothesis); numeric failures from the inverse computation propagate.
     """
-    return _one(_drazin_preserves_tp_u_batch([ch], tol))
-
-
-def _drazin_preserves_tp_u_batch(chs, tol: Tolerances) -> list:
-    square = [ch for ch in chs if ch.d_in == ch.d_out]
-    results = iter(_inverse_keeps_tp_u("drazin-tp-u-preservation", "drazin", square, False, tol))
-    return [next(results) if ch.d_in == ch.d_out else ValueError("Drazin inversion needs d_in == d_out") for ch in chs]
+    if ch.d_in != ch.d_out:
+        raise ValueError("Drazin inversion needs d_in == d_out")
+    return _one(_inverse_keeps_tp_u([ch], "drazin", False, tol))
 
 
 def check_drazin_cp_loss(d: int, a: float, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -233,25 +231,30 @@ def check_intertwiner_propagation(
     K (F^p)^H = (G^p)^H H for the dagger-Drazin inverses. Non-commuting
     inputs give an inconclusive verdict rather than an error.
     """
-    return _one(_intertwiner_propagation_batch([(f, g, k, h)], variant, tol))
+    if variant not in ("drazin", "dagger_drazin"):
+        raise ValueError(f"unknown variant {variant!r}")
+    square = [as_cmatrix(f, "f"), as_cmatrix(g, "g"), as_cmatrix(k, "k")]
+    if variant == "dagger_drazin" and h is not None:
+        square.append(as_cmatrix(h, "h"))
+    return _one(_intertwiner_propagation_batch([square], variant, tol))
 
 
 def _intertwiner_propagation_batch(squares, variant: str, tol: Tolerances) -> list:
     """Squares ``(f, g, k)`` or ``(f, g, k, h)``; the inverses of every commuting square are certified together."""
-    if variant not in ("drazin", "dagger_drazin"):
-        raise ValueError(f"unknown variant {variant!r}")
     theorem_id = "intertwiner-drazin" if variant == "drazin" else "intertwiner-dagger-drazin"
-    results = [_attempt(ValueError, _square, variant, *square) for square in squares]
+    results = [None] * len(squares)
     commuting = {}
-    for i, square in enumerate(results):
-        if isinstance(square, ValueError):
-            continue
-        *args, input_res = square
+    for i, (f, g, k, *rest) in enumerate(squares):
+        h = rest[0] if rest else k
+        if variant == "drazin":
+            input_res = fro_dist(k @ f, g @ k)
+        else:
+            input_res = max(fro_dist(k @ f, g @ h), fro_dist(h @ dagger(f), dagger(g) @ k))
         if input_res > tol.residual_atol:
             results[i] = TheoremReport(theorem_id, 1, input_res, INCONCLUSIVE)
         else:
-            commuting[i] = args
-    inverses = iter(certify_many(variant, [m for f, g, *_ in commuting.values() for m in (f, g)], tol))
+            commuting[i] = f, g, k, h
+    inverses = iter(_certify_all(variant, [m for f, g, *_ in commuting.values() for m in (f, g)], tol))
     for i, (f, g, k, h) in commuting.items():
         pair = next(inverses), next(inverses)
         results[i] = _first_error(pair)
@@ -267,22 +270,9 @@ def _intertwiner_propagation_batch(squares, variant: str, tol: Tolerances) -> li
     return results
 
 
-def _square(variant: str, f, g, k, h=None):
-    """(f, g, k, h, hypothesis residual) of one intertwiner square, validated; h is k if not given."""
-    f, g, k = as_cmatrix(f, "f"), as_cmatrix(g, "g"), as_cmatrix(k, "k")
-    if variant == "drazin":
-        return f, g, k, None, fro_dist(k @ f, g @ k)
-    h = k if h is None else as_cmatrix(h, "h")
-    return f, g, k, h, max(fro_dist(k @ f, g @ h), fro_dist(h @ dagger(f), dagger(g) @ k))
-
-
 def check_dagger_drazin_preserves_tpu(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """TP + unitality survive dagger-Drazin inversion (square or not)."""
-    return _one(_dagger_drazin_preserves_tpu_batch([ch], tol))
-
-
-def _dagger_drazin_preserves_tpu_batch(chs, tol: Tolerances) -> list:
-    return _inverse_keeps_tp_u("dagger-drazin-tp-u-preservation", "dagger_drazin", chs, True, tol)
+    return _one(_inverse_keeps_tp_u([ch], "dagger_drazin", True, tol))
 
 
 def check_mp_tpu_iff(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -296,7 +286,7 @@ def check_mp_tpu_iff(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremR
 
 def _mp_tpu_iff_batch(chs, tol: Tolerances) -> list:
     atol = tol.residual_atol
-    results = certify_many("moore_penrose", [ch.super for ch in chs], tol)
+    results = _certify_all("moore_penrose", [ch.super for ch in chs], tol)
     certified = [i for i, rep in enumerate(results) if isinstance(rep, GinvReport)]
     forward = _tpu([chs[i].super for i in certified])
     backward = _tpu([results[i].inverse for i in certified])
@@ -368,7 +358,7 @@ def search_mp_tp_violation(
                 break
     if not candidates:
         return TheoremReport("mp-tp-violation-search", 0, 0.0, INCONCLUSIVE)
-    inverses = certify_many("moore_penrose", [ch.super for ch in candidates], tol)
+    inverses = _certify_all("moore_penrose", [ch.super for ch in candidates], tol)
     error = _first_error(inverses)
     if error is not None:
         raise error
@@ -393,19 +383,24 @@ def check_orthogonal_sum(fs, variant: str, tol: Tolerances = DEFAULT_TOL) -> The
     variant, ``f_j^H f_i = 0`` for the dagger-Drazin and Moore-Penrose
     variants. A violated hypothesis yields an inconclusive verdict.
     """
-    return _one(_orthogonal_sum_batch([fs], variant, tol))
+    if variant not in _ORTHOGONAL_SUMS:
+        raise ValueError(f"unknown variant {variant!r}")
+    mats = [as_cmatrix(f, "summand") for f in fs]
+    if not mats:
+        raise ValueError("at least one summand is required")
+    if any(m.shape != mats[0].shape for m in mats[1:]):
+        raise ValueError("summands must share one shape")
+    if variant == "drazin":
+        _as_square(mats[0], "Drazin inverse")
+    return _one(_orthogonal_sum_batch([mats], variant, tol))
 
 
 def _orthogonal_sum_batch(families, variant: str, tol: Tolerances) -> list:
     """One orthogonality product per family; the sums and summands of every family are certified together."""
-    if variant not in _ORTHOGONAL_SUMS:
-        raise ValueError(f"unknown variant {variant!r}")
     theorem_id, kind = _ORTHOGONAL_SUMS[variant]
-    results = [_attempt(ValueError, _summands, fs) for fs in families]
+    results = [None] * len(families)
     orthogonal = {}
-    for i, mats in enumerate(results):
-        if isinstance(mats, ValueError):
-            continue
+    for i, mats in enumerate(families):
         stack = np.stack(mats)
         left = stack if variant == "drazin" else dagger(stack)
         products = np.linalg.norm(left[:, None] @ stack[None, :], axis=(-2, -1))  # [j, i]: f_j f_i or f_j^H f_i
@@ -415,7 +410,7 @@ def _orthogonal_sum_batch(families, variant: str, tol: Tolerances) -> list:
             results[i] = TheoremReport(theorem_id, 1, orth, INCONCLUSIVE)
         else:
             orthogonal[i] = [sum(mats[1:], start=mats[0].copy()), *mats]
-    inverses = iter(certify_many(kind, [m for mats in orthogonal.values() for m in mats], tol))
+    inverses = iter(_certify_all(kind, [m for mats in orthogonal.values() for m in mats], tol))
     for i, mats in orthogonal.items():
         total, *parts = [next(inverses) for _ in mats]
         results[i] = _first_error([total, *parts])
@@ -424,15 +419,6 @@ def _orthogonal_sum_batch(families, variant: str, tol: Tolerances) -> list:
             ok = residual <= tol.residual_atol
             results[i] = TheoremReport(theorem_id, 1, residual, VERIFIED if ok else FALSIFIED)
     return results
-
-
-def _summands(fs) -> list:
-    mats = [as_cmatrix(f, "summand") for f in fs]
-    if not mats:
-        raise ValueError("at least one summand is required")
-    if any(m.shape != mats[0].shape for m in mats[1:]):
-        raise ValueError("summands must share one shape")
-    return mats
 
 
 def check_pure_channel_lemma(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -475,12 +461,12 @@ def check_projector_self_inverse(block_dims, tol: Tolerances = DEFAULT_TOL) -> T
 
 def check_group_double_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """At Drazin index <= 1 the double Drazin inverse recovers the input."""
-    return _one(_group_double_inverse_batch([a], tol))
+    return _one(_group_double_inverse_batch([_as_square(a, "Drazin inverse")], tol))
 
 
 def _group_double_inverse_batch(mats, tol: Tolerances) -> list:
     """The index comes from each certified Drazin inverse; the second inverses are certified together."""
-    results = certify_many("drazin", mats, tol)
+    results = _certify_all("drazin", mats, tol)
     firsts = {}
     for i, rep in enumerate(results):
         if not isinstance(rep, GinvReport):
@@ -489,7 +475,7 @@ def _group_double_inverse_batch(mats, tol: Tolerances) -> list:
             results[i] = TheoremReport("group-double-inverse", 1, 0.0, INCONCLUSIVE)
         else:
             firsts[i] = rep.inverse
-    for i, rep in zip(firsts, certify_many("drazin", list(firsts.values()), tol)):
+    for i, rep in zip(firsts, _certify_all("drazin", list(firsts.values()), tol)):
         if not isinstance(rep, GinvReport):
             results[i] = rep
             continue
@@ -511,10 +497,6 @@ def _index2_tp_superoperator(d: int, rng) -> np.ndarray:
     return q @ core @ dagger(q)
 
 
-def _tp_index2_channel(d: int, seed) -> chn.Channel:
-    return chn.Channel(d_in=d, d_out=d, super=_index2_tp_superoperator(d, chn._get_rng(seed)))
-
-
 def check_double_inverse_gap(d: int, seed, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """On TP maps of index >= 2 the double Drazin inverse genuinely differs.
 
@@ -522,23 +504,20 @@ def check_double_inverse_gap(d: int, seed, tol: Tolerances = DEFAULT_TOL) -> The
     f^DD != f; this exhibits a TP superoperator where the gap is large while
     the Drazin inverse itself is still TP.
     """
+    if d < 2:
+        raise ValueError(f"an index-2 map on d x d matrices needs d >= 2, got d = {d}")
     return _one(_double_inverse_gap_batch([(d, seed)], tol))
 
 
 def _double_inverse_gap_batch(cases, tol: Tolerances) -> list:
     """Every instance is drawn first, in order; then the first and the second inverses are certified together."""
     atol = tol.residual_atol
-    results = [_attempt(ValueError, _tp_index2_channel, d, seed) for d, seed in cases]
-    supers = {i: ch.super for i, ch in enumerate(results) if not isinstance(ch, ValueError)}
-    firsts = {}
-    for i, rep in zip(supers, certify_many("drazin", list(supers.values()), tol)):
-        if isinstance(rep, GinvReport):
-            firsts[i] = rep
-        else:
-            results[i] = rep
+    supers = [_index2_tp_superoperator(d, chn._get_rng(seed)) for d, seed in cases]
+    results = _certify_all("drazin", supers, tol)
+    firsts = {i: rep for i, rep in enumerate(results) if isinstance(rep, GinvReport)}
     tp = _tpu([supers[i] for i in firsts])
     inv_tp = _tpu([rep.inverse for rep in firsts.values()])
-    doubles = certify_many("drazin", [rep.inverse for rep in firsts.values()], tol)
+    doubles = _certify_all("drazin", [rep.inverse for rep in firsts.values()], tol)
     for (i, dr), (tp_res, _), (inv_tp_res, _), double in zip(firsts.items(), tp, inv_tp, doubles):
         if not isinstance(double, GinvReport):
             results[i] = double
@@ -612,16 +591,16 @@ def run_suite(
     squares, dagger_squares = _intertwiner_instances(rngs[7], instance_count, tol)
     items = [
         # Drazin TP preservation on generic CPTP channels, unitality on mixed-unitary ones.
-        ("drazin-tp-preservation", _drazin_preserves_tp_u_batch,
-         (draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[0], tol) for i in n)),
-        ("drazin-unital-preservation", _drazin_preserves_tp_u_batch,
-         (draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol) for i in n)),
+        ("drazin-tp-preservation", _inverse_keeps_tp_u,
+         (draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[0], tol) for i in n), "drazin", False),
+        ("drazin-unital-preservation", _inverse_keeps_tp_u,
+         (draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol) for i in n), "drazin", False),
         # Depolarizing case study: inverse parameter identity and CP loss.
         ("depolarizing-cp-loss", _each,
          [(d, a) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed, check_drazin_cp_loss),
         # Dagger-Drazin TP+U preservation on mixed-unitary channels.
-        ("dagger-drazin-tp-u-preservation", _dagger_drazin_preserves_tpu_batch,
-         (draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol) for i in n)),
+        ("dagger-drazin-tp-u-preservation", _inverse_keeps_tp_u,
+         (draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol) for i in n), "dagger_drazin", True),
         # Moore-Penrose TP+U biconditional on mixed instances.
         ("mp-tp-u-iff", _mp_tpu_iff_batch, (
             draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[3], tol) if i % 3 == 2

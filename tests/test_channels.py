@@ -77,6 +77,12 @@ class TestKrausToChannel:
         with pytest.raises(ValueError, match="kraus operator"):
             chn.Channel(2, 2, kraus=(X, np.diag([np.inf, 1.0])))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e160])
+    def test_overflowed_kraus_sum_is_an_overflow(self, scale):
+        # finite operators whose superoperator overflows: not malformed input
+        with pytest.raises(OverflowError, match="overflowed"):
+            chn.kraus_to_channel([scale * np.eye(2), scale * X])
+
     def test_channel_needs_super_or_kraus(self):
         with pytest.raises(ValueError, match="superoperator or Kraus"):
             chn.Channel(2, 2)
@@ -399,6 +405,31 @@ class TestComposition:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             chn.compose(chn.identity_channel(2), chn.identity_channel(3))
+
+    def test_kraus_products_kept(self):
+        rng = np.random.default_rng(19)
+        a, b = chn.random_cptp(2, 2, 2, rng), chn.random_ucptp(2, 3, rng)
+        both = chn.compose(a, b)
+        assert len(both.kraus) == 6
+        np.testing.assert_array_equal(both.kraus[4], a.kraus[0] @ b.kraus[2])
+        assert fro_dist(both.super, a.super @ b.super) <= 1e-12
+
+    def test_built_without_agreement_check(self, monkeypatch):
+        # compose and adjoint_channel build each result from one form, so the Kraus/superoperator check never runs
+        monkeypatch.setattr(chn, "fro_dist", lambda *args: pytest.fail("agreement check ran"))
+        rng = np.random.default_rng(20)
+        for ch in (chn.random_cptp(2, 3, 2, rng), chn.depolarizing(2, 0.4)):
+            chn.adjoint_channel(ch)
+            chn.compose(chn.adjoint_channel(ch), ch)
+
+    @pytest.mark.parametrize("kraus", [True, False])
+    def test_overflow_raises_overflow_error(self, kraus):
+        # finite channels whose composition overflows: an OverflowError without a NumPy warning
+        big = chn.kraus_to_channel([1e100 * np.eye(2)])
+        if not kraus:
+            big = chn.Channel(2, 2, super=big.super)
+        with pytest.raises(OverflowError, match="overflow"):
+            chn.compose(big, big)
 
 
 class TestPartialTrace:

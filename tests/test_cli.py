@@ -286,6 +286,21 @@ class TestTheorems:
         assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv", [["check"], ["inverse", "--kind", "drazin"], ["mitigate", "rho.json", "obs.json"]]
+)
+def test_overflowed_kraus_file_exit_5(tmp_path, capsys, monkeypatch, argv):
+    # finite Kraus entries whose superoperator overflows: an overflow (exit 5), not malformed input (exit 2)
+    monkeypatch.chdir(tmp_path)
+    f = write_json(tmp_path / "big.json", {"d_in": 2, "d_out": 2, "kraus": [chn.matrix_to_pairs(1e200 * np.eye(2))]})
+    write_json(tmp_path / "rho.json", chn.matrix_to_pairs(np.diag([1.0, 0.0])))
+    write_json(tmp_path / "obs.json", chn.matrix_to_pairs(np.diag([1.0, -1.0])))
+    code, out, err = run(capsys, [argv[0], f, *argv[1:]])
+    assert code == 5 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "overflowed" in err
+
+
 class TestMitigate:
     def _files(self, tmp_path, ch, rho, obs):
         return (

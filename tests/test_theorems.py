@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from chaninv import channels as chn
 from chaninv import theorems as thm
 from chaninv.ginv import drazin_inverse, mp_inverse
+from chaninv import linalg
 from chaninv.linalg import dagger, fro_dist
 
 ATOL = 1e-8
@@ -404,3 +406,47 @@ class TestRunSuite:
             data = thm.report_to_dict(r)
             assert set(data) == {"theorem_id", "instances", "max_residual", "verdict", "witness"}
             assert data["verdict"] in (thm.VERIFIED, thm.FALSIFIED, thm.INCONCLUSIVE)
+
+    def test_suite_does_not_revalidate_its_own_arrays(self, monkeypatch):
+        # the suite certifies the channels and matrices it draws through the private batch entry; only the
+        # public boundaries it passes (Channel construction from a superoperator, the per-instance public checks
+        # and inverses) validate. Validating every certified stack again would make about 2,500 calls
+        calls = []
+        original = linalg.as_cmatrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "chaninv" or name.startswith("chaninv."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        thm.run_suite(seed=2, instance_count=50)
+        assert 0 < len(calls) <= 1000
+
+
+NON_SQUARE = np.ones((2, 3), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "check, args, match",
+    [
+        (thm.check_intertwiner_propagation, (NON_SQUARE, np.eye(2), np.eye(2), "drazin"), "shape"),
+        (thm.check_intertwiner_propagation, (np.eye(2), np.eye(2), np.diag([1.0, np.inf]), "drazin"), "k contains"),
+        (thm.check_intertwiner_propagation, (np.eye(2), np.eye(2), np.eye(2), "bogus"), "unknown variant"),
+        (thm.check_orthogonal_sum, ([], "mp"), "at least one summand"),
+        (thm.check_orthogonal_sum, ([np.eye(2), np.eye(3)], "dagger_drazin"), "one shape"),
+        (thm.check_orthogonal_sum, ([NON_SQUARE], "drazin"), "square"),
+        (thm.check_orthogonal_sum, ([np.eye(2)], "bogus"), "unknown variant"),
+        (thm.check_group_double_inverse, (NON_SQUARE,), "square"),
+        (thm.check_drazin_preserves_tp_u, (chn.kraus_to_channel([NON_SQUARE]),), "d_in == d_out"),
+        (thm.check_double_inverse_gap, (0, 1), "d >= 2"),
+        (thm.check_double_inverse_gap, (1, 1), "d >= 2"),
+    ],
+)
+def test_public_checks_reject_malformed_input(check, args, match):
+    # the batch functions behind these checks take valid instances; the public checks validate first
+    with pytest.raises(ValueError, match=match):
+        check(*args)
