@@ -49,8 +49,10 @@ class Channel:
     operators kept when the channel was built from one. What the caller
     passes is validated (ValueError). Given only ``kraus``, the
     superoperator is computed from it, and OverflowError is raised if that
-    overflows. Given both, they must agree within ``DEFAULT_RESIDUAL_ATOL``
-    in Frobenius norm, whatever ``Tolerances`` the caller uses elsewhere.
+    overflows. Given both, they must agree to a Frobenius distance of at
+    most ``DEFAULT_RESIDUAL_ATOL`` times the Frobenius norm of the computed
+    superoperator, whatever ``Tolerances`` the caller uses elsewhere, so the
+    verdict does not depend on the channel's overall scale.
     """
 
     d_in: int
@@ -86,8 +88,10 @@ class Channel:
                     f"({self.d_out**2}, {self.d_in**2})"
                 )
             object.__setattr__(self, "super", s)
-            if computed is not None and not fro_dist(s, computed) <= DEFAULT_RESIDUAL_ATOL:
-                raise ValueError("superoperator is inconsistent with the Kraus operators")
+            if computed is not None:
+                bound = DEFAULT_RESIDUAL_ATOL * np.linalg.norm(computed)  # a non-finite norm proves nothing
+                if not (np.isfinite(bound) and fro_dist(s, computed) <= bound):
+                    raise ValueError("superoperator is inconsistent with the Kraus operators")
         # after the shape checks: matrices that contradict their dims are a dimension error whatever the dims
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("channel dimensions must be positive")
@@ -278,6 +282,8 @@ def depolarizing(d: int, a: float) -> Channel:
     """
     if d < 1:
         raise ValueError("dimension must be positive")
+    if not np.isfinite(a):
+        raise ValueError(f"depolarizing parameter a must be finite, got {a}")
     v = vec(np.eye(d))[:, None]
     s = (1.0 - a) * np.eye(d * d, dtype=np.complex128) + (a / d) * (v @ dagger(v))
     return Channel(d_in=d, d_out=d, super=s)

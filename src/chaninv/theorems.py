@@ -26,13 +26,13 @@ Facts exercised here, all certified by residuals rather than assumed:
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from . import channels as chn
-from .ginv import GinvReport, _as_square, _certify_all, dagger_drazin, drazin_inverse, mp_inverse
-from .linalg import DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, _one, as_cmatrix, dagger, fro_dist
+from .ginv import _as_square, _certify_all, dagger_drazin, drazin_inverse, mp_inverse
+from .linalg import DEFAULT_TOL, Tolerances, _attempt, _numerical_rank, _one, as_cmatrix, dagger, fro_dist
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -121,50 +121,72 @@ def draw_ucptp(d: int, n_unitaries: int, rng, tol: Tolerances = DEFAULT_TOL) -> 
     return _redraw(lambda: chn.random_ucptp(d, n_unitaries, rng), tol)
 
 
-# A check below that certifies its inverses together across instances is the one-instance case of a batch
-# function that takes an item's whole instance list and returns one result per instance: its TheoremReport,
-# or the exception that instance raised. The public check validates its arguments; the batch function takes
-# instances that are already valid, as the suite draws them. The other checks run once per instance through _each.
+# A check below that certifies inverses is written once, for one instance, as a generator function
+# ``check(*args, tol)``: it screens its hypothesis (returning an inconclusive report when that fails), yields a
+# list of ``(kind, matrix)`` requests, is sent back their GinvReports in the same order, and returns its
+# TheoremReport. _run_checks runs many such checks at once and batches their certificates; it alone handles a
+# refused certificate or an exception. The public check validates its arguments and runs its generator alone;
+# the suite passes instances that are already valid, as it draws them. The four per-instance public checks
+# ask for no certificate of their own and run through _plain.
 
 
-def _each(instances, check, tol: Tolerances) -> list:
-    """``check(*args, tol)`` for each argument tuple of ``instances``: its report, or the exception it raised."""
-    return [_attempt(Exception, check, *args, tol) for args in instances]
+def _run_checks(checks, tol: Tolerances) -> list:
+    """The result of each ``(check, args)`` of ``checks``: its TheoremReport, or the exception that ended it.
+
+    Each round certifies the requests of every live check together, one ``_certify_all`` call per kind with its
+    matrices in check order, then sends each check its reports. A refused certificate (a GinvError report) ends
+    its check with that error; an exception raised while creating or advancing a check ends that check, and one
+    raised while certifying a kind ends the checks that asked for that kind. The other checks run on.
+    """
+    results = [None] * len(checks)
+    gens = [_attempt(Exception, check, *args, tol) for check, args in checks]
+    replies = dict.fromkeys(range(len(checks)))  # None starts each generator
+    while replies:
+        asked = {}
+        for i, reply in replies.items():
+            failed = [r for r in [gens[i], *(reply or ())] if isinstance(r, Exception)]
+            step = failed[0] if failed else _attempt(Exception, gens[i].send, reply)
+            if isinstance(step, Exception):  # a StopIteration carries the check's report
+                results[i] = step.value if isinstance(step, StopIteration) else step
+            else:
+                asked[i] = step
+        mats = {}
+        for kind, m in chain.from_iterable(asked.values()):
+            mats.setdefault(kind, []).append(m)
+        certified = {}
+        for kind, ms in mats.items():
+            out = _attempt(Exception, _certify_all, kind, ms, tol)
+            certified[kind] = repeat(out) if isinstance(out, Exception) else iter(out)
+        replies = {i: [next(certified[kind]) for kind, _ in requests] for i, requests in asked.items()}
+    return results
 
 
-def _tpu(mats) -> list:
-    """(tp, unital) residual pair of each superoperator of ``mats``, one stacked product per shape."""
-    return _by_shape(lambda s: zip(*(r.tolist() for r in chn._tp_unital_residuals(s))), mats)
+def _plain(args, check, tol: Tolerances):
+    """The per-instance public ``check(*args, tol)`` as a check that asks for no certificate."""
+    yield from ()
+    return check(*args, tol)
 
 
-def _first_error(results):
-    return next((r for r in results if not isinstance(r, GinvReport)), None)
+def _tp_u(s: np.ndarray):
+    """(tp, unital) residuals of one superoperator."""
+    return tuple(r.item() for r in chn._tp_unital_residuals(s[None]))
 
 
-def _inverse_keeps_tp_u(chs, kind: str, both: bool, tol: Tolerances) -> list:
-    """TP and unitality of each channel survive its ``kind`` inverse: the batch of the two preservation checks.
+def _keeps_tp_u(ch: chn.Channel, kind: str, both: bool, tol: Tolerances):
+    """TP and unitality of ``ch`` survive its ``kind`` inverse: the check of the two preservation theorems.
 
-    A channel needs TP and unitality (``both``) or one of them to be checked, else it is inconclusive; each
-    property it has must hold for its certified inverse.
+    ``ch`` needs TP and unitality (``both``) or one of them, else it is inconclusive; each property it has must
+    hold for its certified inverse.
     """
     theorem_id = f"{kind.replace('_', '-')}-tp-u-preservation"
-    atol = tol.residual_atol
-    results = [TheoremReport(theorem_id, 1, 0.0, INCONCLUSIVE)] * len(chs)
-    held = {}
-    for i, (tp_r, u_r) in enumerate(_tpu([ch.super for ch in chs])):
-        tp, u = tp_r <= atol, u_r <= atol
-        if (tp and u) if both else (tp or u):
-            held[i] = tp, u
-    inverses = dict(zip(held, _certify_all(kind, [chs[i].super for i in held], tol)))
-    certified = {i: rep for i, rep in inverses.items() if isinstance(rep, GinvReport)}
-    for i, rep in inverses.items():
-        results[i] = rep
-    for (i, rep), kept in zip(certified.items(), _tpu([rep.inverse for rep in certified.values()])):
-        worst = max(r for r, had in zip(kept, held[i]) if had)
-        ok = worst <= atol
-        witness = None if ok else chn.channel_to_dict(_inverse_channel(chs[i], rep.inverse))
-        results[i] = TheoremReport(theorem_id, 1, worst, VERIFIED if ok else FALSIFIED, witness)
-    return results
+    held = [r <= tol.residual_atol for r in _tp_u(ch.super)]
+    if not (all(held) if both else any(held)):
+        return TheoremReport(theorem_id, 1, 0.0, INCONCLUSIVE)
+    (rep,) = yield [(kind, ch.super)]
+    worst = max(r for r, had in zip(_tp_u(rep.inverse), held) if had)
+    ok = worst <= tol.residual_atol
+    witness = None if ok else chn.channel_to_dict(_inverse_channel(ch, rep.inverse))
+    return TheoremReport(theorem_id, 1, worst, VERIFIED if ok else FALSIFIED, witness)
 
 
 def check_drazin_preserves_tp_u(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -175,7 +197,7 @@ def check_drazin_preserves_tp_u(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) 
     """
     if ch.d_in != ch.d_out:
         raise ValueError("Drazin inversion needs d_in == d_out")
-    return _one(_inverse_keeps_tp_u([ch], "drazin", False, tol))
+    return _one(_run_checks([(_keeps_tp_u, (ch, "drazin", False))], tol))
 
 
 def check_drazin_cp_loss(d: int, a: float, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -190,8 +212,8 @@ def check_drazin_cp_loss(d: int, a: float, tol: Tolerances = DEFAULT_TOL) -> The
     """
     if a == 0:
         raise ValueError("a = 0 is the identity channel; pick a nonzero parameter")
-    b = 1.0 if a == 1 else a / (a - 1.0)
     source = chn.depolarizing(d, a)
+    b = 1.0 if a == 1 else a / (a - 1.0)
     dr = drazin_inverse(source.super, tol)
     inv_ch = _inverse_channel(source, dr.inverse)
     r_identity = fro_dist(dr.inverse, chn.depolarizing(d, b).super)
@@ -236,43 +258,32 @@ def check_intertwiner_propagation(
     square = [as_cmatrix(f, "f"), as_cmatrix(g, "g"), as_cmatrix(k, "k")]
     if variant == "dagger_drazin" and h is not None:
         square.append(as_cmatrix(h, "h"))
-    return _one(_intertwiner_propagation_batch([square], variant, tol))
+    return _one(_run_checks([(_intertwiner, (square, variant))], tol))
 
 
-def _intertwiner_propagation_batch(squares, variant: str, tol: Tolerances) -> list:
-    """Squares ``(f, g, k)`` or ``(f, g, k, h)``; the inverses of every commuting square are certified together."""
+def _intertwiner(square, variant: str, tol: Tolerances):
+    """The square ``(f, g, k)`` or ``(f, g, k, h)``; the inverses of f and g are certified when it commutes."""
     theorem_id = "intertwiner-drazin" if variant == "drazin" else "intertwiner-dagger-drazin"
-    results = [None] * len(squares)
-    commuting = {}
-    for i, (f, g, k, *rest) in enumerate(squares):
-        h = rest[0] if rest else k
-        if variant == "drazin":
-            input_res = fro_dist(k @ f, g @ k)
-        else:
-            input_res = max(fro_dist(k @ f, g @ h), fro_dist(h @ dagger(f), dagger(g) @ k))
-        if input_res > tol.residual_atol:
-            results[i] = TheoremReport(theorem_id, 1, input_res, INCONCLUSIVE)
-        else:
-            commuting[i] = f, g, k, h
-    inverses = iter(_certify_all(variant, [m for f, g, *_ in commuting.values() for m in (f, g)], tol))
-    for i, (f, g, k, h) in commuting.items():
-        pair = next(inverses), next(inverses)
-        results[i] = _first_error(pair)
-        if results[i] is not None:
-            continue
-        fp, gp = pair[0].inverse, pair[1].inverse
-        if variant == "drazin":
-            out_res = fro_dist(k @ fp, gp @ k)
-        else:
-            out_res = max(fro_dist(h @ fp, gp @ k), fro_dist(k @ dagger(fp), dagger(gp) @ h))
-        ok = out_res <= tol.residual_atol
-        results[i] = TheoremReport(theorem_id, 1, out_res, VERIFIED if ok else FALSIFIED)
-    return results
+    f, g, k, *rest = square
+    h = rest[0] if rest else k
+    if variant == "drazin":
+        input_res = fro_dist(k @ f, g @ k)
+    else:
+        input_res = max(fro_dist(k @ f, g @ h), fro_dist(h @ dagger(f), dagger(g) @ k))
+    if input_res > tol.residual_atol:
+        return TheoremReport(theorem_id, 1, input_res, INCONCLUSIVE)
+    fp, gp = (rep.inverse for rep in (yield [(variant, f), (variant, g)]))
+    if variant == "drazin":
+        out_res = fro_dist(k @ fp, gp @ k)
+    else:
+        out_res = max(fro_dist(h @ fp, gp @ k), fro_dist(k @ dagger(fp), dagger(gp) @ h))
+    ok = out_res <= tol.residual_atol
+    return TheoremReport(theorem_id, 1, out_res, VERIFIED if ok else FALSIFIED)
 
 
 def check_dagger_drazin_preserves_tpu(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """TP + unitality survive dagger-Drazin inversion (square or not)."""
-    return _one(_inverse_keeps_tp_u([ch], "dagger_drazin", True, tol))
+    return _one(_run_checks([(_keeps_tp_u, (ch, "dagger_drazin", True))], tol))
 
 
 def check_mp_tpu_iff(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -281,27 +292,23 @@ def check_mp_tpu_iff(ch: chn.Channel, tol: Tolerances = DEFAULT_TOL) -> TheoremR
     Both directions are evaluated on the instance; an instance where
     neither side is TP+unital satisfies the biconditional vacuously.
     """
-    return _one(_mp_tpu_iff_batch([ch], tol))
+    return _one(_run_checks([(_mp_tpu_iff, (ch,))], tol))
 
 
-def _mp_tpu_iff_batch(chs, tol: Tolerances) -> list:
+def _mp_tpu_iff(ch: chn.Channel, tol: Tolerances):
     atol = tol.residual_atol
-    results = _certify_all("moore_penrose", [ch.super for ch in chs], tol)
-    certified = [i for i, rep in enumerate(results) if isinstance(rep, GinvReport)]
-    forward = _tpu([chs[i].super for i in certified])
-    backward = _tpu([results[i].inverse for i in certified])
-    for i, (tp_r, u_r), (inv_tp_r, inv_u_r) in zip(certified, forward, backward):
-        fwd = tp_r <= atol and u_r <= atol
-        bwd = inv_tp_r <= atol and inv_u_r <= atol
-        residuals = [0.0]
-        if fwd:
-            residuals += [inv_tp_r, inv_u_r]
-        if bwd:
-            residuals += [tp_r, u_r]
-        ok = fwd == bwd and max(residuals) <= atol
-        witness = None if ok else chn.channel_to_dict(_inverse_channel(chs[i], results[i].inverse))
-        results[i] = TheoremReport("mp-tp-u-iff", 1, max(residuals), VERIFIED if ok else FALSIFIED, witness)
-    return results
+    (rep,) = yield [("moore_penrose", ch.super)]
+    (tp_r, u_r), (inv_tp_r, inv_u_r) = _tp_u(ch.super), _tp_u(rep.inverse)
+    fwd = tp_r <= atol and u_r <= atol
+    bwd = inv_tp_r <= atol and inv_u_r <= atol
+    residuals = [0.0]
+    if fwd:
+        residuals += [inv_tp_r, inv_u_r]
+    if bwd:
+        residuals += [tp_r, u_r]
+    ok = fwd == bwd and max(residuals) <= atol
+    witness = None if ok else chn.channel_to_dict(_inverse_channel(ch, rep.inverse))
+    return TheoremReport("mp-tp-u-iff", 1, max(residuals), VERIFIED if ok else FALSIFIED, witness)
 
 
 def amplitude_damping(gamma: float) -> chn.Channel:
@@ -359,10 +366,7 @@ def search_mp_tp_violation(
     if not candidates:
         return TheoremReport("mp-tp-violation-search", 0, 0.0, INCONCLUSIVE)
     inverses = _certify_all("moore_penrose", [ch.super for ch in candidates], tol)
-    error = _first_error(inverses)
-    if error is not None:
-        raise error
-    tp = [tp_r for tp_r, _ in _tpu([rep.inverse for rep in inverses])]
+    tp = chn._tp_unital_residuals(np.stack([_one([rep]).inverse for rep in inverses]))[0].tolist()
     witness = next((chn.channel_to_dict(ch) for ch, r in zip(candidates, tp) if r > 10.0 * tol.residual_atol), None)
     verdict = FALSIFIED if witness is not None else VERIFIED
     return TheoremReport("mp-tp-violation-search", len(candidates), max([0.0] + tp), verdict, witness)
@@ -392,33 +396,23 @@ def check_orthogonal_sum(fs, variant: str, tol: Tolerances = DEFAULT_TOL) -> The
         raise ValueError("summands must share one shape")
     if variant == "drazin":
         _as_square(mats[0], "Drazin inverse")
-    return _one(_orthogonal_sum_batch([mats], variant, tol))
+    return _one(_run_checks([(_orthogonal_sum, (mats, variant))], tol))
 
 
-def _orthogonal_sum_batch(families, variant: str, tol: Tolerances) -> list:
-    """One orthogonality product per family; the sums and summands of every family are certified together."""
+def _orthogonal_sum(mats, variant: str, tol: Tolerances):
+    """The summands' pairwise orthogonality products; when they vanish, the sum and the summands are certified."""
     theorem_id, kind = _ORTHOGONAL_SUMS[variant]
-    results = [None] * len(families)
-    orthogonal = {}
-    for i, mats in enumerate(families):
-        stack = np.stack(mats)
-        left = stack if variant == "drazin" else dagger(stack)
-        products = np.linalg.norm(left[:, None] @ stack[None, :], axis=(-2, -1))  # [j, i]: f_j f_i or f_j^H f_i
-        np.fill_diagonal(products, 0.0)
-        orth = float(products.max())
-        if orth > tol.residual_atol:
-            results[i] = TheoremReport(theorem_id, 1, orth, INCONCLUSIVE)
-        else:
-            orthogonal[i] = [sum(mats[1:], start=mats[0].copy()), *mats]
-    inverses = iter(_certify_all(kind, [m for mats in orthogonal.values() for m in mats], tol))
-    for i, mats in orthogonal.items():
-        total, *parts = [next(inverses) for _ in mats]
-        results[i] = _first_error([total, *parts])
-        if results[i] is None:
-            residual = fro_dist(total.inverse, sum(p.inverse for p in parts))
-            ok = residual <= tol.residual_atol
-            results[i] = TheoremReport(theorem_id, 1, residual, VERIFIED if ok else FALSIFIED)
-    return results
+    stack = np.stack(mats)
+    left = stack if variant == "drazin" else dagger(stack)
+    products = np.linalg.norm(left[:, None] @ stack[None, :], axis=(-2, -1))  # [j, i]: f_j f_i or f_j^H f_i
+    np.fill_diagonal(products, 0.0)
+    orth = float(products.max())
+    if orth > tol.residual_atol:
+        return TheoremReport(theorem_id, 1, orth, INCONCLUSIVE)
+    total, *parts = yield [(kind, m) for m in [sum(mats[1:], start=mats[0].copy()), *mats]]
+    residual = fro_dist(total.inverse, sum(p.inverse for p in parts))
+    ok = residual <= tol.residual_atol
+    return TheoremReport(theorem_id, 1, residual, VERIFIED if ok else FALSIFIED)
 
 
 def check_pure_channel_lemma(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
@@ -461,28 +455,18 @@ def check_projector_self_inverse(block_dims, tol: Tolerances = DEFAULT_TOL) -> T
 
 def check_group_double_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TheoremReport:
     """At Drazin index <= 1 the double Drazin inverse recovers the input."""
-    return _one(_group_double_inverse_batch([_as_square(a, "Drazin inverse")], tol))
+    return _one(_run_checks([(_group_double_inverse, (_as_square(a, "Drazin inverse"),))], tol))
 
 
-def _group_double_inverse_batch(mats, tol: Tolerances) -> list:
-    """The index comes from each certified Drazin inverse; the second inverses are certified together."""
-    results = _certify_all("drazin", mats, tol)
-    firsts = {}
-    for i, rep in enumerate(results):
-        if not isinstance(rep, GinvReport):
-            continue
-        if rep.index > 1:
-            results[i] = TheoremReport("group-double-inverse", 1, 0.0, INCONCLUSIVE)
-        else:
-            firsts[i] = rep.inverse
-    for i, rep in zip(firsts, _certify_all("drazin", list(firsts.values()), tol)):
-        if not isinstance(rep, GinvReport):
-            results[i] = rep
-            continue
-        residual = fro_dist(rep.inverse, mats[i])
-        ok = residual <= tol.residual_atol
-        results[i] = TheoremReport("group-double-inverse", 1, residual, VERIFIED if ok else FALSIFIED)
-    return results
+def _group_double_inverse(a: np.ndarray, tol: Tolerances):
+    """The index comes from the certified Drazin inverse; at index <= 1 that inverse is inverted in turn."""
+    (first,) = yield [("drazin", a)]
+    if first.index > 1:
+        return TheoremReport("group-double-inverse", 1, 0.0, INCONCLUSIVE)
+    (double,) = yield [("drazin", first.inverse)]
+    residual = fro_dist(double.inverse, a)
+    ok = residual <= tol.residual_atol
+    return TheoremReport("group-double-inverse", 1, residual, VERIFIED if ok else FALSIFIED)
 
 
 def _index2_tp_superoperator(d: int, rng) -> np.ndarray:
@@ -506,27 +490,17 @@ def check_double_inverse_gap(d: int, seed, tol: Tolerances = DEFAULT_TOL) -> The
     """
     if d < 2:
         raise ValueError(f"an index-2 map on d x d matrices needs d >= 2, got d = {d}")
-    return _one(_double_inverse_gap_batch([(d, seed)], tol))
+    return _one(_run_checks([(_double_inverse_gap, (_index2_tp_superoperator(d, chn._get_rng(seed)),))], tol))
 
 
-def _double_inverse_gap_batch(cases, tol: Tolerances) -> list:
-    """Every instance is drawn first, in order; then the first and the second inverses are certified together."""
+def _double_inverse_gap(s: np.ndarray, tol: Tolerances):
     atol = tol.residual_atol
-    supers = [_index2_tp_superoperator(d, chn._get_rng(seed)) for d, seed in cases]
-    results = _certify_all("drazin", supers, tol)
-    firsts = {i: rep for i, rep in enumerate(results) if isinstance(rep, GinvReport)}
-    tp = _tpu([supers[i] for i in firsts])
-    inv_tp = _tpu([rep.inverse for rep in firsts.values()])
-    doubles = _certify_all("drazin", [rep.inverse for rep in firsts.values()], tol)
-    for (i, dr), (tp_res, _), (inv_tp_res, _), double in zip(firsts.items(), tp, inv_tp, doubles):
-        if not isinstance(double, GinvReport):
-            results[i] = double
-            continue
-        gap = fro_dist(double.inverse, supers[i])
-        ok = tp_res <= atol and inv_tp_res <= atol and dr.index >= 2 and gap > atol
-        verdict = VERIFIED if ok else FALSIFIED
-        results[i] = TheoremReport("drazin-double-inverse-gap", 1, max(tp_res, inv_tp_res), verdict)
-    return results
+    (first,) = yield [("drazin", s)]
+    tp_res, inv_tp_res = _tp_u(s)[0], _tp_u(first.inverse)[0]
+    (double,) = yield [("drazin", first.inverse)]
+    gap = fro_dist(double.inverse, s)
+    ok = tp_res <= atol and inv_tp_res <= atol and first.index >= 2 and gap > atol
+    return TheoremReport("drazin-double-inverse-gap", 1, max(tp_res, inv_tp_res), VERIFIED if ok else FALSIFIED)
 
 
 def _aggregate(theorem_id: str, reports) -> TheoremReport:
@@ -544,17 +518,16 @@ def _aggregate(theorem_id: str, reports) -> TheoremReport:
     return TheoremReport(theorem_id, instances, worst, verdict, witness)
 
 
-def _run_item(theorem_id: str, batch, instances, extra, tol: Tolerances) -> TheoremReport:
-    """Check an item's instances in batches of ``_BATCH_SIZE``, each drawn just before it is checked.
+def _run_item(theorem_id: str, check, instances, extra, tol: Tolerances) -> TheoremReport:
+    """``check(instance, *extra, tol)`` for each instance, ``_BATCH_SIZE`` at a time through :func:`_run_checks`.
 
-    An exception result becomes an inconclusive report carrying its message; a batch that raises as a whole
-    marks each of its instances with that exception.
+    Each chunk of instances is drawn just before it is checked. An instance whose check ended with an exception
+    gets an inconclusive report carrying its message; the other instances keep their reports.
     """
     results = []
     instances = iter(instances)
     while chunk := list(islice(instances, _BATCH_SIZE)):
-        outcome = _attempt(Exception, batch, chunk, *extra, tol)  # report, never throw: the suite must complete
-        results += [outcome] * len(chunk) if isinstance(outcome, Exception) else outcome
+        results += _run_checks([(check, (instance, *extra)) for instance in chunk], tol)
     return _aggregate(theorem_id, [
         TheoremReport(theorem_id, 1, float("inf"), INCONCLUSIVE, {"error": str(r)}) if isinstance(r, Exception) else r
         for r in results
@@ -568,10 +541,10 @@ def run_suite(
 ) -> list:
     """Run every theorem check over deterministic randomized instances.
 
-    The suite is one table of items ``(theorem_id, batch, instances, *extra)``:
-    an item's instances are drawn ``_BATCH_SIZE`` at a time, and each such
-    list is checked at once by ``batch(instances, *extra, tol)``, which
-    returns one result per instance. Every item draws from its
+    The suite is one table of items ``(theorem_id, check, instances, *extra)``:
+    an item's instances are drawn ``_BATCH_SIZE`` at a time, and the checks
+    ``check(instance, *extra, tol)`` of each such list run together, their
+    certificates batched by :func:`_run_checks`. Every item draws from its
     own generator, a child of ``seed``, so reports are reproducible for a
     fixed seed regardless of item order or scheduling. Random channels are
     redrawn while uncertifiable (see MIN_REL_SIGMA). Individual check
@@ -591,47 +564,47 @@ def run_suite(
     squares, dagger_squares = _intertwiner_instances(rngs[7], instance_count, tol)
     items = [
         # Drazin TP preservation on generic CPTP channels, unitality on mixed-unitary ones.
-        ("drazin-tp-preservation", _inverse_keeps_tp_u,
+        ("drazin-tp-preservation", _keeps_tp_u,
          (draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[0], tol) for i in n), "drazin", False),
-        ("drazin-unital-preservation", _inverse_keeps_tp_u,
+        ("drazin-unital-preservation", _keeps_tp_u,
          (draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol) for i in n), "drazin", False),
         # Depolarizing case study: inverse parameter identity and CP loss.
-        ("depolarizing-cp-loss", _each,
+        ("depolarizing-cp-loss", _plain,
          [(d, a) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed, check_drazin_cp_loss),
         # Dagger-Drazin TP+U preservation on mixed-unitary channels.
-        ("dagger-drazin-tp-u-preservation", _inverse_keeps_tp_u,
+        ("dagger-drazin-tp-u-preservation", _keeps_tp_u,
          (draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol) for i in n), "dagger_drazin", True),
         # Moore-Penrose TP+U biconditional on mixed instances.
-        ("mp-tp-u-iff", _mp_tpu_iff_batch, (
+        ("mp-tp-u-iff", _mp_tpu_iff, (
             draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[3], tol) if i % 3 == 2
             else draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[3], tol)
             for i in n
         )),
         # Moore-Penrose TP-violation search on non-unital channels: one search of count trials.
-        ("mp-tp-violation-search", _each, [(2, 3, instance_count, rngs[4])] * fixed, search_mp_tp_violation),
+        ("mp-tp-violation-search", _plain, [(2, 3, instance_count, rngs[4])] * fixed, search_mp_tp_violation),
         # Orthogonal-sum laws on block-embedded families.
-        ("orthogonal-sum-drazin", _orthogonal_sum_batch, families, "drazin"),
-        ("orthogonal-sum-dagger-drazin", _orthogonal_sum_batch, families, "dagger_drazin"),
-        ("orthogonal-sum-moore-penrose", _orthogonal_sum_batch, families, "mp"),
+        ("orthogonal-sum-drazin", _orthogonal_sum, families, "drazin"),
+        ("orthogonal-sum-dagger-drazin", _orthogonal_sum, families, "dagger_drazin"),
+        ("orthogonal-sum-moore-penrose", _orthogonal_sum, families, "mp"),
         # Projector channels: UCPTP and self-inverse for every kind.
-        ("projector-channel-self-inverse", _each, [((1, 1),), ((2, 1),), ((2, 2),)] * fixed,
+        ("projector-channel-self-inverse", _plain, [((1, 1),), ((2, 1),), ((2, 2),)] * fixed,
          check_projector_self_inverse),
         # Pure-channel criteria on unitaries, isometries, and defective maps.
-        ("pure-channel-criteria", _each,
+        ("pure-channel-criteria", _plain,
          ((_pure_channel_map(_DIMS[i % 3], i % 3, rngs[6]),) for i in n), check_pure_channel_lemma),
         # Intertwiner propagation: block instances plus the TP-functional square.
-        ("intertwiner-drazin", _intertwiner_propagation_batch, squares, "drazin"),
-        ("intertwiner-dagger-drazin", _intertwiner_propagation_batch, dagger_squares, "dagger_drazin"),
+        ("intertwiner-drazin", _intertwiner, squares, "drazin"),
+        ("intertwiner-dagger-drazin", _intertwiner, dagger_squares, "dagger_drazin"),
         # Double-inverse law at index <= 1 and its failure at index 2.
-        ("group-double-inverse", _group_double_inverse_batch, (
+        ("group-double-inverse", _group_double_inverse, (
             draw_ucptp(_DIMS[i % 3], 2, rngs[8], tol).super if i % 2 == 0
             else chn.projector_channel((_DIMS[i % 3] - 1, 1)).super
             for i in n
         )),
-        ("drazin-double-inverse-gap", _double_inverse_gap_batch,
-         [(_DIMS[i % 2], rngs[9]) for i in range(min(instance_count, 16))]),
+        ("drazin-double-inverse-gap", _double_inverse_gap,
+         (_index2_tp_superoperator(_DIMS[i % 2], rngs[9]) for i in range(min(instance_count, 16)))),
     ]
-    return [_run_item(theorem_id, batch, instances, extra, tol) for theorem_id, batch, instances, *extra in items]
+    return [_run_item(theorem_id, check, instances, extra, tol) for theorem_id, check, instances, *extra in items]
 
 
 def _conditioned(rng, size: int) -> np.ndarray:

@@ -71,6 +71,19 @@ class TestKrausToChannel:
         with pytest.raises(ValueError):
             chn.Channel(d_in=2, d_out=2, super=np.eye(4), kraus=(X,))
 
+    @pytest.mark.parametrize("scale", [1e5, 1.0, 1e-5])
+    def test_super_kraus_agreement_is_relative(self, scale):
+        # the superoperator formed independently of _kraus_super: rounding differences grow with the scale
+        ops = [scale * k for k in chn.random_cptp(3, 3, 2, 0).kraus]
+        s = sum(np.kron(k.conj(), k) for k in ops)
+        assert fro_dist(chn.Channel(3, 3, super=s, kraus=ops).super, s) == 0.0
+        with pytest.raises(ValueError, match="inconsistent"):
+            chn.Channel(3, 3, super=1.1 * s, kraus=ops)
+
+    def test_super_kraus_agreement_with_overflowed_kraus_sum(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            chn.Channel(2, 2, super=np.eye(4), kraus=(1e200 * np.eye(2),))
+
     def test_non_finite_operator_named(self):
         with pytest.raises(ValueError, match="kraus operator"):
             chn.kraus_to_channel([np.diag([np.nan, 1.0])])

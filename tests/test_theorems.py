@@ -6,7 +6,7 @@ import pytest
 
 from chaninv import channels as chn
 from chaninv import theorems as thm
-from chaninv.ginv import drazin_inverse, mp_inverse
+from chaninv.ginv import IndexTooLargeError, drazin_inverse, mp_inverse
 from chaninv import linalg
 from chaninv.linalg import dagger, fro_dist
 
@@ -65,6 +65,13 @@ class TestDepolarizingCaseStudy:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             thm.check_drazin_cp_loss(2, 0.0)
+
+    @pytest.mark.parametrize("build", [chn.depolarizing, thm.check_drazin_cp_loss])
+    @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameter_named(self, build, a):
+        # rejected up front, naming a, before any arithmetic could warn (warnings are errors here)
+        with pytest.raises(ValueError, match="parameter a must be finite"):
+            build(2, a)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.9, 1.0])
@@ -347,7 +354,7 @@ class TestRunSuite:
         def broken(*args):
             raise RuntimeError("broken check")
 
-        monkeypatch.setattr(thm, "_mp_tpu_iff_batch", broken)
+        monkeypatch.setattr(thm, "_mp_tpu_iff", broken)
         patched = thm.run_suite(seed=5, instance_count=6)
         assert [r.theorem_id for r in patched] == [r.theorem_id for r in plain]
         for before, after in zip(plain, patched):
@@ -360,13 +367,13 @@ class TestRunSuite:
 
     def test_checks_looked_up_per_call(self, monkeypatch):
         calls = []
-        original = thm._orthogonal_sum_batch
+        original = thm._orthogonal_sum
 
         def counting(*args):
-            calls.extend([args[1]] * len(args[0]))
+            calls.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(thm, "_orthogonal_sum_batch", counting)
+        monkeypatch.setattr(thm, "_orthogonal_sum", counting)
         thm.run_suite(seed=5, instance_count=6)
         assert len(calls) == 18
         assert sorted(set(calls)) == ["dagger_drazin", "drazin", "mp"]
@@ -427,6 +434,95 @@ class TestRunSuite:
         assert 0 < len(calls) <= 1000
 
 
+def _asks(kind, m, tag, tol):
+    """A check that asks for one ``kind`` certificate of m and reports the certificate's index."""
+    (rep,) = yield [(kind, m)]
+    return thm.TheoremReport(tag, 1, float(rep.index), thm.VERIFIED)
+
+
+def _inverts(m, expected, tol):
+    """A check that asks for the Drazin inverse of m and reports its distance from ``expected``."""
+    (rep,) = yield [("drazin", m)]
+    return thm.TheoremReport("inverts", 1, fro_dist(rep.inverse, expected), thm.VERIFIED)
+
+
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+class TestRunChecks:
+    def test_raising_check_ends_only_itself(self):
+        def raising(m, tol):
+            yield [("drazin", m)]
+            raise RuntimeError("after its reports")
+
+        checks = [(_asks, ("drazin", np.eye(2), "a")), (raising, (np.eye(2),)), (_asks, ("drazin", NILPOTENT, "c"))]
+        a, b, c = thm._run_checks(checks, thm.DEFAULT_TOL)
+        assert a == thm.TheoremReport("a", 1, 0.0, thm.VERIFIED)
+        assert isinstance(b, RuntimeError) and str(b) == "after its reports"
+        assert c == thm.TheoremReport("c", 1, 2.0, thm.VERIFIED)
+
+    def test_check_raising_when_created(self):
+        def broken(*args):
+            raise RuntimeError("no check")
+
+        def screening(tol):
+            raise ValueError("hypothesis screen failed")
+            yield
+
+        checks = [(broken, ()), (thm._group_double_inverse, (2.0 * np.eye(2),)), (screening, ())]
+        created, report, screened = thm._run_checks(checks, thm.DEFAULT_TOL)
+        assert isinstance(created, RuntimeError) and str(created) == "no check"
+        assert report.theorem_id == "group-double-inverse" and report.verdict == thm.VERIFIED
+        assert isinstance(screened, ValueError)
+
+    def test_refused_group_request_ends_only_its_check(self):
+        checks = [(_asks, ("group", NILPOTENT, "g")), (_asks, ("drazin", NILPOTENT, "d")),
+                  (_asks, ("group", np.eye(2), "e"))]
+        g, d, e = thm._run_checks(checks, thm.DEFAULT_TOL)
+        assert isinstance(g, IndexTooLargeError) and g.index == 2
+        assert d == thm.TheoremReport("d", 1, 2.0, thm.VERIFIED)
+        assert e == thm.TheoremReport("e", 1, 0.0, thm.VERIFIED)
+
+    def test_raising_certificate_ends_only_its_askers(self, monkeypatch):
+        original = thm._certify_all
+
+        def certify(kind, mats, tol):
+            if kind == "moore_penrose":
+                raise RuntimeError("kernel failed")
+            return original(kind, mats, tol)
+
+        monkeypatch.setattr(thm, "_certify_all", certify)
+        ch = chn.conjugation_channel(np.diag([1.0, 0.0]))  # neither TP nor unital: screened out, asks for nothing
+        checks = [(thm._mp_tpu_iff, (chn.identity_channel(2),)), (_asks, ("drazin", np.eye(2), "d")),
+                  (thm._keeps_tp_u, (ch, "drazin", False)), (_asks, ("moore_penrose", np.eye(3), "m"))]
+        iff, d, screened, m = thm._run_checks(checks, thm.DEFAULT_TOL)
+        assert isinstance(iff, RuntimeError) and isinstance(m, RuntimeError) and str(m) == "kernel failed"
+        assert d == thm.TheoremReport("d", 1, 0.0, thm.VERIFIED)
+        assert screened.verdict == thm.INCONCLUSIVE
+
+    def test_reports_reach_their_askers(self):
+        # shapes alternate, so the certificates come back grouped by shape and must be routed back in order
+        mats = [c * np.eye(2 + c % 2) for c in range(1, 33)]
+        reports = thm._run_checks([(_inverts, (m, np.linalg.inv(m))) for m in mats], thm.DEFAULT_TOL)
+        assert all(r.max_residual <= 1e-12 for r in reports)
+
+    def test_one_certificate_call_per_round(self, monkeypatch):
+        # the batching carries the suite's throughput: 32 group-double-inverse instances, two rounds, two calls
+        calls = []
+        original = thm._certify_all
+
+        def counting(kind, mats, tol):
+            calls.append((kind, len(mats)))
+            return original(kind, mats, tol)
+
+        monkeypatch.setattr(thm, "_certify_all", counting)
+        rng = np.random.default_rng(4)
+        mats = [thm.draw_ucptp(2 + i % 2, 2, rng).super for i in range(32)]
+        reports = thm._run_checks([(thm._group_double_inverse, (m,)) for m in mats], thm.DEFAULT_TOL)
+        assert calls == [("drazin", 32), ("drazin", 32)]
+        assert [r.verdict for r in reports] == [thm.VERIFIED] * 32
+
+
 NON_SQUARE = np.ones((2, 3), dtype=complex)
 
 
@@ -447,6 +543,6 @@ NON_SQUARE = np.ones((2, 3), dtype=complex)
     ],
 )
 def test_public_checks_reject_malformed_input(check, args, match):
-    # the batch functions behind these checks take valid instances; the public checks validate first
+    # the generator checks behind these public checks take valid instances; the public checks validate first
     with pytest.raises(ValueError, match=match):
         check(*args)
