@@ -260,14 +260,13 @@ def _tp_unital_residuals(supers: np.ndarray):
 
 def property_report(ch: Channel, tol: Tolerances = DEFAULT_TOL) -> PropertyReport:
     cp, min_eig = is_cp(ch, tol)
-    tp, tp_r = is_tp(ch, tol)
-    unital, u_r = is_unital(ch, tol)
+    tp_r, u_r = (float(r[0]) for r in _tp_unital_residuals(ch.super[None]))  # one evaluation for both
     return PropertyReport(
         cp=cp,
         min_choi_eigenvalue=min_eig,
-        tp=tp,
+        tp=tp_r <= tol.residual_atol,
         tp_residual=tp_r,
-        unital=unital,
+        unital=u_r <= tol.residual_atol,
         unital_residual=u_r,
     )
 

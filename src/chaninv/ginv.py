@@ -12,11 +12,13 @@ self-certifying: the defining-axiom residuals are computed and enforced
 against ``Tolerances.residual_atol``, so a successful return is a
 numerical certificate.
 
-The kernels work on stacks (N, m, n) of same-shape matrices: one stacked
-SVD, stacked Moore-Penrose and index-0 Drazin inverses, and one stacked
-norm per axiom; only the deflation of a singular member runs one member at
-a time. :func:`certify_many` validates a list of matrices, then certifies
-them one stack per shape; the four public inverses run them on a stack of one.
+The kernels work on stacks (N, m, n) of same-shape matrices, in one straight
+pass: one stacked SVD; the inverses (Moore-Penrose and index-0 Drazin read
+off it for every member at once, each singular member deflated alone, a
+refusal kept as that member's error); then one stacked norm per axiom on the
+members that have an inverse, which gives each member its report or error.
+:func:`certify_many` validates a list of matrices, then certifies them one
+stack per shape; the four public inverses run them on a stack of one.
 
 Axiom residuals, in the left-to-right composition convention of
 :mod:`chaninv.linalg` (f;g on column vectors is G @ F):
@@ -41,7 +43,7 @@ import numpy as np
 
 # svd is not called here; perfbench's tracer test rebinds it as chaninv.ginv.svd
 from .linalg import (  # noqa: F401
-    DEFAULT_TOL, Tolerances, _attempt, _by_shape, _numerical_rank, _one, as_cmatrix, dagger, svd,
+    DEFAULT_TOL, Tolerances, _attempt, _numerical_rank, _one, as_cmatrix, dagger, svd,
 )
 
 KIND_AXIOMS = {
@@ -203,21 +205,19 @@ def _witness(residuals, tol: Tolerances):
     """(k, r) of the first passing residual, else of the smallest; nan only if all are nan.
 
     Item k of ``residuals`` holds the k-th residual of every member of a stack; items are drawn only while some
-    member has passed none of them. The bookkeeping is per member in Python: the stacks are small.
+    member has passed none of them. A member takes item k if it has not passed yet and item k passes, is
+    smaller, or replaces a nan.
     """
     atol = tol.residual_atol
     for k, r in enumerate(residuals):
         if k == 0:
-            shape, best = np.shape(r), np.ravel(r).tolist()
-            best_k = [0] * len(best)
+            best_k, best = np.zeros(np.shape(r), dtype=int), np.asarray(r)
         else:
-            for j, x in enumerate(np.ravel(r).tolist()):
-                b = best[j]
-                if not b <= atol and (x <= atol or b != b or x < b):  # b != b: b is nan
-                    best_k[j], best[j] = k, x
-        if all(b <= atol for b in best):
+            take = ~(best <= atol) & ((r <= atol) | np.isnan(best) | (r < best))
+            best_k, best = np.where(take, k, best_k), np.where(take, r, best)
+        if (best <= atol).all():
             break
-    return np.array(best_k).reshape(shape), np.array(best).reshape(shape)
+    return best_k, best
 
 
 def _enforce(kind: str, residuals: dict, tol: Tolerances) -> None:
@@ -244,46 +244,58 @@ def certify_many(kind: str, mats, tol: Tolerances = DEFAULT_TOL) -> list:
     """
     if kind not in KIND_AXIOMS:
         raise ValueError(f"unknown inverse kind {kind!r}")
-    out = [_attempt(ValueError, _as_square, m, _SQUARE_KINDS[kind]) if kind in _SQUARE_KINDS
-           else _attempt(ValueError, as_cmatrix, m) for m in mats]
-    valid = [i for i, m in enumerate(out) if not isinstance(m, ValueError)]
-    for i, result in zip(valid, _certify_all(kind, [out[i] for i in valid], tol)):
-        out[i] = result
-    return out
+    checked = [_attempt(ValueError, _as_square, m, _SQUARE_KINDS[kind]) if kind in _SQUARE_KINDS
+               else _attempt(ValueError, as_cmatrix, m) for m in mats]
+    certified = iter(_certify_all(kind, [m for m in checked if not isinstance(m, ValueError)], tol))
+    return [m if isinstance(m, ValueError) else next(certified) for m in checked]
 
 
 def _certify_all(kind: str, mats, tol: Tolerances) -> list:
     """:func:`certify_many` on complex128 matrices the library built itself, square for Drazin/group: not re-validated."""
-    return _by_shape(lambda a: _certify(kind, a, tol), mats)
+    stacks = {}
+    for i, m in enumerate(mats):
+        stacks.setdefault(m.shape, []).append(i)
+    results = {}
+    for members in stacks.values():
+        results.update(zip(members, _certify(kind, np.stack([mats[i] for i in members]), tol)))
+    return [results[i] for i in range(len(mats))]
 
 
 def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     """GinvReport or GinvError for each member of the validated stack ``a`` (N, m, n), square for Drazin/group.
 
     One stacked SVD serves the whole stack. Moore-Penrose and dagger-Drazin inverses, and the Drazin and group
-    inverses of index-0 members, are read off it for every member at once; the other members continue one at a
-    time through the r x r blocks of :func:`_core`. The residuals of all members are evaluated on the stack.
+    inverses of index-0 members, are read off it for every member at once; the singular members continue one at
+    a time through the r x r blocks of :func:`_core`, and a refusal there is kept as that member's error. The
+    residuals of the other members are evaluated once, on their stack, by :func:`_reports`.
     """
     factors = _attempt(AxiomResidualError, _svd, a, tol)
     if isinstance(factors, AxiomResidualError):  # some member overflowed: factor each member alone
         return [factors] if len(a) == 1 else [res for m in a for res in _certify(kind, m[None], tol)]
     u, s, vh, r = factors
-    out = [None] * len(a)
     if kind in ("moore_penrose", "dagger_drazin"):
-        return _reports(kind, a, _pinv(u, s, vh, r), tol, out)
+        return _reports(kind, a, _pinv(u, s, vh, r), None, {}, tol)
+    # index 0: a = u diag(s) vh, so the core bases are the SVD's v and u; as in _pinv, weight 1/inf = 0 leaves
+    # the singular members at zero, each to be replaced by its deflated inverse
     full = r == a.shape[-1]
-    inv = _at_index0(_core_inverse, full, a, u, s, vh)
-    cores = {}
-    for i in [i for i, is_full in enumerate(full.tolist()) if not is_full]:
-        deflated = _attempt(GinvError, _deflated_inverse, kind, a[i], (u[i], s[i], vh[i], r[i]), tol)
-        if isinstance(deflated, GinvError):
-            out[i] = deflated
-        else:
-            *cores[i], inv[i] = deflated
-    out = _reports(kind, a, inv, tol, out, [cores[i][0] if i in cores else 0 for i in range(len(a))])
-    if kind == "group" and any(isinstance(result, GinvReport) for result in out):
-        # (G^#)^# on the bases of a's deflation: a's SVD for every member at once, then the index-1 members
-        double = _at_index0(_double_inverse, full, inv, u, s, vh)
+    inv = _core_inverse(a, dagger(vh), u, np.where(full[:, None], s, np.inf))
+
+    def deflate(i):  # a singular member's index and core bases; its inverse goes into inv
+        k, cu, cv, _ = _core(a[i], tol, (u[i], s[i], vh[i], r[i]))
+        if kind == "group" and k > 1:
+            raise IndexTooLargeError(k)
+        inv[i] = _core_inverse(a[i], cu, cv, None)
+        return k, cu, cv
+
+    cores, failed = {}, {}
+    for i in np.flatnonzero(~full).tolist():
+        core = _attempt(GinvError, deflate, i)
+        (failed if isinstance(core, GinvError) else cores)[i] = core
+    out = _reports(kind, a, inv, {i: core[0] for i, core in cores.items()}, failed, tol)
+    if kind == "group":
+        # (G^#)^# on the bases of a's deflation: a's SVD multiplied back, which holds at index 0; each certified
+        # singular member's is replaced by one r x r solve on its own bases
+        double = _double_inverse(inv, dagger(vh), u, s)
         for i, (_, cu, cv) in cores.items():
             if isinstance(out[i], GinvReport):
                 member = _attempt(AxiomResidualError, _double_inverse, inv[i], cu, cv, None)
@@ -299,47 +311,28 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     return out
 
 
-def _at_index0(fn, full, x: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """``fn(x, v, u, s)`` of :func:`_core_inverse` or :func:`_double_inverse` for the index-0 (``full``) members.
+def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, failed: dict, tol: Tolerances) -> list:
+    """Each member's result: its error from ``failed``, else the GinvReport of (a[i], inv[i]) if its residuals pass.
 
-    Their core bases are the SVD's v and u. The other members are zero, to be filled one at a time.
+    ``index`` maps the deflated members of a Drazin or group stack to their index (0 for the others); it is None
+    for the other kinds. The residuals are evaluated once, on the stack of the members not in ``failed``.
     """
-    count = np.count_nonzero(full)
-    if count == len(full):
-        return fn(x, dagger(vh), u, s)
-    out = np.zeros_like(x)
-    if count:
-        out[full] = fn(x[full], dagger(vh[full]), u[full], s[full])
-    return out
-
-
-def _reports(kind: str, a: np.ndarray, inv: np.ndarray, tol: Tolerances, out: list, index=None) -> list:
-    """``out`` with each empty entry filled: the GinvReport of (a[i], inv[i]) if its residuals pass, else the error."""
-    live = [i for i, result in enumerate(out) if result is None]
-    if not live:
-        return out
-    if len(live) < len(out):
-        a, inv = a[live], inv[live]
-    residuals, witness_k = _residuals(kind, a, inv, tol)
-    witness_k = witness_k if kind == "dagger_drazin" else None  # the D1 exponent is the index, reported as such
-    for j, i in enumerate(live):
-        member = {label: float(r[j]) for label, r in residuals.items()}
-        out[i] = _attempt(AxiomResidualError, _enforce, kind, member, tol) or GinvReport(
-            kind=kind,
-            inverse=inv[j],
-            residuals=member,
-            index=None if index is None else int(index[i]),
-            witness_k=None if witness_k is None else int(witness_k[j]),
-        )
-    return out
-
-
-def _deflated_inverse(kind: str, a: np.ndarray, factors: tuple, tol: Tolerances):
-    """(k, u, v, inverse) of a singular square ``a`` from its SVD ``factors``; index > 1 refused for the group kind."""
-    k, u, v, _ = _core(a, tol, factors)
-    if kind == "group" and k > 1:
-        raise IndexTooLargeError(k)
-    return k, u, v, _core_inverse(a, u, v, None)
+    out = dict(failed)
+    live = [i for i in range(len(a)) if i not in failed]
+    if live:  # an empty stack has no residuals to evaluate
+        rows = live if failed else slice(None)
+        residuals, witness_k = _residuals(kind, a[rows], inv[rows], tol)
+        for j, i in enumerate(live):
+            member = {label: float(res[j]) for label, res in residuals.items()}
+            out[i] = _attempt(AxiomResidualError, _enforce, kind, member, tol) or GinvReport(
+                kind=kind,
+                inverse=inv[i],
+                residuals=member,
+                index=None if index is None else index.get(i, 0),
+                # the D1 exponent is the index, reported as such
+                witness_k=int(witness_k[j]) if kind == "dagger_drazin" else None,
+            )
+    return [out[i] for i in range(len(a))]
 
 
 def mp_inverse(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:

@@ -97,21 +97,6 @@ def _one(results):
     return result
 
 
-def _by_shape(fn, mats) -> list:
-    """``fn`` applied once per stack of the same-shape arrays in ``mats``; its per-member results, in order.
-
-    ``fn`` takes a stack (N, ...) and returns N results, one per member.
-    """
-    groups = {}
-    for i, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(i)
-    out = [None] * len(mats)
-    for members in groups.values():
-        for i, result in zip(members, fn(np.stack([mats[i] for i in members]))):
-            out[i] = result
-    return out
-
-
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD ``m = u @ diag(singular_values) @ dagger(v)``.

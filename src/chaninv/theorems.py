@@ -255,9 +255,20 @@ def check_intertwiner_propagation(
     """
     if variant not in ("drazin", "dagger_drazin"):
         raise ValueError(f"unknown variant {variant!r}")
-    square = [as_cmatrix(f, "f"), as_cmatrix(g, "g"), as_cmatrix(k, "k")]
-    if variant == "dagger_drazin" and h is not None:
-        square.append(as_cmatrix(h, "h"))
+    f, g, k = square = [as_cmatrix(f, "f"), as_cmatrix(g, "g"), as_cmatrix(k, "k")]
+    wanted = {"k": (k, (g.shape[0], f.shape[0]))}
+    if variant == "drazin":
+        for name, m in (("f", f), ("g", g)):
+            if m.shape[0] != m.shape[1]:
+                raise ValueError(f"{name} must be square for the drazin variant, got shape {m.shape}")
+    else:
+        if h is not None:
+            square.append(as_cmatrix(h, "h"))
+        wanted["h" if h is not None else "h (default k)"] = (square[-1], (g.shape[1], f.shape[1]))
+    for name, (m, shape) in wanted.items():
+        if m.shape != shape:
+            raise ValueError(f"{name} must have shape {shape} for f of shape {f.shape} and g of shape {g.shape}, "
+                             f"got {m.shape}")
     return _one(_run_checks([(_intertwiner, (square, variant))], tol))
 
 

@@ -464,6 +464,7 @@ class TestGroupInverse:
         with pytest.raises(IndexTooLargeError) as exc:
             group_inverse(NILPOTENT)
         assert exc.value.index == 2
+        assert type(exc.value.index) is int  # not a NumPy integer, whose repr reads np.int64(2)
 
     def test_invertible(self):
         rng = np.random.default_rng(9)
@@ -763,10 +764,120 @@ def test_certify_many_keeps_order_across_shapes():
         "GinvReport", "GinvReport", "IndexTooLargeError", "GinvReport", "ValueError"
     ]
     assert [r.index for r in out if isinstance(r, GinvReport)] == [0, 1, 0]
+    assert out[2].index == 2 and type(out[2].index) is int
     np.testing.assert_allclose(out[3].inverse, np.eye(3) / 2)
     with pytest.raises(ValueError, match="unknown inverse kind"):
         certify_many("bogus", mats)
 
+
+def refusing(original, target):
+    """``_core_inverse`` or ``_double_inverse`` that finds the r x r block of the member ``target`` singular.
+
+    For that member v is zeroed, so v^H x u = 0 and the solve fails as it would on a wrong index; every other
+    call is passed through unchanged.
+    """
+    def patched(x, u, v, s):
+        if s is None and x.shape == target.shape and np.allclose(x, target):
+            v = np.zeros_like(v)
+        return original(x, u, v, s)
+
+    return patched
+
+
+class TestOneRefusedMember:
+    """A refusal of one singular member of a stack, after its index is found, ends only that member."""
+
+    rng = np.random.default_rng(21)
+    # invertible, two of index 1 (the second is refused), index 2, zero
+    MATS = [
+        random_complex(rng, 3, 3),
+        core_nilpotent(rng, 2, [1])[0],
+        core_nilpotent(rng, 2, [1])[0],
+        core_nilpotent(rng, 1, [2])[0],
+        np.zeros((3, 3)),
+    ]
+    TARGET = 2
+
+    def assert_only_target_refused(self, kind, refused):
+        target = self.MATS[self.TARGET]
+        with pytest.raises(AxiomResidualError) as single:
+            SINGLE_CALLS[kind](target)
+        assert str(single.value).startswith("Drazin core block is singular")
+        for i, (got, want) in enumerate(zip(refused, self.reference[kind])):
+            if i == self.TARGET:
+                assert (type(got), str(got)) == (AxiomResidualError, str(single.value))
+            elif isinstance(want, GinvReport):
+                assert (got.index, got.residuals) == (want.index, want.residuals)
+                assert np.array_equal(got.inverse, want.inverse)
+            else:
+                assert (type(got), str(got)) == (type(want), str(want))
+
+    @pytest.fixture(autouse=True)
+    def unpatched(self):
+        self.reference = {kind: certify_many(kind, self.MATS) for kind in ("drazin", "group")}
+        assert all(isinstance(r, GinvReport) for r in self.reference["drazin"])
+        assert [type(r).__name__ for r in self.reference["group"]] == [
+            "GinvReport", "GinvReport", "GinvReport", "IndexTooLargeError", "GinvReport"
+        ]
+
+    @pytest.mark.parametrize("kind", ["drazin", "group"])
+    def test_refused_core_block(self, monkeypatch, kind):
+        monkeypatch.setattr(ginv, "_core_inverse", refusing(ginv._core_inverse, self.MATS[self.TARGET]))
+        self.assert_only_target_refused(kind, certify_many(kind, self.MATS))
+
+    def test_refused_double_inverse(self, monkeypatch):
+        target_inverse = self.reference["group"][self.TARGET].inverse
+        monkeypatch.setattr(ginv, "_double_inverse", refusing(ginv._double_inverse, target_inverse))
+        self.assert_only_target_refused("group", certify_many("group", self.MATS))
+
+
+def witness_by_member(residuals, tol):
+    """The per-member reference for :func:`ginv._witness`: the same rule, one member at a time in Python."""
+    atol = tol.residual_atol
+    for k, r in enumerate(residuals):
+        if k == 0:
+            shape, best = np.shape(r), np.ravel(r).tolist()
+            best_k = [0] * len(best)
+        else:
+            for j, x in enumerate(np.ravel(r).tolist()):
+                b = best[j]
+                if not b <= atol and (x <= atol or b != b or x < b):  # b != b: b is nan
+                    best_k[j], best[j] = k, x
+        if all(b <= atol for b in best):
+            break
+    return np.array(best_k).reshape(shape), np.array(best).reshape(shape)
+
+
+# residuals that pass, tie, fail, overflow or are undefined
+RESIDUALS = st.one_of(
+    st.sampled_from([0.0, 1e-9, ATOL, 2e-8, 0.5, 1.0, np.inf, np.nan]),
+    st.floats(0.0, 10.0),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    members=st.one_of(st.none(), st.integers(1, 8)),
+    data=st.data(),
+)
+def test_witness_matches_per_member_rule(members, data):
+    # None: one matrix, whose residuals are NumPy scalars; else a stack of that many members
+    items = data.draw(st.lists(st.lists(RESIDUALS, min_size=members or 1, max_size=members or 1), min_size=1,
+                               max_size=6))
+    items = [np.float64(item[0]) if members is None else np.array(item) for item in items]
+    drawn = {"vectorized": 0, "by_member": 0}
+
+    def counted(name):
+        for item in items:
+            drawn[name] += 1
+            yield item
+
+    k, r = ginv._witness(counted("vectorized"), DEFAULT_TOL)
+    want_k, want_r = witness_by_member(counted("by_member"), DEFAULT_TOL)
+    assert drawn["vectorized"] == drawn["by_member"]
+    assert (k.shape, k.dtype, r.shape, r.dtype) == (want_k.shape, want_k.dtype, want_r.shape, want_r.dtype)
+    np.testing.assert_array_equal(k, want_k)
+    np.testing.assert_array_equal(r, want_r)  # nan matches nan
 
 class TestDegenerateConventions:
     def test_empty_matrix_every_kind(self):

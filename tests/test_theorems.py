@@ -540,6 +540,12 @@ NON_SQUARE = np.ones((2, 3), dtype=complex)
         (thm.check_drazin_preserves_tp_u, (chn.kraus_to_channel([NON_SQUARE]),), "d_in == d_out"),
         (thm.check_double_inverse_gap, (0, 1), "d >= 2"),
         (thm.check_double_inverse_gap, (1, 1), "d >= 2"),
+        (thm.check_intertwiner_propagation, (np.eye(2), np.eye(2), np.ones((3, 2)), "drazin"),
+         r"k must have shape \(2, 2\) for f of shape \(2, 2\) and g of shape \(2, 2\), got \(3, 2\)"),
+        (thm.check_intertwiner_propagation, (NON_SQUARE, NON_SQUARE, np.eye(2), "drazin"),
+         r"f must be square for the drazin variant, got shape \(2, 3\)"),
+        (thm.check_intertwiner_propagation, (NON_SQUARE, NON_SQUARE.T, np.ones((3, 2)), "dagger_drazin"),
+         r"h \(default k\) must have shape \(2, 3\) for f of shape \(2, 3\) and g of shape \(3, 2\), got \(3, 2\)"),
     ],
 )
 def test_public_checks_reject_malformed_input(check, args, match):
