@@ -2,21 +2,30 @@
 
 Four kinds are computed: Moore-Penrose (any shape), Drazin and group
 (square), and dagger-Drazin (any shape, reduces to Moore-Penrose on
-complex matrices). Each comes from one factorization: Moore-Penrose and
-dagger-Drazin from one thin SVD of the input; Drazin and group from a
-deflation: one SVD of A, then SVDs of r x r compressions of A, give the
-index k and bases u_r of range(A^k) and v_r of range((A^k)^H), so that
-``A^D = u_r (v_r^H A u_r)^{-1} v_r^H`` (at index 0, read off the SVD of A);
-no power of A is formed. Every returned inverse is
-self-certifying: the defining-axiom residuals are computed and enforced
-against ``Tolerances.residual_atol``, so a successful return is a
-numerical certificate.
+complex matrices). Each comes from one factorization.
+
+* LU route: a square A whose LU inverse G passes the norm test
+  ``|A|_F |G|_F rank_rtol n <= 1/2`` is full rank as the SVD's rank cutoff
+  would judge it (sigma_max <= |A|_F, sigma_min >= 1/|A^-1|_F, and a
+  factor 2 for rounding). Every kind's inverse of it is G, at index 0.
+* SVD route, for every other input: Moore-Penrose and dagger-Drazin from
+  one thin SVD of the input; Drazin and group from a deflation: one SVD of
+  A, then SVDs of r x r compressions of A, give the index k and bases u_r
+  of range(A^k) and v_r of range((A^k)^H), so that
+  ``A^D = u_r (v_r^H A u_r)^{-1} v_r^H`` (at index 0, read off the SVD of
+  A); no power of A is formed.
+
+Every returned inverse is self-certifying: the defining-axiom residuals are
+computed and enforced against ``Tolerances.residual_atol``, so a successful
+return is a numerical certificate.
 
 The kernels work on stacks (N, m, n) of same-shape matrices, in one straight
-pass: one stacked SVD; the inverses (Moore-Penrose and index-0 Drazin read
-off it for every member at once, each singular member deflated alone, a
-refusal kept as that member's error); then one stacked norm per axiom on the
-members that have an inverse, which gives each member its report or error.
+pass: one stacked LU inverse of a square stack, which routes each member on
+its own test; one stacked SVD of the other members; the inverses
+(Moore-Penrose and index-0 Drazin read off the SVD for every member at once,
+each singular member deflated alone, a refusal kept as that member's error);
+then one stacked norm per axiom on the members that have an inverse, which
+gives each member its report or error.
 :func:`certify_many` validates a list of matrices, then certifies them one
 stack per shape; the four public inverses run them on a stack of one.
 
@@ -29,7 +38,8 @@ Axiom residuals, in the left-to-right composition convention of
 * Drazin, inverse G of square A: D1 ``|G A^(k+1) - A^k|`` minimized over
   k, D2 ``|GAG - G|``, D3 ``|AG - GA|``.
 * Group: G1 ``|AGA - A|``, G2 ``|GAG - G|``, G3 ``|AG - GA|``, and
-  ``|(G^#)^# - A|`` in closed form on A's rank decision (no SVD of G).
+  ``|(G^#)^# - A|`` in closed form on A's rank decision (no SVD of G; on the
+  LU route, G^-1 from a second LU).
 * Dagger-Drazin, inverse G of F with gram matrices P = F^H F and
   Q = F F^H: Dd1 ``max(|G F P^k - P^k|, |Q^k F G - Q^k|)`` minimized over
   k, Dd2 ``|GFG - G|``, Dd3 ``|GF - (GF)^H|``, Dd4 ``|FG - (FG)^H|``.
@@ -264,14 +274,70 @@ def _certify_all(kind: str, mats, tol: Tolerances) -> list:
 def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     """GinvReport or GinvError for each member of the validated stack ``a`` (N, m, n), square for Drazin/group.
 
-    One stacked SVD serves the whole stack. Moore-Penrose and dagger-Drazin inverses, and the Drazin and group
-    inverses of index-0 members, are read off it for every member at once; the singular members continue one at
-    a time through the r x r blocks of :func:`_core`, and a refusal there is kept as that member's error. The
-    residuals of the other members are evaluated once, on their stack, by :func:`_reports`.
+    Each member is routed alone, whatever its neighbours: one that :func:`_lu_route` proves full rank is certified
+    from its LU inverse by :func:`_by_lu`, every other one by :func:`_by_svd`.
+    """
+    g, lu = _lu_route(a, tol)
+    if lu.all():
+        return _by_lu(kind, a, g, tol)
+    if not lu.any():
+        return _by_svd(kind, a, tol)
+    out = dict(zip(np.flatnonzero(lu).tolist(), _by_lu(kind, a[lu], g[lu], tol)))
+    out.update(zip(np.flatnonzero(~lu).tolist(), _by_svd(kind, a[~lu], tol)))
+    return [out[i] for i in range(len(a))]
+
+
+def _lu_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of each member of the stack ``m`` by LU, nan for a member LAPACK finds exactly singular.
+
+    One such member makes the stacked call raise, so the members are then inverted one at a time. No NumPy
+    warning escapes.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        if len(m) == 1:
+            return np.full_like(m, np.nan)
+        return np.concatenate([_lu_inverse(m[i:i + 1]) for i in range(len(m))])
+
+
+def _lu_route(a: np.ndarray, tol: Tolerances):
+    """(G, lu): LU inverses G of the stack ``a`` and the mask of the members they prove full rank.
+
+    A member qualifies when it is square and not empty and ``|A|_F |G|_F rank_rtol n <= 1/2``. As
+    sigma_max <= |A|_F and sigma_min >= 1/|A^-1|_F, the test gives sigma_min >= 2 rank_rtol n sigma_max: every
+    singular value clears the cutoff of ``_numerical_rank``, with a factor 2 for the rounding in G and in the
+    singular values, so the index is 0 as the SVD would find it. A non-finite A or G, an exactly singular A
+    (G is nan) and an A whose squared norm overflows make the product inf or nan, which fails the test.
+    """
+    n = a.shape[-1]
+    if a.shape[-2] != n or not n:
+        return None, np.zeros(len(a), dtype=bool)
+    g = _lu_inverse(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return g, _norm(a) * _norm(g) * (tol.rank_rtol * n) <= 0.5
+
+
+def _by_lu(kind: str, a: np.ndarray, g: np.ndarray, tol: Tolerances) -> list:
+    """:func:`_certify` on full-rank members: their LU inverse ``g`` is every kind's inverse, at index 0."""
+    out = _reports(kind, a, g, {} if kind in _SQUARE_KINDS else None, {}, tol)
+    if kind == "group":
+        _gate_double_inverse(out, a, _double_inverse(g, None, None, None), tol)
+    return out
+
+
+def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
+    """:func:`_certify` by one stacked SVD, for the members the LU route did not take.
+
+    Moore-Penrose and dagger-Drazin inverses, and the Drazin and group inverses of index-0 members, are read off
+    the SVD for every member at once; the singular members continue one at a time through the r x r blocks of
+    :func:`_core`, and a refusal there is kept as that member's error. The residuals of the other members are
+    evaluated once, on their stack, by :func:`_reports`.
     """
     factors = _attempt(AxiomResidualError, _svd, a, tol)
     if isinstance(factors, AxiomResidualError):  # some member overflowed: factor each member alone
-        return [factors] if len(a) == 1 else [res for m in a for res in _certify(kind, m[None], tol)]
+        return [factors] if len(a) == 1 else [res for m in a for res in _by_svd(kind, m[None], tol)]
     u, s, vh, r = factors
     if kind in ("moore_penrose", "dagger_drazin"):
         return _reports(kind, a, _pinv(u, s, vh, r), None, {}, tol)
@@ -303,12 +369,17 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
                     out[i] = member
                 else:
                     double[i] = member
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = _norm(double - a)
-        for i, gap in enumerate(gaps):
-            if isinstance(out[i], GinvReport) and not (gap <= tol.residual_atol):
-                out[i] = AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
+        _gate_double_inverse(out, a, double, tol)
     return out
+
+
+def _gate_double_inverse(out: list, a: np.ndarray, double: np.ndarray, tol: Tolerances) -> None:
+    """Replace in ``out`` each group report whose double-inverse residual |(G^#)^# - a| fails the gate by its error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = _norm(double - a)
+    for i, gap in enumerate(gaps):
+        if isinstance(out[i], GinvReport) and not (gap <= tol.residual_atol):
+            out[i] = AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
 
 
 def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, failed: dict, tol: Tolerances) -> list:
@@ -326,7 +397,7 @@ def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, fail
             member = {label: float(res[j]) for label, res in residuals.items()}
             out[i] = _attempt(AxiomResidualError, _enforce, kind, member, tol) or GinvReport(
                 kind=kind,
-                inverse=inv[i],
+                inverse=inv[i].copy(),  # a view would keep the whole stack alive
                 residuals=member,
                 index=None if index is None else index.get(i, 0),
                 # the D1 exponent is the index, reported as such
@@ -336,7 +407,7 @@ def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, fail
 
 
 def mp_inverse(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
-    """Moore-Penrose inverse via SVD, certified against MP1-MP4."""
+    """Moore-Penrose inverse via SVD (the LU inverse on the LU route of a square ``m``), certified against MP1-MP4."""
     return _one(_certify("moore_penrose", as_cmatrix(m)[None], tol))
 
 
@@ -384,12 +455,15 @@ def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | N
         raise AxiomResidualError(f"Drazin core block is singular: {exc}") from exc
 
 
-def _double_inverse(inv: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+def _double_inverse(inv: np.ndarray, u, v, s: np.ndarray | None) -> np.ndarray:
     """(G^#)^# of G = ``inv`` from :func:`_core_inverse`, on the bases u, v of the deflation of a.
 
     G has range(u) and row space range(v), so (G^#)^# = u (v^H G u)^{-1} v^H: one r x r solve, no SVD of G,
-    and a's rank decision stands. At index 0 it is a's SVD v diag(s) u^H, also for stacks.
+    and a's rank decision stands. At index 0 it is a's SVD v diag(s) u^H, also for stacks. Without bases (u is
+    None: G from the LU route, a stack) it is G^-1 from a second LU, nan where LAPACK finds G singular.
     """
+    if u is None:
+        return _lu_inverse(inv)
     return v @ (s[..., None] * dagger(u)) if s is not None else _core_inverse(inv, u, v, None)
 
 
@@ -399,7 +473,9 @@ def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     Jordan-form routes are numerically unstable; this one needs the
     deflation's SVDs (one n x n, the rest r x r) and one r x r solve, and is
     certified by the D1-D3 residuals. For invertible input (index 0) it
-    returns the ordinary inverse, read off the SVD of the input.
+    returns the ordinary inverse: the LU inverse G when the norm test
+    ``|a|_F |G|_F rank_rtol n <= 1/2`` proves a full rank without an SVD,
+    else read off the SVD of the input.
     """
     return _one(_certify("drazin", _as_square(a, "Drazin inverse")[None], tol))
 
@@ -410,8 +486,11 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     Raises IndexTooLargeError, before forming any inverse, when the Drazin
     index exceeds 1. The result is certified against G1-G3 and the
     double-inverse law |(G^#)^# - a|, with (G^#)^# = u (v^H G u)^{-1} v^H on
-    the bases u, v of the deflation of a that gave G (a's SVD at index 0): no
-    SVD of G, so the check reuses a's rank decision instead of deciding G's.
+    the bases u, v of the deflation of a that gave G: no SVD of G, so the
+    check reuses a's rank decision instead of deciding G's. At index 0,
+    (G^#)^# = G^-1: from a second LU when G is a's LU inverse (the norm test
+    of :func:`drazin_inverse` proved a full rank), else a's SVD multiplied
+    back.
     """
     return _one(_certify("group", _as_square(a, "group inverse")[None], tol))
 
@@ -422,7 +501,8 @@ def dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     On complex matrices it equals the Moore-Penrose inverse: the gram
     matrix F^H F is Hermitian, so its index is at most 1 and
     (F^H F)^D F^H = (F^H F)^+ F^H = F^+. It is therefore computed from one
-    thin SVD of F, without forming a gram matrix, and certified against
-    Dd1-Dd4; the reported ``witness_k`` realizes Dd1.
+    thin SVD of F (the LU inverse on the LU route of a square F), without
+    forming a gram matrix, and certified against Dd1-Dd4; the reported
+    ``witness_k`` realizes Dd1.
     """
     return _one(_certify("dagger_drazin", as_cmatrix(f)[None], tol))

@@ -20,7 +20,9 @@ class Tolerances:
     """Numerical policy threaded through every inexact decision.
 
     rank_rtol is relative to the largest singular value (the rank cutoff
-    of ``_numerical_rank``, the one helper every rank decision calls),
+    of ``_numerical_rank``, the one helper every rank decision calls; the
+    LU route of :mod:`chaninv.ginv` concludes "full rank" without an SVD
+    only where a norm bound proves that ``_numerical_rank`` would),
     residual_atol is an absolute Frobenius-norm tolerance for equality and
     axiom checks, and psd_atol is the eigenvalue floor used when deciding
     positive semidefiniteness.

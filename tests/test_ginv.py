@@ -70,16 +70,24 @@ def power_route_core(a, tol=DEFAULT_TOL):
     return k, u @ np.linalg.solve(dagger(v) @ a @ u, dagger(v))
 
 
+def lu_route_inverse(a, tol=DEFAULT_TOL):
+    """a's LU inverse if the LU route of :func:`ginv._certify` takes a, else None."""
+    g, lu = ginv._lu_route(a[None], tol)
+    return g[0] if lu[0] else None
+
+
 def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
     """(report, gap): the group certificate by the route the closed form replaced.
 
     G and G1-G3 as :func:`group_inverse` forms them; the double-inverse residual
     from a second certified Drazin inverse, of G, which decides G's rank anew.
     """
-    k, u, v, s = _core(a, tol)
-    if k > 1:
-        raise IndexTooLargeError(k)
-    inv = _core_inverse(a, u, v, s)
+    k, inv = 0, lu_route_inverse(a, tol)
+    if inv is None:
+        k, u, v, s = _core(a, tol)
+        if k > 1:
+            raise IndexTooLargeError(k)
+        inv = _core_inverse(a, u, v, s)
     residuals, _ = _residuals("group", a, inv, tol)
     _enforce("group", residuals, tol)
     report = GinvReport(kind="group", inverse=inv, residuals=residuals, index=k)
@@ -88,6 +96,9 @@ def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
 
 def closed_form_gap(a, tol=DEFAULT_TOL):
     """The double-inverse residual |(G^#)^# - a| as :func:`group_inverse` computes it."""
+    g = lu_route_inverse(a, tol)
+    if g is not None:
+        return fro_dist(_double_inverse(g[None], None, None, None)[0], a)
     _, u, v, s = _core(a, tol)
     return fro_dist(_double_inverse(_core_inverse(a, u, v, s), u, v, s), a)
 
@@ -489,7 +500,9 @@ class TestDoubleInverseClosedForm:
     @pytest.mark.parametrize("a", [np.diag([1.0, 2.0]), np.diag([1.0, 0.0])], ids=["index0", "index1"])
     @pytest.mark.parametrize("corruption", [1e-6, np.nan])
     def test_gate_refuses_a_wrong_double_inverse(self, monkeypatch, a, corruption):
-        # G1-G3 pass on these inputs, so only the double-inverse gate can refuse them
+        # G1-G3 pass on these inputs, so only the double-inverse gate can refuse them; the invertible one
+        # takes the LU route, the singular one the SVD route
+        assert (lu_route_inverse(a.astype(complex)) is not None) == (a[1, 1] != 0)
         closed_form = ginv._double_inverse
         monkeypatch.setattr(ginv, "_double_inverse", lambda *args: closed_form(*args) + corruption)
         with pytest.raises(AxiomResidualError, match="group inverse double-inverse law violated: residual"):
@@ -768,6 +781,84 @@ def test_certify_many_keeps_order_across_shapes():
     np.testing.assert_allclose(out[3].inverse, np.eye(3) / 2)
     with pytest.raises(ValueError, match="unknown inverse kind"):
         certify_many("bogus", mats)
+
+
+def counting_svd(calls):
+    """``np.linalg.svd`` that appends one item to ``calls`` per call."""
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    return counted
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 8), j=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+def test_lu_route_certifies_without_svd(n, j, seed):
+    # T C T^-1 with C and T of singular values in [0.5, 2]: condition number at most 64, at scale 2^j
+    a = 2.0**j * core_nilpotent(np.random.default_rng(seed), n, [])[0]
+    assert lu_route_inverse(a) is not None
+    pinv = np.linalg.pinv(a)
+    for kind, fn in SINGLE_CALLS.items():
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counting_svd(calls))
+            try:
+                res = fn(a)
+            except AxiomResidualError as exc:
+                res = exc
+        assert calls == []
+        if isinstance(res, AxiomResidualError):
+            # the gate is absolute, so far from scale 1 it may refuse; the SVD route refuses there too
+            assert isinstance(ginv._by_svd(kind, a[None].astype(complex), DEFAULT_TOL)[0], AxiomResidualError)
+            continue
+        assert res.index == (0 if kind in ("drazin", "group") else None)
+        assert res.witness_k == (0 if kind == "dagger_drazin" else None)
+        assert fro_dist(res.inverse, pinv) <= 1e-10 * np.linalg.norm(pinv)
+
+
+class TestLuRoute:
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_full_rank_by_svd_but_not_by_norm_test(self, monkeypatch, kind):
+        # at n = 2 the SVD counts 3e-10 above its cutoff 2e-10, but |A| |G| rank_rtol n = 0.67 > 1/2: the
+        # member keeps the SVD route and its report from before the LU route
+        a = np.diag([1.0, 3e-10])
+        assert lu_route_inverse(a.astype(complex)) is None
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        res = SINGLE_CALLS[kind](a)
+        assert calls
+        assert res.index == (0 if kind in ("drazin", "group") else None)
+        assert res.witness_k == (0 if kind == "dagger_drazin" else None)
+        assert np.array_equal(res.inverse, np.diag([1.0, 1 / 3e-10]))
+        assert set(res.residuals.values()) == {0.0}
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_mixed_stack_matches_single_calls(self, kind):
+        # the zero member makes the stacked LU raise; the members are then inverted one at a time
+        rng = np.random.default_rng(31)
+        mats = [random_complex(rng, 3, 3), np.zeros((3, 3)), np.eye(3, k=1), random_complex(rng, 3, 3)]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.array(mats))
+        for m, got in zip(mats, certify_many(kind, mats)):
+            try:
+                want = SINGLE_CALLS[kind](m)
+            except GinvError as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                continue
+            assert (got.index, got.witness_k, got.residuals) == (want.index, want.witness_k, want.residuals)
+            assert np.array_equal(got.inverse, want.inverse)
+
+    @pytest.mark.parametrize(
+        "kind, family",
+        [("drazin", "invertible"), ("group", "invertible"), ("drazin", "singular"), ("moore_penrose", "rectangular")],
+    )
+    def test_each_report_owns_its_inverse(self, kind, family):
+        # a view into the stack's array would keep all 32 inverses alive for one report
+        out = certify_many(kind, [family_member(family, 16, seed) for seed in range(32)])
+        assert all(isinstance(r, GinvReport) and r.inverse.base is None for r in out)
 
 
 def refusing(original, target):
