@@ -290,8 +290,9 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
 def _lu_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of each member of the stack ``m`` by LU, nan for a member LAPACK finds exactly singular.
 
-    One such member makes the stacked call raise, so the members are then inverted one at a time. No NumPy
-    warning escapes.
+    One such member makes the stacked call raise. The members whose LU determinant is not zero are then inverted
+    as one stack again, or one at a time should the two factorizations disagree. Each member's inverse is the
+    one its own call gives. No NumPy warning escapes.
     """
     try:
         with np.errstate(all="ignore"):
@@ -299,7 +300,13 @@ def _lu_inverse(m: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         if len(m) == 1:
             return np.full_like(m, np.nan)
+    with np.errstate(all="ignore"):
+        regular = np.linalg.slogdet(m)[0] != 0
+    if regular.all():
         return np.concatenate([_lu_inverse(m[i:i + 1]) for i in range(len(m))])
+    g = np.full_like(m, np.nan)
+    g[regular] = _lu_inverse(m[regular])
+    return g
 
 
 def _lu_route(a: np.ndarray, tol: Tolerances):

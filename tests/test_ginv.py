@@ -851,6 +851,22 @@ class TestLuRoute:
             assert (got.index, got.witness_k, got.residuals) == (want.index, want.witness_k, want.residuals)
             assert np.array_equal(got.inverse, want.inverse)
 
+    @pytest.mark.parametrize("factorizations_agree", [True, False])
+    def test_lu_inverse_of_a_stack_with_singular_members(self, monkeypatch, factorizations_agree):
+        # each member gets its own call's inverse, nan where that call finds it exactly singular; should the
+        # determinant's LU find no member singular, the members are inverted one at a time
+        rng = np.random.default_rng(32)
+        m = np.array([random_complex(rng, 3, 3), np.zeros((3, 3)), np.eye(3, k=1), random_complex(rng, 3, 3)])
+        if not factorizations_agree:
+            monkeypatch.setattr(np.linalg, "slogdet", lambda x: (np.ones(len(x)), np.zeros(len(x))))
+        g = ginv._lu_inverse(m)
+        for x, got in zip(m, g):
+            try:
+                want = np.linalg.inv(x)
+            except np.linalg.LinAlgError:
+                want = np.full_like(x, np.nan)
+            assert np.array_equal(got, want, equal_nan=True)
+
     @pytest.mark.parametrize(
         "kind, family",
         [("drazin", "invertible"), ("group", "invertible"), ("drazin", "singular"), ("moore_penrose", "rectangular")],
