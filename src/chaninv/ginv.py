@@ -462,7 +462,7 @@ def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | N
         raise AxiomResidualError(f"Drazin core block is singular: {exc}") from exc
 
 
-def _double_inverse(inv: np.ndarray, u, v, s: np.ndarray | None) -> np.ndarray:
+def _double_inverse(inv: np.ndarray, u: np.ndarray | None, v: np.ndarray | None, s: np.ndarray | None) -> np.ndarray:
     """(G^#)^# of G = ``inv`` from :func:`_core_inverse`, on the bases u, v of the deflation of a.
 
     G has range(u) and row space range(v), so (G^#)^# = u (v^H G u)^{-1} v^H: one r x r solve, no SVD of G,
