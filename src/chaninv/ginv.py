@@ -5,9 +5,10 @@ Four kinds are computed: Moore-Penrose (any shape), Drazin and group
 complex matrices). Each comes from one factorization.
 
 * LU route: a square A whose LU inverse G passes the norm test
-  ``|A|_F |G|_F rank_rtol n <= 1/2`` is full rank as the SVD's rank cutoff
-  would judge it (sigma_max <= |A|_F, sigma_min >= 1/|A^-1|_F, and a
-  factor 2 for rounding). Every kind's inverse of it is G, at index 0.
+  ``|A|_F |G|_F n (rank_rtol + 4 eps) <= 1/2`` is full rank as the SVD's
+  rank cutoff would judge it (sigma_max <= |A|_F, sigma_min >= 1/|A^-1|_F,
+  and a factor 2 for rounding, which the eps term keeps small by capping
+  cond(A) at 1/(8 n eps)). Every kind's inverse of it is G, at index 0.
 * SVD route, for every other input: Moore-Penrose and dagger-Drazin from
   one thin SVD of the input; Drazin and group from a deflation: one SVD of
   A, then SVDs of r x r compressions of A, give the index k and bases u_r
@@ -45,6 +46,7 @@ Axiom residuals, in the left-to-right composition convention of
   k, Dd2 ``|GFG - G|``, Dd3 ``|GF - (GF)^H|``, Dd4 ``|FG - (FG)^H|``.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
@@ -290,40 +292,38 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
 def _lu_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of each member of the stack ``m`` by LU, nan for a member LAPACK finds exactly singular.
 
-    One such member makes the stacked call raise. The members whose LU determinant is not zero are then inverted
-    as one stack again, or one at a time should the two factorizations disagree. Each member's inverse is the
-    one its own call gives. No NumPy warning escapes.
+    One such member makes the stacked call raise; the members are then inverted one at a time, so each gets the
+    inverse its own call gives. No NumPy warning escapes.
     """
-    try:
-        with np.errstate(all="ignore"):
-            return np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        if len(m) == 1:
-            return np.full_like(m, np.nan)
     with np.errstate(all="ignore"):
-        regular = np.linalg.slogdet(m)[0] != 0
-    if regular.all():
-        return np.concatenate([_lu_inverse(m[i:i + 1]) for i in range(len(m))])
-    g = np.full_like(m, np.nan)
-    g[regular] = _lu_inverse(m[regular])
-    return g
+        try:
+            return np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            g = np.full_like(m, np.nan)
+            if len(m) > 1:  # a stack of one holds only the member that raised
+                for i, x in enumerate(m):
+                    with suppress(np.linalg.LinAlgError):
+                        g[i] = np.linalg.inv(x)
+            return g
 
 
 def _lu_route(a: np.ndarray, tol: Tolerances):
     """(G, lu): LU inverses G of the stack ``a`` and the mask of the members they prove full rank.
 
-    A member qualifies when it is square and not empty and ``|A|_F |G|_F rank_rtol n <= 1/2``. As
-    sigma_max <= |A|_F and sigma_min >= 1/|A^-1|_F, the test gives sigma_min >= 2 rank_rtol n sigma_max: every
-    singular value clears the cutoff of ``_numerical_rank``, with a factor 2 for the rounding in G and in the
-    singular values, so the index is 0 as the SVD would find it. A non-finite A or G, an exactly singular A
-    (G is nan) and an A whose squared norm overflows make the product inf or nan, which fails the test.
+    A member qualifies when it is square and not empty and ``|A|_F |G|_F n (rank_rtol + 4 eps) <= 1/2``. As
+    sigma_max <= |A|_F and sigma_min >= 1/|A^-1|_F, the test gives sigma_min >= 2 n (rank_rtol + 4 eps) sigma_max:
+    every singular value clears the cutoff of ``_numerical_rank``, so the index is 0 as the SVD would find it. The
+    factor 2 covers the rounding in G and in the singular values, which stays small next to 1 because the eps term
+    caps cond_F(A) at 1/(8 n eps) whatever rank_rtol is (the relative error of G is about n eps cond(A)). A
+    non-finite A or G, an exactly singular A (G is nan) and an A whose squared norm overflows make the product inf
+    or nan, which fails the test.
     """
     n = a.shape[-1]
     if a.shape[-2] != n or not n:
         return None, np.zeros(len(a), dtype=bool)
     g = _lu_inverse(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        return g, _norm(a) * _norm(g) * (tol.rank_rtol * n) <= 0.5
+        return g, _norm(a) * _norm(g) * (n * (tol.rank_rtol + 4 * np.finfo(float).eps)) <= 0.5
 
 
 def _by_lu(kind: str, a: np.ndarray, g: np.ndarray, tol: Tolerances) -> list:
@@ -481,8 +481,8 @@ def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     deflation's SVDs (one n x n, the rest r x r) and one r x r solve, and is
     certified by the D1-D3 residuals. For invertible input (index 0) it
     returns the ordinary inverse: the LU inverse G when the norm test
-    ``|a|_F |G|_F rank_rtol n <= 1/2`` proves a full rank without an SVD,
-    else read off the SVD of the input.
+    ``|a|_F |G|_F n (rank_rtol + 4 eps) <= 1/2`` proves a full rank without
+    an SVD, else read off the SVD of the input.
     """
     return _one(_certify("drazin", _as_square(a, "Drazin inverse")[None], tol))
 

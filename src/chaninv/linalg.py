@@ -19,10 +19,11 @@ DEFAULT_PSD_ATOL = 1e-8
 class Tolerances:
     """Numerical policy threaded through every inexact decision.
 
-    rank_rtol is relative to the largest singular value (the rank cutoff
-    of ``_numerical_rank``, the one helper every rank decision calls; the
+    rank_rtol is relative to the largest singular value: the rank cutoff
+    of ``_numerical_rank``, the one helper every rank decision calls. The
     LU route of :mod:`chaninv.ginv` concludes "full rank" without an SVD
-    only where a norm bound proves that ``_numerical_rank`` would),
+    only where a norm bound proves that ``_numerical_rank`` would; for a
+    rank_rtol near machine eps that bound also needs cond(A) <= 1/(8 n eps).
     residual_atol is an absolute Frobenius-norm tolerance for equality and
     axiom checks, and psd_atol is the eigenvalue floor used when deciding
     positive semidefiniteness.

@@ -822,7 +822,7 @@ def test_lu_route_certifies_without_svd(n, j, seed):
 class TestLuRoute:
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_full_rank_by_svd_but_not_by_norm_test(self, monkeypatch, kind):
-        # at n = 2 the SVD counts 3e-10 above its cutoff 2e-10, but |A| |G| rank_rtol n = 0.67 > 1/2: the
+        # at n = 2 the SVD counts 3e-10 above its cutoff 2e-10, but |A| |G| n (rank_rtol + 4 eps) = 0.67 > 1/2: the
         # member keeps the SVD route and its report from before the LU route
         a = np.diag([1.0, 3e-10])
         assert lu_route_inverse(a.astype(complex)) is None
@@ -836,8 +836,24 @@ class TestLuRoute:
         assert set(res.residuals.values()) == {0.0}
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_tiny_rank_rtol_needs_the_eps_term(self, monkeypatch, kind):
+        # with rank_rtol = 1e-18 at n = 2, rank_rtol alone gives |A| |G| n rank_rtol = 2e-3 <= 1/2 at cond 1e15,
+        # where G need not be accurate to a factor 2; the eps term gives 1.8 > 1/2, so the SVD route decides
+        tol = Tolerances(rank_rtol=1e-18)
+        a = np.diag([1.0, 1e-15])
+        assert np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) * 2 * tol.rank_rtol <= 0.5
+        assert lu_route_inverse(a.astype(complex), tol) is None
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        res = SINGLE_CALLS[kind](a, tol)
+        assert calls
+        assert res.index == (0 if kind in ("drazin", "group") else None)
+        assert res.witness_k == (0 if kind == "dagger_drazin" else None)
+        assert np.array_equal(res.inverse, np.diag([1.0, 1 / 1e-15]))
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_mixed_stack_matches_single_calls(self, kind):
-        # the zero member makes the stacked LU raise; the members are then inverted one at a time
+        # the zero and nilpotent members make the stacked LU raise; the members are then inverted one at a time
         rng = np.random.default_rng(31)
         mats = [random_complex(rng, 3, 3), np.zeros((3, 3)), np.eye(3, k=1), random_complex(rng, 3, 3)]
         with pytest.raises(np.linalg.LinAlgError):
@@ -851,14 +867,10 @@ class TestLuRoute:
             assert (got.index, got.witness_k, got.residuals) == (want.index, want.witness_k, want.residuals)
             assert np.array_equal(got.inverse, want.inverse)
 
-    @pytest.mark.parametrize("factorizations_agree", [True, False])
-    def test_lu_inverse_of_a_stack_with_singular_members(self, monkeypatch, factorizations_agree):
-        # each member gets its own call's inverse, nan where that call finds it exactly singular; should the
-        # determinant's LU find no member singular, the members are inverted one at a time
+    def test_lu_inverse_of_a_stack_with_singular_members(self):
+        # each member gets its own call's inverse, nan where that call finds it exactly singular
         rng = np.random.default_rng(32)
         m = np.array([random_complex(rng, 3, 3), np.zeros((3, 3)), np.eye(3, k=1), random_complex(rng, 3, 3)])
-        if not factorizations_agree:
-            monkeypatch.setattr(np.linalg, "slogdet", lambda x: (np.ones(len(x)), np.zeros(len(x))))
         g = ginv._lu_inverse(m)
         for x, got in zip(m, g):
             try:
