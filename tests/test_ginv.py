@@ -821,27 +821,15 @@ def test_lu_route_certifies_without_svd(n, j, seed):
 
 class TestLuRoute:
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
-    def test_full_rank_by_svd_but_not_by_norm_test(self, monkeypatch, kind):
-        # at n = 2 the SVD counts 3e-10 above its cutoff 2e-10, but |A| |G| n (rank_rtol + 4 eps) = 0.67 > 1/2: the
+    @pytest.mark.parametrize(
+        "small, tol", [(3e-10, DEFAULT_TOL), (1e-15, Tolerances(rank_rtol=1e-18))], ids=["default", "rtol_below_eps"]
+    )
+    def test_full_rank_by_svd_but_not_by_norm_test(self, monkeypatch, kind, small, tol):
+        # a = diag(1, small) at n = 2. At the default rank_rtol the SVD counts 3e-10 above its cutoff 2e-10, but
+        # |A| |G| n (rank_rtol + 4 eps) = 0.67 > 1/2. At rank_rtol = 1e-18 and cond 1e15, rank_rtol alone would give
+        # 2e-3 <= 1/2 where G need not be accurate to a factor 2; the eps term gives 1.8 > 1/2. Either way the
         # member keeps the SVD route and its report from before the LU route
-        a = np.diag([1.0, 3e-10])
-        assert lu_route_inverse(a.astype(complex)) is None
-        calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
-        res = SINGLE_CALLS[kind](a)
-        assert calls
-        assert res.index == (0 if kind in ("drazin", "group") else None)
-        assert res.witness_k == (0 if kind == "dagger_drazin" else None)
-        assert np.array_equal(res.inverse, np.diag([1.0, 1 / 3e-10]))
-        assert set(res.residuals.values()) == {0.0}
-
-    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
-    def test_tiny_rank_rtol_needs_the_eps_term(self, monkeypatch, kind):
-        # with rank_rtol = 1e-18 at n = 2, rank_rtol alone gives |A| |G| n rank_rtol = 2e-3 <= 1/2 at cond 1e15,
-        # where G need not be accurate to a factor 2; the eps term gives 1.8 > 1/2, so the SVD route decides
-        tol = Tolerances(rank_rtol=1e-18)
-        a = np.diag([1.0, 1e-15])
-        assert np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) * 2 * tol.rank_rtol <= 0.5
+        a = np.diag([1.0, small])
         assert lu_route_inverse(a.astype(complex), tol) is None
         calls = []
         monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
@@ -849,7 +837,8 @@ class TestLuRoute:
         assert calls
         assert res.index == (0 if kind in ("drazin", "group") else None)
         assert res.witness_k == (0 if kind == "dagger_drazin" else None)
-        assert np.array_equal(res.inverse, np.diag([1.0, 1 / 1e-15]))
+        assert np.array_equal(res.inverse, np.diag([1.0, 1 / small]))
+        assert set(res.residuals.values()) == {0.0}
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_mixed_stack_matches_single_calls(self, kind):
