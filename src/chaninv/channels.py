@@ -247,15 +247,18 @@ def is_unital(ch: Channel, tol: Tolerances = DEFAULT_TOL):
 def _tp_unital_residuals(supers: np.ndarray):
     """(tp, unital): the residuals of :func:`is_tp` and :func:`is_unital` for each superoperator of a stack.
 
-    ``supers`` has shape (N, d_out^2, d_in^2); each result is an array of N residuals, one product each.
+    ``supers`` has shape (N, d_out^2, d_in^2); each result is an array of N residuals. vec(I) is 1 at every
+    (d+1)-th entry and 0 elsewhere, so ``vec(I_out)^H S`` and ``S vec(I_in)`` are sums over those rows and columns.
+    The TP residual is the norm of ``vec(I_out)^H S - vec(I_in)^H``, which equals that of its conjugate.
     """
-    n_out, n_in = supers.shape[-2:]
-    e_out = np.eye(math.isqrt(n_out)).ravel()
-    e_in = np.eye(math.isqrt(n_in)).ravel()
+    step_out, step_in = (math.isqrt(n) + 1 for n in supers.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):
-        tp = np.linalg.norm((e_out @ supers).conj() - e_in, axis=-1)
-        unital = np.linalg.norm(supers @ e_in - e_out, axis=-1)
-    return tp, unital
+        tp = supers[..., ::step_out, :].sum(axis=-2)
+        unital = supers[..., ::step_in].sum(axis=-1)
+        tp[..., ::step_in] -= 1
+        unital[..., ::step_out] -= 1
+        # np.linalg.norm's formula for vectors, without its dispatch
+        return tuple(np.sqrt(np.add.reduce((r.conj() * r).real, axis=-1)) for r in (tp, unital))
 
 
 def property_report(ch: Channel, tol: Tolerances = DEFAULT_TOL) -> PropertyReport:

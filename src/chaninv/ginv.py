@@ -8,7 +8,8 @@ complex matrices). Each comes from one factorization.
   ``|A|_F |G|_F n (rank_rtol + 4 eps) <= 1/2`` is full rank as the SVD's
   rank cutoff would judge it (sigma_max <= |A|_F, sigma_min >= 1/|A^-1|_F,
   and a factor 2 for rounding, which the eps term keeps small by capping
-  cond(A) at 1/(8 n eps)). Every kind's inverse of it is G, at index 0.
+  cond(A) at 1/(8 n eps)). Every kind's inverse of it is G, at index 0,
+  certified from E = GA - I and E' = AG - I (see below).
 * SVD route, for every other input: Moore-Penrose and dagger-Drazin from
   one thin SVD of the input; Drazin and group from a deflation: one SVD of
   A, then SVDs of r x r compressions of A, give the index k and bases u_r
@@ -39,13 +40,25 @@ Axiom residuals, in the left-to-right composition convention of
 * Drazin, inverse G of square A: D1 ``|G A^(k+1) - A^k|`` minimized over
   k, D2 ``|GAG - G|``, D3 ``|AG - GA|``.
 * Group: G1 ``|AGA - A|``, G2 ``|GAG - G|``, G3 ``|AG - GA|``, and
-  ``|(G^#)^# - A|`` in closed form on A's rank decision (no SVD of G; on the
-  LU route, G^-1 from a second LU).
+  ``|(G^#)^# - A|`` in closed form on A's rank decision (no SVD of G).
 * Dagger-Drazin, inverse G of F with gram matrices P = F^H F and
   Q = F F^H: Dd1 ``max(|G F P^k - P^k|, |Q^k F G - Q^k|)`` minimized over
   k, Dd2 ``|GFG - G|``, Dd3 ``|GF - (GF)^H|``, Dd4 ``|FG - (FG)^H|``.
+
+On the LU route these come from two products per member, E = GA - I and
+E' = AG - I (:func:`_lu_values`). MP3, MP4, D1, D3, G3, Dd1, Dd3 and Dd4 are
+exact identities in E and E'. MP1 = G1, MP2 = D2 = G2 = Dd2 and the group law
+``|G^-1 - A|`` are bounded by |A| m, |G| m and |A| m / (1 - m), with
+m = min(|E|, |E'|), and each bound is reported under its axiom's label; G^-1
+is not formed. The gate is absolute, so far from unit scale a bound can fail
+where the dense residual passes: a member whose values from E and E' do not
+all pass is judged by the dense residuals above and, for the group kind, G^-1
+from a second LU, which gives it the dense gate's verdict. Every LU-route
+report carries ``forward_error_bound``, a bound on ``|G - A^-1|_F`` that also
+counts the rounding of the two products; SVD-route reports carry None.
 """
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
@@ -57,6 +70,8 @@ import numpy as np
 from .linalg import (  # noqa: F401
     DEFAULT_TOL, Tolerances, _attempt, _numerical_rank, _one, as_cmatrix, dagger, svd,
 )
+
+_EPS = np.finfo(float).eps
 
 KIND_AXIOMS = {
     "moore_penrose": ("MP1", "MP2", "MP3", "MP4"),
@@ -92,6 +107,10 @@ class GinvReport:
 
     ``index`` is the Drazin index for the drazin and group kinds;
     ``witness_k`` is the exponent realizing the Dd1 axiom for dagger_drazin.
+    ``forward_error_bound`` bounds ``|inverse - a^-1|_F`` on the LU route:
+    ``|G|_F m / (1 - m)``, with m = min(|GA - I|_F, |AG - I|_F) plus the
+    rounding of those two products, and inf for m >= 1. It is None on the
+    SVD route.
     """
 
     kind: str
@@ -99,6 +118,7 @@ class GinvReport:
     residuals: dict
     index: int | None = None
     witness_k: int | None = None
+    forward_error_bound: float | None = None
 
 
 def _svd(m: np.ndarray, tol: Tolerances, shape: tuple | None = None, top: float | None = None):
@@ -279,12 +299,12 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     Each member is routed alone, whatever its neighbours: one that :func:`_lu_route` proves full rank is certified
     from its LU inverse by :func:`_by_lu`, every other one by :func:`_by_svd`.
     """
-    g, lu = _lu_route(a, tol)
+    g, lu, norms = _lu_route(a, tol)
     if lu.all():
-        return _by_lu(kind, a, g, tol)
+        return _by_lu(kind, a, g, norms, tol)
     if not lu.any():
         return _by_svd(kind, a, tol)
-    out = dict(zip(np.flatnonzero(lu).tolist(), _by_lu(kind, a[lu], g[lu], tol)))
+    out = dict(zip(np.flatnonzero(lu).tolist(), _by_lu(kind, a[lu], g[lu], norms[lu], tol)))
     out.update(zip(np.flatnonzero(~lu).tolist(), _by_svd(kind, a[~lu], tol)))
     return [out[i] for i in range(len(a))]
 
@@ -308,7 +328,8 @@ def _lu_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def _lu_route(a: np.ndarray, tol: Tolerances):
-    """(G, lu): LU inverses G of the stack ``a`` and the mask of the members they prove full rank.
+    """(G, lu, norms): LU inverses G of the stack ``a``, the mask of the members they prove full rank, and the
+    (N, 2) array of each member's ``|A|_F`` and ``|G|_F``.
 
     A member qualifies when it is square and not empty and ``|A|_F |G|_F n (rank_rtol + 4 eps) <= 1/2``. As
     sigma_max <= |A|_F and sigma_min >= 1/|A^-1|_F, the test gives sigma_min >= 2 n (rank_rtol + 4 eps) sigma_max:
@@ -320,18 +341,86 @@ def _lu_route(a: np.ndarray, tol: Tolerances):
     """
     n = a.shape[-1]
     if a.shape[-2] != n or not n:
-        return None, np.zeros(len(a), dtype=bool)
+        return None, np.zeros(len(a), dtype=bool), None
     g = _lu_inverse(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        return g, _norm(a) * _norm(g) * (n * (tol.rank_rtol + 4 * np.finfo(float).eps)) <= 0.5
+        norms = np.array([_norm(a), _norm(g)]).T
+        return g, norms[:, 0] * norms[:, 1] * (n * (tol.rank_rtol + 4 * _EPS)) <= 0.5, norms
 
 
-def _by_lu(kind: str, a: np.ndarray, g: np.ndarray, tol: Tolerances) -> list:
-    """:func:`_certify` on full-rank members: their LU inverse ``g`` is every kind's inverse, at index 0."""
-    out = _reports(kind, a, g, {} if kind in _SQUARE_KINDS else None, {}, tol)
-    if kind == "group":
-        _gate_double_inverse(out, a, _double_inverse(g, None, None, None), tol)
+def _by_lu(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray, tol: Tolerances) -> list:
+    """:func:`_certify` on full-rank members: their LU inverse ``g`` is every kind's inverse, at index 0.
+
+    A member is certified from :func:`_lu_values` when all of them pass the gate. Every other member is judged as
+    before: by the dense residuals of :func:`_reports` and, for the group kind, G^-1 from a second LU. Both report
+    the forward-error bound.
+    """
+    out, rest, bounds = [], [], []
+    for i, (values, forward) in enumerate(_lu_values(kind, a, g, norms)):
+        if all(v <= tol.residual_atol for v in values.values()):  # a nan fails
+            values.pop("double", None)
+            out.append(GinvReport(
+                kind=kind,
+                inverse=g[i].copy(),  # a view would keep the whole stack alive
+                residuals=values,
+                index=0 if kind in _SQUARE_KINDS else None,
+                witness_k=0 if kind == "dagger_drazin" else None,
+                forward_error_bound=forward,
+            ))
+        else:
+            out.append(None)
+            rest.append(i)
+            bounds.append(forward)
+    if rest:
+        dense = _reports(kind, a[rest], g[rest], {} if kind in _SQUARE_KINDS else None, {}, tol, bounds)
+        if kind == "group":
+            _gate_double_inverse(dense, a[rest], _double_inverse(g[rest], None, None, None), tol)
+        for i, result in zip(rest, dense):
+            out[i] = result
     return out
+
+
+def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> list:
+    """(values, forward) for each pair (A, G) of the stacks: the axiom values of ``kind`` and a forward-error bound.
+
+    Two products per member, E = GA - I and E' = AG - I, give every value. Exact identities: MP3 = Dd4 =
+    ``|E' - E'^H|``, MP4 = Dd3 = ``|E - E^H|``, D1 at k = 0 = ``|E|``, D3 = G3 = ``|E' - E|``, Dd1 at k = 0 =
+    ``max(|E|, |E'|)``. Bounds, with m = min(|E|, |E'|): MP1 = G1 = ``|AE|`` = ``|E'A|`` <= |A| m, MP2 = D2 = G2 =
+    Dd2 = ``|EG|`` = ``|GE'|`` <= |G| m and, as ``|(I + E)^-1|_2 <= 1 / (1 - m)`` while m < 1, the group
+    double-inverse law ``|G^-1 - A|`` <= |A| m / (1 - m) (key "double"); past m = 1 it is inf. Like the dense
+    residuals, these are computed values. The forward-error bound ``|G - A^-1|`` <= |G| m' / (1 - m') (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14) is a bound on the exact distance: m' adds to m
+    the rounding of the products, at most 2 (n + 2) eps |A| |G| (complex inner products of length n, ch. 3).
+    ``norms`` holds each member's |A| and |G|. The products and norms are stacked; the rest is float arithmetic.
+    """
+    n = a.shape[-1]
+    with np.errstate(all="ignore"):
+        x = np.empty((2, *a.shape), dtype=np.complex128)
+        np.matmul(g, a, out=x[0])
+        np.matmul(a, g, out=x[1])
+        x.reshape(2 * len(a), n * n)[:, :: n + 1] -= 1  # minus I on each contiguous n x n block: x = (E, E')
+        hermitian = kind in ("moore_penrose", "dagger_drazin")  # axioms that ask GA and AG to be Hermitian
+        # |E|, |E'|, then |E - E^H| and |E' - E'^H|, or |E' - E|; a nan in E or E' makes one of the latter nan
+        sizes = np.concatenate([_norm(x), _norm(x - dagger(x) if hermitian else x[1:] - x[:1])])
+    rounding = 2 * (n + 2) * _EPS
+    out = []
+    for (e, e2, *exact), (na, ng) in zip(sizes.T.tolist(), norms.tolist()):
+        m = min(e, e2)
+        if kind == "moore_penrose":
+            values = {"MP1": na * m, "MP2": ng * m, "MP3": exact[1], "MP4": exact[0]}
+        elif kind == "dagger_drazin":
+            values = {"Dd1": max(e, e2), "Dd2": ng * m, "Dd3": exact[0], "Dd4": exact[1]}
+        elif kind == "drazin":
+            values = {"D1": e, "D2": ng * m, "D3": exact[0]}
+        else:
+            values = {"G1": na * m, "G2": ng * m, "G3": exact[0], "double": na * _neumann(m)}
+        out.append((values, ng * _neumann(m + rounding * na * ng)))
+    return out
+
+
+def _neumann(m: float) -> float:
+    """m / (1 - m), which bounds ``|(I + E)^-1 - I|_2`` and ``|E (I + E)^-1|_2`` for |E|_F <= m; inf unless m < 1."""
+    return m / (1 - m) if m < 1 else math.inf
 
 
 def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
@@ -349,9 +438,11 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     if kind in ("moore_penrose", "dagger_drazin"):
         return _reports(kind, a, _pinv(u, s, vh, r), None, {}, tol)
     # index 0: a = u diag(s) vh, so the core bases are the SVD's v and u; as in _pinv, weight 1/inf = 0 leaves
-    # the singular members at zero, each to be replaced by its deflated inverse
+    # the singular members at zero, each to be replaced by its deflated inverse (so a stack of singular members
+    # skips the product)
     full = r == a.shape[-1]
-    inv = _core_inverse(a, dagger(vh), u, np.where(full[:, None], s, np.inf))
+    any_full = full.any()
+    inv = _core_inverse(a, dagger(vh), u, np.where(full[:, None], s, np.inf)) if any_full else np.zeros_like(a)
 
     def deflate(i):  # a singular member's index and core bases; its inverse goes into inv
         k, cu, cv, _ = _core(a[i], tol, (u[i], s[i], vh[i], r[i]))
@@ -368,7 +459,7 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     if kind == "group":
         # (G^#)^# on the bases of a's deflation: a's SVD multiplied back, which holds at index 0; each certified
         # singular member's is replaced by one r x r solve on its own bases
-        double = _double_inverse(inv, dagger(vh), u, s)
+        double = _double_inverse(inv, dagger(vh), u, s) if any_full else np.zeros_like(a)
         for i, (_, cu, cv) in cores.items():
             if isinstance(out[i], GinvReport):
                 member = _attempt(AxiomResidualError, _double_inverse, inv[i], cu, cv, None)
@@ -389,11 +480,13 @@ def _gate_double_inverse(out: list, a: np.ndarray, double: np.ndarray, tol: Tole
             out[i] = AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
 
 
-def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, failed: dict, tol: Tolerances) -> list:
+def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, failed: dict, tol: Tolerances,
+             forward: list | None = None) -> list:
     """Each member's result: its error from ``failed``, else the GinvReport of (a[i], inv[i]) if its residuals pass.
 
     ``index`` maps the deflated members of a Drazin or group stack to their index (0 for the others); it is None
     for the other kinds. The residuals are evaluated once, on the stack of the members not in ``failed``.
+    ``forward`` holds each member's forward-error bound on the LU route.
     """
     out = dict(failed)
     live = [i for i in range(len(a)) if i not in failed]
@@ -409,6 +502,7 @@ def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, fail
                 index=None if index is None else index.get(i, 0),
                 # the D1 exponent is the index, reported as such
                 witness_k=int(witness_k[j]) if kind == "dagger_drazin" else None,
+                forward_error_bound=None if forward is None else float(forward[i]),
             )
     return [out[i] for i in range(len(a))]
 
@@ -482,7 +576,10 @@ def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     certified by the D1-D3 residuals. For invertible input (index 0) it
     returns the ordinary inverse: the LU inverse G when the norm test
     ``|a|_F |G|_F n (rank_rtol + 4 eps) <= 1/2`` proves a full rank without
-    an SVD, else read off the SVD of the input.
+    an SVD, else read off the SVD of the input. G is certified from
+    E = Ga - I and E' = aG - I: D1 = |E|, D3 = |E' - E| and the bound
+    D2 <= |G| min(|E|, |E'|), or, where those fail the absolute gate, by the
+    dense D1-D3. Its report carries ``forward_error_bound`` >= |G - a^-1|_F.
     """
     return _one(_certify("drazin", _as_square(a, "Drazin inverse")[None], tol))
 
@@ -495,9 +592,13 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     double-inverse law |(G^#)^# - a|, with (G^#)^# = u (v^H G u)^{-1} v^H on
     the bases u, v of the deflation of a that gave G: no SVD of G, so the
     check reuses a's rank decision instead of deciding G's. At index 0,
-    (G^#)^# = G^-1: from a second LU when G is a's LU inverse (the norm test
-    of :func:`drazin_inverse` proved a full rank), else a's SVD multiplied
-    back.
+    (G^#)^# = G^-1. When G is a's LU inverse (the norm test of
+    :func:`drazin_inverse` proved a full rank), the law is bounded without
+    forming G^-1: ``|G^-1 - a| <= |a| m / (1 - m)``, m = min(|Ga - I|,
+    |aG - I|), with G1 <= |a| m, G2 <= |G| m and G3 = |aG - Ga|. Where
+    those fail the absolute gate, G^-1 comes from a second LU and G1-G3 are
+    the dense residuals. Else (G^#)^# is a's SVD multiplied back. An LU-route
+    report carries ``forward_error_bound`` >= |G - a^-1|_F.
     """
     return _one(_certify("group", _as_square(a, "group inverse")[None], tol))
 

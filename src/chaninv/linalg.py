@@ -72,16 +72,29 @@ def fro_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
+_RAISED = "raised in "
+
+
 def _attempt(errors, fn, *args):
     """``fn(*args)``, or the exception of type ``errors`` it raised, returned as a value without its traceback.
 
     A stored traceback would keep its frames, and through them every calling frame, alive; a caller holding
     the exception in a result list would then form a reference cycle that only the cyclic garbage collector
     frees, with every array of those frames. The exceptions it was raised from lose their tracebacks too.
+    What the traceback told is kept as a note (``__notes__``, printed by Python 3.11+) naming the function,
+    file and line that raised, unless the exception already has one; a StopIteration, a generator's normal
+    return, gets none.
     """
     try:
         return fn(*args)
     except errors as exc:
+        tb = exc.__traceback__
+        notes = getattr(exc, "__notes__", [])
+        if not isinstance(exc, StopIteration) and not any(n.startswith(_RAISED) for n in notes):
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
+            exc.__notes__ = [*notes, f"{_RAISED}{code.co_name} ({code.co_filename}:{tb.tb_lineno})"]
         chained = exc
         while chained is not None:
             chained.__traceback__ = None

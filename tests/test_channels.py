@@ -256,6 +256,15 @@ class TestPropertyChecks:
             assert abs(r_super - r_kraus) <= 1e-10
             assert r_super <= 1e-10
 
+    @pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 3), (3, 2), (4, 4), (8, 8)])
+    def test_tp_unital_residuals_are_the_vec_identity_products(self, d_in, d_out):
+        # the strided sums over rows and columns d+1 apart are vec(I_out)^H S and S vec(I_in)
+        supers = np.stack([random_complex(np.random.default_rng(seed), d_out**2, d_in**2) for seed in range(3)])
+        e_in, e_out = chn.vec(np.eye(d_in)), chn.vec(np.eye(d_out))
+        tp, unital = chn._tp_unital_residuals(supers)
+        np.testing.assert_allclose(tp, [np.linalg.norm(e_out @ s - e_in) for s in supers], rtol=1e-14)
+        np.testing.assert_allclose(unital, [np.linalg.norm(s @ e_in - e_out) for s in supers], rtol=1e-14)
+
     def test_unital_residual_matches_kraus_form(self):
         rng = np.random.default_rng(4)
         for _ in range(10):

@@ -1,8 +1,9 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chaninv import channels as chn
@@ -72,8 +73,26 @@ def power_route_core(a, tol=DEFAULT_TOL):
 
 def lu_route_inverse(a, tol=DEFAULT_TOL):
     """a's LU inverse if the LU route of :func:`ginv._certify` takes a, else None."""
-    g, lu = ginv._lu_route(a[None], tol)
+    g, lu, _ = ginv._lu_route(a[None], tol)
     return g[0] if lu[0] else None
+
+
+def dense_rounding(a, g):
+    """How far a dense residual of the pair (a, g) may exceed its exact value by rounding.
+
+    A triple product such as a g a carries up to about gamma_2n |a| |g| |a| (Higham ch. 3); taken here as
+    4 n eps |a|_F |g|_F max(|a|_F, |g|_F), which covers the products g a g too.
+    """
+    na, ng = np.linalg.norm(a), np.linalg.norm(g)
+    return 4 * len(a) * np.finfo(float).eps * na * ng * max(na, ng)
+
+
+def assert_at_least_dense(residuals, dense, a, g):
+    """Each LU-route value is at least the dense residual of its pair (a, g), up to the dense one's rounding."""
+    slack = dense_rounding(a, g)
+    assert residuals.keys() == dense.keys()
+    for label, value in residuals.items():
+        assert value >= dense[label] - slack, (label, value, dense[label], slack)
 
 
 def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
@@ -109,7 +128,10 @@ def assert_same_group_certificate(a):
     new = group_inverse(a)
     assert new.index == old.index
     assert np.array_equal(new.inverse, old.inverse)
-    assert new.residuals == old.residuals
+    if lu_route_inverse(a) is None:
+        assert new.residuals == old.residuals
+    else:  # values from E = GA - I and E' = AG - I, bounds among them
+        assert_at_least_dense(new.residuals, old.residuals, a, new.inverse)
     assert abs(closed_form_gap(a) - old_gap) <= 1e-12
     return new
 
@@ -500,12 +522,20 @@ class TestDoubleInverseClosedForm:
     @pytest.mark.parametrize("a", [np.diag([1.0, 2.0]), np.diag([1.0, 0.0])], ids=["index0", "index1"])
     @pytest.mark.parametrize("corruption", [1e-6, np.nan])
     def test_gate_refuses_a_wrong_double_inverse(self, monkeypatch, a, corruption):
-        # G1-G3 pass on these inputs, so only the double-inverse gate can refuse them; the invertible one
-        # takes the LU route, the singular one the SVD route
-        assert (lu_route_inverse(a.astype(complex)) is not None) == (a[1, 1] != 0)
-        closed_form = ginv._double_inverse
-        monkeypatch.setattr(ginv, "_double_inverse", lambda *args: closed_form(*args) + corruption)
-        with pytest.raises(AxiomResidualError, match="group inverse double-inverse law violated: residual"):
+        # the singular input takes the SVD route, where G1-G3 pass, so only the double-inverse gate can refuse
+        # it. The invertible one takes the LU route, which forms no double inverse: its law is bounded from
+        # E = GA - I, as G1 is. So there G itself is corrupted, after the route is chosen, and G1 refuses it
+        lu = lu_route_inverse(a.astype(complex)) is not None
+        assert lu == (a[1, 1] != 0)
+        if lu:
+            by_lu = ginv._by_lu
+            monkeypatch.setattr(ginv, "_by_lu", lambda kind, a, g, *rest: by_lu(kind, a, g + corruption, *rest))
+            match = "group inverse failed its axiom gate"
+        else:
+            closed_form = ginv._double_inverse
+            monkeypatch.setattr(ginv, "_double_inverse", lambda *args: closed_form(*args) + corruption)
+            match = "group inverse double-inverse law violated: residual"
+        with pytest.raises(AxiomResidualError, match=match):
             group_inverse(a)
 
     def test_index_two_still_refused(self):
@@ -876,6 +906,132 @@ class TestLuRoute:
         # a view into the stack's array would keep all 32 inverses alive for one report
         out = certify_many(kind, [family_member(family, 16, seed) for seed in range(32)])
         assert all(isinstance(r, GinvReport) and r.inverse.base is None for r in out)
+
+
+def dense_lu_certificate(kind, a, g):
+    """The certificate the dense gate gives the LU inverse g of a: what every LU-route member got before E and E'."""
+    out = ginv._reports(kind, a[None], g[None], {} if kind in ("drazin", "group") else None, {}, DEFAULT_TOL)
+    if kind == "group":
+        ginv._gate_double_inverse(out, a[None], ginv._double_inverse(g[None], None, None, None), DEFAULT_TOL)
+    return out[0]
+
+
+def fraction_inverse(rows):
+    """The exact inverse of an integer matrix, by Gauss-Jordan elimination over fractions.Fraction; None if singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+@example([[3]])  # fl(1/3) * 3 rounds to 1: E = 0, and only the rounding term bounds |G - 1/3|
+def test_forward_error_bound_holds_against_the_exact_inverse(rows):
+    exact = fraction_inverse(rows)
+    assume(exact is not None)
+    a = np.array(rows, dtype=float)
+    for kind, fn in SINGLE_CALLS.items():
+        rep = fn(a)
+        assert rep.forward_error_bound is not None  # the LU route
+        dist2 = sum(
+            (Fraction(g.real) - x) ** 2 + Fraction(g.imag) ** 2
+            for g_row, x_row in zip(rep.inverse, exact)
+            for g, x in zip(g_row, x_row)
+        )
+        assert dist2 <= Fraction(rep.forward_error_bound) ** 2, kind
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 8), j=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+def test_lu_certificate_keeps_the_dense_verdict(n, j, seed):
+    # the bounds scale with |A| or |G| against an absolute gate, so past about |j| = 20 they fail where the dense
+    # residuals may pass: those members reach the dense fallback. Either way the verdict is the dense gate's
+    a = 2.0**j * core_nilpotent(np.random.default_rng(seed), n, [])[0]
+    g = lu_route_inverse(a)
+    assert g is not None
+    for kind in SINGLE_CALLS:
+        want = dense_lu_certificate(kind, a, g)
+        (got,) = ginv._certify(kind, a[None], DEFAULT_TOL)
+        if isinstance(want, GinvError):
+            assert (type(got), str(got)) == (type(want), str(want))
+            continue
+        assert np.array_equal(got.inverse, g)
+        assert (got.index, got.witness_k) == (want.index, want.witness_k)
+        assert got.forward_error_bound is not None
+        assert_at_least_dense(got.residuals, want.residuals, a, g)
+
+
+class TestLuCertificate:
+    # a random_cptp superoperator at d = 3; at 2^-21 its bounds |G| m fail the absolute gate while the dense
+    # residuals pass
+    A = chn.random_cptp(3, 3, 2, 41).super
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_two_products_at_unit_scale(self, kind):
+        g, lu, norms = ginv._lu_route(self.A[None], DEFAULT_TOL)
+        ((values, forward),) = ginv._lu_values(kind, self.A[None], g, norms)
+        assert all(v <= ATOL for v in values.values())
+        rep = SINGLE_CALLS[kind](self.A)
+        assert rep.residuals == {label: values[label] for label in ginv.KIND_AXIOMS[kind]}
+        assert rep.forward_error_bound == forward
+        assert fro_dist(rep.inverse, np.linalg.inv(self.A)) <= rep.forward_error_bound
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_fallback_keeps_the_dense_certificate(self, kind):
+        a = 2.0**-21 * self.A
+        g, lu, norms = ginv._lu_route(a[None], DEFAULT_TOL)
+        ((values, forward),) = ginv._lu_values(kind, a[None], g, norms)
+        assert lu[0] and not all(v <= ATOL for v in values.values())
+        want = dense_lu_certificate(kind, a, g[0])
+        rep = SINGLE_CALLS[kind](a)
+        assert (rep.index, rep.witness_k, rep.residuals) == (want.index, want.witness_k, want.residuals)
+        assert np.array_equal(rep.inverse, want.inverse)
+        assert rep.forward_error_bound == forward
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_gate_refuses_a_corrupted_inverse(self, monkeypatch, kind):
+        # G off by 1e-6 relative, in a random direction, after the route is chosen: the values from E and E' refuse
+        # it, and so would the dense residuals
+        r = random_complex(np.random.default_rng(42), 9, 9)
+        g = np.linalg.inv(self.A)
+        bad = g + 1e-6 * np.linalg.norm(g) * r / np.linalg.norm(r)
+        norms = np.array([[np.linalg.norm(self.A), np.linalg.norm(bad)]])
+        ((values, _),) = ginv._lu_values(kind, self.A[None], bad[None], norms)
+        assert not all(v <= ATOL for v in values.values())
+        assert max(verify_axioms(kind, self.A, bad)[0].values()) > ATOL
+        by_lu = ginv._by_lu
+        monkeypatch.setattr(ginv, "_by_lu", lambda kind, a, g, *rest: by_lu(kind, a, bad[None], *rest))
+        with pytest.raises(AxiomResidualError, match=f"{kind} inverse failed its axiom gate"):
+            SINGLE_CALLS[kind](self.A)
+
+    def test_group_at_index_zero_makes_one_lu(self, monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+
+        def counted(m):
+            calls.append(m.shape)
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        rep = group_inverse(self.A)
+        assert rep.index == 0 and calls == [(1, 9, 9)]
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_svd_route_has_no_forward_error_bound(self, kind):
+        assert SINGLE_CALLS[kind](np.diag([1.0, 0.0])).forward_error_bound is None
 
 
 def refusing(original, target):

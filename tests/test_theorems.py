@@ -500,6 +500,22 @@ class TestRunChecks:
         assert d == thm.TheoremReport("d", 1, 0.0, thm.VERIFIED)
         assert screened.verdict == thm.INCONCLUSIVE
 
+    def test_error_names_where_it_was_raised(self, monkeypatch):
+        # a stored error keeps no traceback, so a note names the function, file and line that raised it, once,
+        # also when a public check re-raises it inside another round of checks
+        def broken_tp_u(s):
+            raise RuntimeError("broken body")
+
+        monkeypatch.setattr(thm, "_tp_u", broken_tp_u)
+        code = broken_tp_u.__code__
+        note = f"raised in broken_tp_u ({code.co_filename}:{code.co_firstlineno + 1})"
+        ch = chn.depolarizing(2, 0.5)
+        with pytest.raises(RuntimeError, match="broken body") as exc:
+            thm.check_drazin_preserves_tp_u(ch)
+        assert exc.value.__notes__ == [note]
+        (stored,) = thm._run_checks([(thm._plain, ((ch,), thm.check_drazin_preserves_tp_u))], thm.DEFAULT_TOL)
+        assert stored.__traceback__ is None and stored.__notes__ == [note]
+
     def test_reports_reach_their_askers(self):
         # shapes alternate, so the certificates come back grouped by shape and must be routed back in order
         mats = [c * np.eye(2 + c % 2) for c in range(1, 33)]
