@@ -49,13 +49,15 @@ On the LU route these come from two products per member, E = GA - I and
 E' = AG - I (:func:`_lu_values`). MP3, MP4, D1, D3, G3, Dd1, Dd3 and Dd4 are
 exact identities in E and E'. MP1 = G1, MP2 = D2 = G2 = Dd2 and the group law
 ``|G^-1 - A|`` are bounded by |A| m, |G| m and |A| m / (1 - m), with
-m = min(|E|, |E'|), and each bound is reported under its axiom's label; G^-1
-is not formed. The gate is absolute, so far from unit scale a bound can fail
-where the dense residual passes: a member whose values from E and E' do not
-all pass is judged by the dense residuals above and, for the group kind, G^-1
-from a second LU, which gives it the dense gate's verdict. Every LU-route
-report carries ``forward_error_bound``, a bound on ``|G - A^-1|_F`` that also
-counts the rounding of the two products; SVD-route reports carry None.
+m = min(|E|, |E'|) plus a term for rounding, and each bound is reported under
+its axiom's label; G^-1 is not formed. Each bound is at least the dense
+residual's computed value, so a member the bounds pass would pass the dense
+gate too. The gate is absolute, so far from unit scale a bound can fail where
+the dense residual passes: a member whose values from E and E' do not all
+pass is judged by the dense residuals above and, for the group kind, G^-1
+from a second LU. Either way the verdict is the dense gate's. Every LU-route
+report carries ``forward_error_bound`` >= ``|G - A^-1|_F``; SVD-route reports
+carry None.
 """
 
 import math
@@ -108,9 +110,9 @@ class GinvReport:
     ``index`` is the Drazin index for the drazin and group kinds;
     ``witness_k`` is the exponent realizing the Dd1 axiom for dagger_drazin.
     ``forward_error_bound`` bounds ``|inverse - a^-1|_F`` on the LU route:
-    ``|G|_F m / (1 - m)``, with m = min(|GA - I|_F, |AG - I|_F) plus the
-    rounding of those two products, and inf for m >= 1. It is None on the
-    SVD route.
+    ``|G|_F m / (1 - m)``, with m = min(|GA - I|_F, |AG - I|_F) plus
+    4 (n + 2) eps |a|_F |G|_F for rounding, and inf for m >= 1. It is None
+    on the SVD route.
     """
 
     kind: str
@@ -383,15 +385,17 @@ def _by_lu(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray, tol: Tole
 def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> list:
     """(values, forward) for each pair (A, G) of the stacks: the axiom values of ``kind`` and a forward-error bound.
 
-    Two products per member, E = GA - I and E' = AG - I, give every value. Exact identities: MP3 = Dd4 =
-    ``|E' - E'^H|``, MP4 = Dd3 = ``|E - E^H|``, D1 at k = 0 = ``|E|``, D3 = G3 = ``|E' - E|``, Dd1 at k = 0 =
-    ``max(|E|, |E'|)``. Bounds, with m = min(|E|, |E'|): MP1 = G1 = ``|AE|`` = ``|E'A|`` <= |A| m, MP2 = D2 = G2 =
-    Dd2 = ``|EG|`` = ``|GE'|`` <= |G| m and, as ``|(I + E)^-1|_2 <= 1 / (1 - m)`` while m < 1, the group
-    double-inverse law ``|G^-1 - A|`` <= |A| m / (1 - m) (key "double"); past m = 1 it is inf. Like the dense
-    residuals, these are computed values. The forward-error bound ``|G - A^-1|`` <= |G| m' / (1 - m') (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14) is a bound on the exact distance: m' adds to m
-    the rounding of the products, at most 2 (n + 2) eps |A| |G| (complex inner products of length n, ch. 3).
-    ``norms`` holds each member's |A| and |G|. The products and norms are stacked; the rest is float arithmetic.
+    Two products per member, E = GA - I and E' = AG - I, give every value. Exact identities, computed as the dense
+    residuals compute them: MP3 = Dd4 = ``|E' - E'^H|``, MP4 = Dd3 = ``|E - E^H|``, D1 at k = 0 = ``|E|``, D3 = G3 =
+    ``|E' - E|``, Dd1 at k = 0 = ``max(|E|, |E'|)``. Bounds, with m = min(|E|, |E'|) + rho: MP1 = G1 = ``|AE|`` =
+    ``|E'A|`` <= |A| m, MP2 = D2 = G2 = Dd2 = ``|EG|`` = ``|GE'|`` <= |G| m and, as ``|(I + E)^-1|_2 <= 1 / (1 - m)``
+    while m < 1, the group double-inverse law ``|G^-1 - A|`` <= |A| m / (1 - m) (key "double") and the forward error
+    ``|G - A^-1|`` <= |G| m / (1 - m) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14);
+    past m = 1 those two are inf. rho = 4 (n + 2) eps |A| |G| is about twice the rounding of the products (complex
+    inner products of length n, Higham ch. 3) in E and E', plus that of the dense triple products ``AGA`` and
+    ``GAG``. So each bound holds for the exact residual and is at least its dense computed value: a member whose
+    values pass would pass the dense gate too. ``norms`` holds each member's |A| and |G|. The products and norms
+    are stacked; the rest is float arithmetic.
     """
     n = a.shape[-1]
     with np.errstate(all="ignore"):
@@ -402,10 +406,10 @@ def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> li
         hermitian = kind in ("moore_penrose", "dagger_drazin")  # axioms that ask GA and AG to be Hermitian
         # |E|, |E'|, then |E - E^H| and |E' - E'^H|, or |E' - E|; a nan in E or E' makes one of the latter nan
         sizes = np.concatenate([_norm(x), _norm(x - dagger(x) if hermitian else x[1:] - x[:1])])
-    rounding = 2 * (n + 2) * _EPS
+    rounding = 4 * (n + 2) * _EPS
     out = []
     for (e, e2, *exact), (na, ng) in zip(sizes.T.tolist(), norms.tolist()):
-        m = min(e, e2)
+        m = min(e, e2) + rounding * na * ng
         if kind == "moore_penrose":
             values = {"MP1": na * m, "MP2": ng * m, "MP3": exact[1], "MP4": exact[0]}
         elif kind == "dagger_drazin":
@@ -414,7 +418,7 @@ def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> li
             values = {"D1": e, "D2": ng * m, "D3": exact[0]}
         else:
             values = {"G1": na * m, "G2": ng * m, "G3": exact[0], "double": na * _neumann(m)}
-        out.append((values, ng * _neumann(m + rounding * na * ng)))
+        out.append((values, ng * _neumann(m)))
     return out
 
 
@@ -578,8 +582,9 @@ def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     ``|a|_F |G|_F n (rank_rtol + 4 eps) <= 1/2`` proves a full rank without
     an SVD, else read off the SVD of the input. G is certified from
     E = Ga - I and E' = aG - I: D1 = |E|, D3 = |E' - E| and the bound
-    D2 <= |G| min(|E|, |E'|), or, where those fail the absolute gate, by the
-    dense D1-D3. Its report carries ``forward_error_bound`` >= |G - a^-1|_F.
+    D2 <= |G| m, m = min(|E|, |E'|) plus a rounding term, or, where those
+    fail the absolute gate, by the dense D1-D3. Its report carries
+    ``forward_error_bound`` >= |G - a^-1|_F.
     """
     return _one(_certify("drazin", _as_square(a, "Drazin inverse")[None], tol))
 
@@ -595,7 +600,8 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     (G^#)^# = G^-1. When G is a's LU inverse (the norm test of
     :func:`drazin_inverse` proved a full rank), the law is bounded without
     forming G^-1: ``|G^-1 - a| <= |a| m / (1 - m)``, m = min(|Ga - I|,
-    |aG - I|), with G1 <= |a| m, G2 <= |G| m and G3 = |aG - Ga|. Where
+    |aG - I|) plus a rounding term, with G1 <= |a| m, G2 <= |G| m and
+    G3 = |aG - Ga|. Where
     those fail the absolute gate, G^-1 comes from a second LU and G1-G3 are
     the dense residuals. Else (G^#)^# is a's SVD multiplied back. An LU-route
     report carries ``forward_error_bound`` >= |G - a^-1|_F.

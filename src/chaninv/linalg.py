@@ -88,18 +88,26 @@ def _attempt(errors, fn, *args):
     try:
         return fn(*args)
     except errors as exc:
-        tb = exc.__traceback__
         notes = getattr(exc, "__notes__", [])
         if not isinstance(exc, StopIteration) and not any(n.startswith(_RAISED) for n in notes):
-            while tb.tb_next is not None:
-                tb = tb.tb_next
-            code = tb.tb_frame.f_code
-            exc.__notes__ = [*notes, f"{_RAISED}{code.co_name} ({code.co_filename}:{tb.tb_lineno})"]
+            exc.__notes__ = [*notes, _raised_at(exc.__traceback__)]
         chained = exc
         while chained is not None:
             chained.__traceback__ = None
             chained = chained.__cause__ or chained.__context__
         return exc
+
+
+def _raised_at(tb) -> str:
+    """A note naming the function, file and line of the innermost frame of the traceback ``tb``.
+
+    A helper, so that no frame of ``tb`` is held by a local of :func:`_attempt`: the innermost frame's callers
+    include that of _attempt, and the two would form a reference cycle.
+    """
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    return f"{_RAISED}{code.co_name} ({code.co_filename}:{tb.tb_lineno})"
 
 
 def _one(results):

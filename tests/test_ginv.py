@@ -77,22 +77,11 @@ def lu_route_inverse(a, tol=DEFAULT_TOL):
     return g[0] if lu[0] else None
 
 
-def dense_rounding(a, g):
-    """How far a dense residual of the pair (a, g) may exceed its exact value by rounding.
-
-    A triple product such as a g a carries up to about gamma_2n |a| |g| |a| (Higham ch. 3); taken here as
-    4 n eps |a|_F |g|_F max(|a|_F, |g|_F), which covers the products g a g too.
-    """
-    na, ng = np.linalg.norm(a), np.linalg.norm(g)
-    return 4 * len(a) * np.finfo(float).eps * na * ng * max(na, ng)
-
-
-def assert_at_least_dense(residuals, dense, a, g):
-    """Each LU-route value is at least the dense residual of its pair (a, g), up to the dense one's rounding."""
-    slack = dense_rounding(a, g)
+def assert_at_least_dense(residuals, dense):
+    """Each LU-route value is at least the dense residual's computed value: the bounds count its rounding too."""
     assert residuals.keys() == dense.keys()
     for label, value in residuals.items():
-        assert value >= dense[label] - slack, (label, value, dense[label], slack)
+        assert value >= dense[label], (label, value, dense[label])
 
 
 def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
@@ -131,7 +120,7 @@ def assert_same_group_certificate(a):
     if lu_route_inverse(a) is None:
         assert new.residuals == old.residuals
     else:  # values from E = GA - I and E' = AG - I, bounds among them
-        assert_at_least_dense(new.residuals, old.residuals, a, new.inverse)
+        assert_at_least_dense(new.residuals, old.residuals)
     assert abs(closed_form_gap(a) - old_gap) <= 1e-12
     return new
 
@@ -957,8 +946,9 @@ def test_forward_error_bound_holds_against_the_exact_inverse(rows):
 @settings(derandomize=True, deadline=None)
 @given(n=st.integers(1, 8), j=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
 def test_lu_certificate_keeps_the_dense_verdict(n, j, seed):
-    # the bounds scale with |A| or |G| against an absolute gate, so past about |j| = 20 they fail where the dense
-    # residuals may pass: those members reach the dense fallback. Either way the verdict is the dense gate's
+    # the bounds scale with |A| or |G| against an absolute gate, so far from unit scale they fail where the dense
+    # residuals may pass: those members reach the dense fallback. Either way the verdict is the dense gate's, and
+    # each reported value is at least the dense one, whose rounding the bounds count
     a = 2.0**j * core_nilpotent(np.random.default_rng(seed), n, [])[0]
     g = lu_route_inverse(a)
     assert g is not None
@@ -968,14 +958,15 @@ def test_lu_certificate_keeps_the_dense_verdict(n, j, seed):
         if isinstance(want, GinvError):
             assert (type(got), str(got)) == (type(want), str(want))
             continue
+        assert isinstance(got, GinvReport)
         assert np.array_equal(got.inverse, g)
         assert (got.index, got.witness_k) == (want.index, want.witness_k)
         assert got.forward_error_bound is not None
-        assert_at_least_dense(got.residuals, want.residuals, a, g)
+        assert_at_least_dense(got.residuals, want.residuals)
 
 
 class TestLuCertificate:
-    # a random_cptp superoperator at d = 3; at 2^-21 its bounds |G| m fail the absolute gate while the dense
+    # a random_cptp superoperator at d = 3; at 2^-14 its bounds |G| m fail the absolute gate while the dense
     # residuals pass
     A = chn.random_cptp(3, 3, 2, 41).super
 
@@ -991,7 +982,7 @@ class TestLuCertificate:
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_fallback_keeps_the_dense_certificate(self, kind):
-        a = 2.0**-21 * self.A
+        a = 2.0**-14 * self.A
         g, lu, norms = ginv._lu_route(a[None], DEFAULT_TOL)
         ((values, forward),) = ginv._lu_values(kind, a[None], g, norms)
         assert lu[0] and not all(v <= ATOL for v in values.values())

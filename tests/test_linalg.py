@@ -1,9 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 
 from chaninv.linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _attempt,
     _numerical_rank,
     as_cmatrix,
     dagger,
@@ -206,3 +209,22 @@ class TestFroDist:
         with pytest.raises(ValueError):
             fro_dist(np.zeros((2, 2)), np.zeros((2, 3)))
 
+
+
+def test_attempt_names_where_it_was_raised_and_keeps_no_frame():
+    # the note is built from the traceback without holding its frames, whose callers include _attempt's own: a
+    # frame held by a local of _attempt would form a cycle that keeps every array of those frames alive until
+    # the cyclic collector runs
+    def failing(m):
+        raise ValueError("refused")
+
+    gc.collect()
+    gc.disable()
+    try:
+        exc = _attempt(ValueError, failing, np.ones((64, 64)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    code = failing.__code__
+    assert exc.__traceback__ is None
+    assert exc.__notes__ == [f"raised in failing ({code.co_filename}:{code.co_firstlineno + 1})"]
