@@ -314,18 +314,25 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
 def _lu_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of each member of the stack ``m`` by LU, nan for a member LAPACK finds exactly singular.
 
-    One such member makes the stacked call raise; the members are then inverted one at a time, so each gets the
-    inverse its own call gives. No NumPy warning escapes.
+    One such member makes the stacked call raise. The members with an all-zero row or column are exactly singular
+    and stay nan; the rest are retried as one stack and, if that raises too, inverted one at a time. Each member
+    gets the inverse its own call gives. No NumPy warning escapes.
     """
     with np.errstate(all="ignore"):
         try:
             return np.linalg.inv(m)
         except np.linalg.LinAlgError:
             g = np.full_like(m, np.nan)
-            if len(m) > 1:  # a stack of one holds only the member that raised
-                for i, x in enumerate(m):
+            nonzero = m != 0
+            rest = np.flatnonzero(nonzero.any(axis=-1).all(axis=-1) & nonzero.any(axis=-2).all(axis=-1))
+            if len(rest) < len(m):  # else the retried stack is the one that raised
+                with suppress(np.linalg.LinAlgError):
+                    g[rest] = np.linalg.inv(m[rest])
+                    return g
+            if len(rest) > 1:  # a stack of one holds only the member that raised
+                for i in rest.tolist():
                     with suppress(np.linalg.LinAlgError):
-                        g[i] = np.linalg.inv(x)
+                        g[i] = np.linalg.inv(m[i])
             return g
 
 

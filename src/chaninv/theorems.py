@@ -25,7 +25,11 @@ Facts exercised here, all certified by residuals rather than assumed:
   families, and fix block-dephasing (projector) channels.
 """
 
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -545,6 +549,80 @@ def _run_item(theorem_id: str, check, instances, extra, tol: Tolerances) -> Theo
     ])
 
 
+def _suite_groups(seed, instance_count: int, tol: Tolerances) -> dict:
+    """The suite's table: group name -> a function that draws the group's instances and returns its items
+    ``(theorem_id, check, instances, *extra)``. Groups and items are in report order.
+
+    Items that share instances form one group, which draws them once: the three orthogonal sums share their
+    families and the two intertwiner items their squares. Every other item is a group of one, drawn as it runs.
+    Every item draws from its own generator, a child of ``seed``, so a group draws the same instances whichever
+    groups run before it and in whichever process. A negative seed raises ValueError here.
+    """
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(12)]
+    n = range(instance_count)
+    fixed = int(instance_count > 0)  # the fixed-list items run in full once any instance is asked for
+
+    def orthogonal_sums():
+        families = [_block_family(rngs[5], n_blocks=2 + i % 3, nilpotent=(i % 5 == 0)) for i in n]
+        return [(theorem_id, _orthogonal_sum, families, variant)
+                for variant, (theorem_id, _) in _ORTHOGONAL_SUMS.items()]
+
+    def intertwiners():
+        squares, dagger_squares = _intertwiner_instances(rngs[7], instance_count, tol)
+        return [("intertwiner-drazin", _intertwiner, squares, "drazin"),
+                ("intertwiner-dagger-drazin", _intertwiner, dagger_squares, "dagger_drazin")]
+
+    return {
+        # Drazin TP preservation on generic CPTP channels, unitality on mixed-unitary ones.
+        "drazin-tp-preservation": lambda: [("drazin-tp-preservation", _keeps_tp_u,
+            (draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[0], tol) for i in n), "drazin", False)],
+        "drazin-unital-preservation": lambda: [("drazin-unital-preservation", _keeps_tp_u,
+            (draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol) for i in n), "drazin", False)],
+        # Depolarizing case study: inverse parameter identity and CP loss.
+        "depolarizing-cp-loss": lambda: [("depolarizing-cp-loss", _plain,
+            [(d, a) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed, check_drazin_cp_loss)],
+        # Dagger-Drazin TP+U preservation on mixed-unitary channels.
+        "dagger-drazin-tp-u-preservation": lambda: [("dagger-drazin-tp-u-preservation", _keeps_tp_u,
+            (draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol) for i in n), "dagger_drazin", True)],
+        # Moore-Penrose TP+U biconditional on mixed instances.
+        "mp-tp-u-iff": lambda: [("mp-tp-u-iff", _mp_tpu_iff, (
+            draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[3], tol) if i % 3 == 2
+            else draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[3], tol)
+            for i in n
+        ))],
+        # Moore-Penrose TP-violation search on non-unital channels: one search of count trials.
+        "mp-tp-violation-search": lambda: [("mp-tp-violation-search", _plain,
+            [(2, 3, instance_count, rngs[4])] * fixed, search_mp_tp_violation)],
+        # Orthogonal-sum laws on block-embedded families.
+        "orthogonal-sum": orthogonal_sums,
+        # Projector channels: UCPTP and self-inverse for every kind.
+        "projector-channel-self-inverse": lambda: [("projector-channel-self-inverse", _plain,
+            [((1, 1),), ((2, 1),), ((2, 2),)] * fixed, check_projector_self_inverse)],
+        # Pure-channel criteria on unitaries, isometries, and defective maps.
+        "pure-channel-criteria": lambda: [("pure-channel-criteria", _plain,
+            ((_pure_channel_map(_DIMS[i % 3], i % 3, rngs[6]),) for i in n), check_pure_channel_lemma)],
+        # Intertwiner propagation: block instances plus the TP-functional square.
+        "intertwiner": intertwiners,
+        # Double-inverse law at index <= 1 and its failure at index 2.
+        "group-double-inverse": lambda: [("group-double-inverse", _group_double_inverse, (
+            draw_ucptp(_DIMS[i % 3], 2, rngs[8], tol).super if i % 2 == 0
+            else chn.projector_channel((_DIMS[i % 3] - 1, 1)).super
+            for i in n
+        ))],
+        "drazin-double-inverse-gap": lambda: [("drazin-double-inverse-gap", _double_inverse_gap,
+            (_index2_tp_superoperator(_DIMS[i % 2], rngs[9]) for i in range(min(instance_count, 16))))],
+    }
+
+
+def _run_group(seed, instance_count: int, tol: Tolerances, group: str) -> list:
+    """The reports of the items of ``group`` of the suite ``(seed, instance_count, tol)``, in table order.
+
+    The table is rebuilt from these arguments, which pickle, so a worker process can run any group alone.
+    """
+    items = _suite_groups(seed, instance_count, tol)[group]()
+    return [_run_item(theorem_id, check, instances, extra, tol) for theorem_id, check, instances, *extra in items]
+
+
 def run_suite(
     seed: int = DEFAULT_SUITE_SEED,
     instance_count: int = DEFAULT_SUITE_COUNT,
@@ -564,64 +642,76 @@ def run_suite(
     ``instance_count = 0`` yields all-inconclusive empty reports; a negative
     count or seed raises ValueError. The table is built per call, so checks
     and draws are looked up at run time.
+
+    The items form groups that run on their own: the three orthogonal sums,
+    which share their families, the two intertwiner items, which share their
+    squares, and every other item alone. Above ``_BATCH_SIZE`` instances per
+    item, on Linux under CPython before 3.12, with no other Python thread
+    alive and at least two CPUs available to this process, the groups run
+    in that many forked worker processes, heaviest first (see
+    :func:`_suite_workers`); otherwise, or when the pool cannot start or
+    breaks, they run in this process. The reports come back in table order,
+    so the output is the same either way.
     """
     if instance_count < 0:
         raise ValueError(f"instance count must be non-negative, got {instance_count}")
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(12)]
-    n = range(instance_count)
-    fixed = int(instance_count > 0)  # the fixed-list items run in full once any instance is asked for
-    # shared by several items, so drawn up front; the other items draw their instances when their turn comes
-    families = [_block_family(rngs[5], n_blocks=2 + i % 3, nilpotent=(i % 5 == 0)) for i in n]
-    squares, dagger_squares = _intertwiner_instances(rngs[7], instance_count, tol)
-    items = [
-        # Drazin TP preservation on generic CPTP channels, unitality on mixed-unitary ones.
-        ("drazin-tp-preservation", _keeps_tp_u,
-         (draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[0], tol) for i in n), "drazin", False),
-        ("drazin-unital-preservation", _keeps_tp_u,
-         (draw_ucptp(_DIMS[i % 3], 2 + i % 4, rngs[1], tol) for i in n), "drazin", False),
-        # Depolarizing case study: inverse parameter identity and CP loss.
-        ("depolarizing-cp-loss", _plain,
-         [(d, a) for d in (2, 3) for a in (0.25, 0.5, 0.9, 1.0)] * fixed, check_drazin_cp_loss),
-        # Dagger-Drazin TP+U preservation on mixed-unitary channels.
-        ("dagger-drazin-tp-u-preservation", _keeps_tp_u,
-         (draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[2], tol) for i in n), "dagger_drazin", True),
-        # Moore-Penrose TP+U biconditional on mixed instances.
-        ("mp-tp-u-iff", _mp_tpu_iff, (
-            draw_cptp(_DIMS[i % 3], _ENVS[i % 4], rngs[3], tol) if i % 3 == 2
-            else draw_ucptp(_DIMS[i % 3], 2 + i % 3, rngs[3], tol)
-            for i in n
-        )),
-        # Moore-Penrose TP-violation search on non-unital channels: one search of count trials.
-        ("mp-tp-violation-search", _plain, [(2, 3, instance_count, rngs[4])] * fixed, search_mp_tp_violation),
-        # Orthogonal-sum laws on block-embedded families.
-        ("orthogonal-sum-drazin", _orthogonal_sum, families, "drazin"),
-        ("orthogonal-sum-dagger-drazin", _orthogonal_sum, families, "dagger_drazin"),
-        ("orthogonal-sum-moore-penrose", _orthogonal_sum, families, "mp"),
-        # Projector channels: UCPTP and self-inverse for every kind.
-        ("projector-channel-self-inverse", _plain, [((1, 1),), ((2, 1),), ((2, 2),)] * fixed,
-         check_projector_self_inverse),
-        # Pure-channel criteria on unitaries, isometries, and defective maps.
-        ("pure-channel-criteria", _plain,
-         ((_pure_channel_map(_DIMS[i % 3], i % 3, rngs[6]),) for i in n), check_pure_channel_lemma),
-        # Intertwiner propagation: block instances plus the TP-functional square.
-        ("intertwiner-drazin", _intertwiner, squares, "drazin"),
-        ("intertwiner-dagger-drazin", _intertwiner, dagger_squares, "dagger_drazin"),
-        # Double-inverse law at index <= 1 and its failure at index 2.
-        ("group-double-inverse", _group_double_inverse, (
-            draw_ucptp(_DIMS[i % 3], 2, rngs[8], tol).super if i % 2 == 0
-            else chn.projector_channel((_DIMS[i % 3] - 1, 1)).super
-            for i in n
-        )),
-        ("drazin-double-inverse-gap", _double_inverse_gap,
-         (_index2_tp_superoperator(_DIMS[i % 2], rngs[9]) for i in range(min(instance_count, 16)))),
-    ]
-    return [_run_item(theorem_id, check, instances, extra, tol) for theorem_id, check, instances, *extra in items]
+    table = _suite_groups(seed, instance_count, tol)  # checks the seed before any worker starts
+    run = partial(_run_group, seed, instance_count, tol)
+    reports = dict(zip(_HEAVIEST_FIRST, _map_groups(run, _HEAVIEST_FIRST, _suite_workers(instance_count))))
+    return list(chain.from_iterable(reports[group] for group in table))
+
+
+# The suite's groups, heaviest first at 200 instances per item: run_suite hands them to its workers in this order,
+# and a worker takes the next group when it is done, so no heavy group starts last and keeps the others waiting. The
+# orthogonal sums take about 30% of the suite's time, the intertwiners 13%, the next four items 8-10% each.
+_HEAVIEST_FIRST = (
+    "orthogonal-sum", "intertwiner", "dagger-drazin-tp-u-preservation", "mp-tp-u-iff", "group-double-inverse",
+    "drazin-unital-preservation", "drazin-tp-preservation", "mp-tp-violation-search", "pure-channel-criteria",
+    "drazin-double-inverse-gap", "depolarizing-cp-loss", "projector-channel-self-inverse",
+)
+
+
+def _suite_workers(instance_count: int) -> int:
+    """How many forked worker processes run the suite's groups at ``instance_count`` instances per item; at 1 the
+    suite runs in this process.
+
+    Forking copies only the calling thread, so the pool needs a process whose other threads can hold no lock the
+    workers need: no other Python thread may be alive, and CPython 3.12 and later warn on a fork in a process that
+    has other OS threads, which NumPy's OpenBLAS starts. At ``_BATCH_SIZE`` instances or fewer, starting the pool
+    costs more than it saves. Each worker needs a CPU of its own.
+    """
+    if (
+        sys.platform != "linux"
+        or sys.version_info >= (3, 12)
+        or threading.active_count() != 1
+        or instance_count <= _BATCH_SIZE
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(_HEAVIEST_FIRST))
+
+
+def _map_groups(run, groups, workers: int) -> list:
+    """``run`` of each of ``groups``, in ``workers`` forked processes when that is more than 1, else here.
+
+    A pool that cannot start (OSError) or breaks (a worker died) leaves every group to this process. The
+    process-pool modules are imported only here: most callers of the package never start a pool.
+    """
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(run, groups))
+        except (OSError, BrokenProcessPool):
+            pass
+    return list(map(run, groups))
 
 
 def _conditioned(rng, size: int) -> np.ndarray:
     """Random size x size matrix with singular values in [0.5, 2]."""
-    u = chn.haar_unitary(size, rng)
-    v = chn.haar_unitary(size, rng)
+    u, v = chn._phase_fixed_qr(np.stack([chn._ginibre(rng, size, size) for _ in range(2)]))
     return u @ np.diag(rng.uniform(0.5, 2.0, size)).astype(np.complex128) @ v
 
 

@@ -887,6 +887,37 @@ class TestLuRoute:
                 want = np.full_like(x, np.nan)
             assert np.array_equal(got, want, equal_nan=True)
 
+    @pytest.mark.parametrize("members, inv_calls", [
+        ("gzng", 2),  # the zero-row members are left out of one retried stack
+        ("zn", 2),  # which is empty here
+        ("gzsg", 5),  # s is singular with no zero row, so the retried stack raises too: one call per member left
+        ("gs", 3),  # nothing to leave out: no retried stack
+        ("s", 1),  # a stack of one holds only the member that raised
+    ])
+    def test_lu_inverse_retries_the_members_without_a_zero_line(self, monkeypatch, members, inv_calls):
+        # a member with an all-zero row or column stays nan without a call of its own; the others keep their own
+        # call's inverse
+        rng = np.random.default_rng(32)
+        make = {"g": lambda: random_complex(rng, 3, 3), "z": lambda: np.zeros((3, 3)), "n": lambda: np.eye(3, k=1),
+                "s": lambda: np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])}
+        m = np.array([make[c]() for c in members], dtype=complex)
+        calls = []
+        inv = np.linalg.inv
+
+        def counting(x):
+            calls.append(x.shape)
+            return inv(x)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        g = ginv._lu_inverse(m)
+        assert len(calls) == inv_calls
+        for x, got in zip(m, g):
+            try:
+                want = inv(x)
+            except np.linalg.LinAlgError:
+                want = np.full_like(x, np.nan)
+            assert np.array_equal(got, want, equal_nan=True)
+
     @pytest.mark.parametrize(
         "kind, family",
         [("drazin", "invertible"), ("group", "invertible"), ("drazin", "singular"), ("moore_penrose", "rectangular")],

@@ -1,4 +1,5 @@
-"""Two checks of a linter's kind on the stdlib ``ast``: no unused imports, no dead private helpers.
+"""Two checks of a linter's kind on the stdlib ``ast``: no unused imports, no dead private helpers; and what
+importing the package loads.
 
 No module of the package imports a name it never uses (F401). ``__init__.py`` re-exports its imports and is
 skipped. An import statement whose lines carry ``# noqa: F401`` is kept on purpose (``ginv`` keeps ``svd`` for a
@@ -6,9 +7,14 @@ tracer that rebinds it there).
 
 Every module-level private function, class or constant of the package is referenced somewhere in the package
 outside its own definition, so a helper a refactor stopped calling cannot survive it.
+
+Importing the CLI loads no process-pool module: the suite imports them only when it starts a pool.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +107,12 @@ def test_no_unused_imports(path):
 
 def test_no_dead_private_names():
     assert unreferenced_private_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_cli_import_loads_no_process_pool_modules():
+    # in a fresh interpreter, as the console script starts
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, chaninv.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

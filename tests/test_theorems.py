@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -430,8 +434,106 @@ class TestRunSuite:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
+        monkeypatch.setattr(thm, "_suite_workers", lambda instance_count: 1)  # a worker's calls are not counted here
         thm.run_suite(seed=2, instance_count=50)
         assert 0 < len(calls) <= 1000
+
+
+def _suite_json(seed, instance_count):
+    return json.dumps([thm.report_to_dict(r) for r in thm.run_suite(seed=seed, instance_count=instance_count)])
+
+
+def _serial_suite_json(monkeypatch, seed, instance_count):
+    with monkeypatch.context() as m:
+        m.setattr(thm, "_suite_workers", lambda instance_count: 1)
+        return _suite_json(seed, instance_count)
+
+
+# what _suite_workers asks of the host before it forks workers
+FORKS_HERE = (sys.platform == "linux" and sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
+              and len(os.sched_getaffinity(0)) >= 2)
+
+
+class TestSuiteWorkers:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The arguments of each process pool run_suite builds."""
+        built = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        return built
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_forked_groups_give_the_serial_reports(self, monkeypatch, pools, seed):
+        serial = _serial_suite_json(monkeypatch, seed, 40)
+        monkeypatch.setattr(thm, "_suite_workers", lambda instance_count: 2)
+        assert _suite_json(seed, 40) == serial
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_refused_pool_runs_the_groups_here(self, monkeypatch):
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no pool here")
+
+        serial = _serial_suite_json(monkeypatch, 4, 40)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refused)
+        monkeypatch.setattr(thm, "_suite_workers", lambda instance_count: 2)
+        assert _suite_json(4, 40) == serial
+
+    def test_broken_pool_runs_the_groups_here(self, monkeypatch, pools):
+        # a worker that dies breaks the pool; every group then runs in this process
+        serial = _serial_suite_json(monkeypatch, 5, 40)
+        parent = os.getpid()
+        run_item = thm._run_item
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_item(*args)
+
+        monkeypatch.setattr(thm, "_run_item", dying)
+        monkeypatch.setattr(thm, "_suite_workers", lambda instance_count: 2)
+        assert _suite_json(5, 40) == serial
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not FORKS_HERE, reason="the suite forks only on Linux, CPython < 3.12, with 2 CPUs or more")
+    def test_pool_above_one_batch(self, pools):
+        thm.run_suite(seed=1, instance_count=thm._BATCH_SIZE + 1)
+        assert len(pools) == 1
+        (workers,), kwargs = pools[0]
+        assert workers == min(len(os.sched_getaffinity(0)), len(thm._HEAVIEST_FIRST))
+        assert kwargs["mp_context"].get_start_method() == "fork"
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_at_one_batch(self, pools):
+        thm.run_suite(seed=1, instance_count=thm._BATCH_SIZE)
+        assert pools == []
+
+    def test_no_pool_while_another_thread_lives(self, pools):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            thm.run_suite(seed=1, instance_count=40)
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert pools == []
+
+    @pytest.mark.parametrize("seed, count", [(-1, 40), (1, -40)])
+    def test_bad_arguments_raise_before_any_worker(self, monkeypatch, pools, seed, count):
+        monkeypatch.setattr(thm, "_suite_workers", lambda instance_count: 2)
+        with pytest.raises(ValueError):
+            thm.run_suite(seed=seed, instance_count=count)
+        assert pools == []
 
 
 def _asks(kind, m, tag, tol):
