@@ -619,7 +619,10 @@ def _run_group(seed, instance_count: int, tol: Tolerances, group: str) -> list:
 
     The table is rebuilt from these arguments, which pickle, so a worker process can run any group alone.
     """
-    items = _suite_groups(seed, instance_count, tol)[group]()
+    return _run_items(_suite_groups(seed, instance_count, tol)[group](), tol)
+
+
+def _run_items(items, tol: Tolerances) -> list:
     return [_run_item(theorem_id, check, instances, extra, tol) for theorem_id, check, instances, *extra in items]
 
 
@@ -656,8 +659,10 @@ def run_suite(
     if instance_count < 0:
         raise ValueError(f"instance count must be non-negative, got {instance_count}")
     table = _suite_groups(seed, instance_count, tol)  # checks the seed before any worker starts
-    run = partial(_run_group, seed, instance_count, tol)
-    reports = dict(zip(_HEAVIEST_FIRST, _map_groups(run, _HEAVIEST_FIRST, _suite_workers(instance_count))))
+    workers = _suite_workers(instance_count)
+    reports = _forked_groups(seed, instance_count, tol, workers) if workers > 1 else None
+    if reports is None:
+        reports = {group: _run_items(items(), tol) for group, items in table.items()}
     return list(chain.from_iterable(reports[group] for group in table))
 
 
@@ -690,23 +695,21 @@ def _suite_workers(instance_count: int) -> int:
     return min(len(os.sched_getaffinity(0)), len(_HEAVIEST_FIRST))
 
 
-def _map_groups(run, groups, workers: int) -> list:
-    """``run`` of each of ``groups``, in ``workers`` forked processes when that is more than 1, else here.
+def _forked_groups(seed, instance_count: int, tol: Tolerances, workers: int) -> dict | None:
+    """Group name -> reports of every group of the suite, from ``workers`` forked processes that take the groups
+    heaviest first; None when the pool cannot start (OSError) or breaks (a worker died).
 
-    A pool that cannot start (OSError) or breaks (a worker died) leaves every group to this process. The
-    process-pool modules are imported only here: most callers of the package never start a pool.
+    The process-pool modules are imported only here: most callers of the package never start a pool.
     """
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-        try:
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(run, groups))
-        except (OSError, BrokenProcessPool):
-            pass
-    return list(map(run, groups))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return dict(zip(_HEAVIEST_FIRST, pool.map(partial(_run_group, seed, instance_count, tol), _HEAVIEST_FIRST)))
+    except (OSError, BrokenProcessPool):
+        return None
 
 
 def _conditioned(rng, size: int) -> np.ndarray:
