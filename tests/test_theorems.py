@@ -450,8 +450,7 @@ def _serial_suite_json(monkeypatch, seed, instance_count):
 
 
 # what _suite_workers asks of the host before it forks workers
-FORKS_HERE = (sys.platform == "linux" and sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
-              and len(os.sched_getaffinity(0)) >= 2)
+FORKS_HERE = sys.platform == "linux" and sys.version_info < (3, 12) and len(os.sched_getaffinity(0)) >= 2
 
 
 class TestSuiteWorkers:
