@@ -14,6 +14,8 @@ Conventions, fixed once and guarded by round-trip tests:
 """
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +49,8 @@ class Channel:
     ``super`` has shape (d_out^2, d_in^2) and acts on column-stacked
     vectorizations; ``kraus`` is an optional tuple of (d_out, d_in)
     operators kept when the channel was built from one. What the caller
-    passes is validated (ValueError). Given only ``kraus``, the
+    passes is validated (ValueError); the dimensions must be integers, not
+    bools, and are stored as ``int``. Given only ``kraus``, the
     superoperator is computed from it, and OverflowError is raised if that
     overflows. Given both, they must agree to a Frobenius distance of at
     most ``DEFAULT_RESIDUAL_ATOL`` times the Frobenius norm of the computed
@@ -61,6 +64,12 @@ class Channel:
     kraus: tuple | None = None
 
     def __post_init__(self):
+        for name in ("d_in", "d_out"):  # an int, so that shapes, reshapes and JSON see one
+            dim = getattr(self, name)
+            if type(dim) is not int:  # skips the ABC check (about 0.6 us) for a plain int; a bool takes it
+                if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+                    raise ValueError(f"channel dimension {name} must be an integer, got {dim!r}")
+                object.__setattr__(self, name, operator.index(dim))
         computed = None
         if self.kraus is not None:
             # kraus_to_channel and channel_from_dict leave the operators' validation here

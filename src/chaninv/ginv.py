@@ -26,8 +26,10 @@ pass: one stacked LU inverse of a square stack, which routes each member on
 its own test; one stacked SVD of the other members; the inverses
 (Moore-Penrose and index-0 Drazin read off the SVD for every member at once,
 each singular member deflated alone, a refusal kept as that member's error);
-then one stacked norm per axiom on the members that have an inverse, which
-gives each member its report or error.
+then one stacked norm per axiom on the members that have an inverse. One
+gate, :func:`_report`, gives every member of either route its report or
+error: the axiom residuals first, then, for the group kind, the
+double-inverse law.
 :func:`certify_many` validates a list of matrices, then certifies them one
 stack per shape; the four public inverses run them on a stack of one.
 
@@ -254,13 +256,28 @@ def _witness(residuals, tol: Tolerances):
     return best_k, best
 
 
-def _enforce(kind: str, residuals: dict, tol: Tolerances) -> None:
-    worst = float(np.max(list(residuals.values()), initial=0.0))  # unlike max(), keeps a nan
-    if not (worst <= tol.residual_atol):
-        raise AxiomResidualError(
-            f"{kind} inverse failed its axiom gate: max residual {worst:.3e} > {tol.residual_atol:.3e} "
+def _report(kind: str, inverse: np.ndarray, residuals: dict, tol: Tolerances, index: int | None,
+            witness_k: int | None, forward: float | None,
+            double: float | AxiomResidualError | None) -> GinvReport | AxiomResidualError:
+    """A member's GinvReport, or the AxiomResidualError that refuses it: the one gate of every route.
+
+    The axiom gate comes first: every residual must be at most ``residual_atol``, and a nan fails. Then, for the
+    group kind, ``double`` is the double-inverse residual |(G^#)^# - a|, gated likewise, or the error raised while
+    forming (G^#)^#; it is None for the other kinds.
+    """
+    atol = tol.residual_atol
+    if not all(v <= atol for v in residuals.values()):  # a nan fails
+        worst = float(np.max(list(residuals.values())))  # unlike max(), keeps a nan
+        return AxiomResidualError(
+            f"{kind} inverse failed its axiom gate: max residual {worst:.3e} > {atol:.3e} "
             f"(residuals: {residuals}); check tolerances or input conditioning"
         )
+    if isinstance(double, AxiomResidualError):
+        return double
+    if double is not None and not (double <= atol):
+        return AxiomResidualError(f"group inverse double-inverse law violated: residual {double:.3e}")
+    # the copy owns its data: a view would keep the whole stack alive
+    return GinvReport(kind, inverse.copy(), residuals, index, witness_k, forward)
 
 
 # the square kinds, with the name their single calls give the input in a shape error
@@ -360,43 +377,37 @@ def _lu_route(a: np.ndarray, tol: Tolerances):
 def _by_lu(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray, tol: Tolerances) -> list:
     """:func:`_certify` on full-rank members: their LU inverse ``g`` is every kind's inverse, at index 0.
 
-    A member is certified from :func:`_lu_values` when all of them pass the gate. Every other member is judged as
-    before: by the dense residuals of :func:`_reports` and, for the group kind, G^-1 from a second LU. Both report
-    the forward-error bound.
+    A member is certified from :func:`_lu_values` when :func:`_report` passes them. Every other member is judged by
+    the dense residuals of :func:`_reports` and, for the group kind, by G^-1 from a second LU. Both report the
+    forward-error bound.
     """
+    square = kind in _SQUARE_KINDS
     out, rest, bounds = [], [], []
-    for i, (values, forward) in enumerate(_lu_values(kind, a, g, norms)):
-        if all(v <= tol.residual_atol for v in values.values()):  # a nan fails
-            values.pop("double", None)
-            out.append(GinvReport(
-                kind=kind,
-                inverse=g[i].copy(),  # a view would keep the whole stack alive
-                residuals=values,
-                index=0 if kind in _SQUARE_KINDS else None,
-                witness_k=0 if kind == "dagger_drazin" else None,
-                forward_error_bound=forward,
-            ))
-        else:
-            out.append(None)
+    for i, (values, forward, double) in enumerate(_lu_values(kind, a, g, norms)):
+        out.append(_report(kind, g[i], values, tol, 0 if square else None, 0 if kind == "dagger_drazin" else None,
+                           forward, double))
+        if not isinstance(out[i], GinvReport):
             rest.append(i)
             bounds.append(forward)
     if rest:
-        dense = _reports(kind, a[rest], g[rest], {} if kind in _SQUARE_KINDS else None, {}, tol, bounds)
-        if kind == "group":
-            _gate_double_inverse(dense, a[rest], _double_inverse(g[rest], None, None, None), tol)
-        for i, result in zip(rest, dense):
+        double = None
+        if kind == "group":  # nan where LAPACK finds G singular, which fails the gate
+            with np.errstate(over="ignore", invalid="ignore"):
+                double = _norm(_lu_inverse(g[rest]) - a[rest]).tolist()
+        for i, result in zip(rest, _reports(kind, a[rest], g[rest], {} if square else None, {}, tol, bounds, double)):
             out[i] = result
     return out
 
 
 def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> list:
-    """(values, forward) for each pair (A, G) of the stacks: the axiom values of ``kind`` and a forward-error bound.
+    """(values, forward, double) for each pair (A, G) of the stacks: the axiom values of ``kind``, a forward-error
+    bound and, for the group kind, a bound on its double-inverse law (None for the others).
 
     Two products per member, E = GA - I and E' = AG - I, give every value. Exact identities, computed as the dense
     residuals compute them: MP3 = Dd4 = ``|E' - E'^H|``, MP4 = Dd3 = ``|E - E^H|``, D1 at k = 0 = ``|E|``, D3 = G3 =
     ``|E' - E|``, Dd1 at k = 0 = ``max(|E|, |E'|)``. Bounds, with m = min(|E|, |E'|) + rho: MP1 = G1 = ``|AE|`` =
     ``|E'A|`` <= |A| m, MP2 = D2 = G2 = Dd2 = ``|EG|`` = ``|GE'|`` <= |G| m and, as ``|(I + E)^-1|_2 <= 1 / (1 - m)``
-    while m < 1, the group double-inverse law ``|G^-1 - A|`` <= |A| m / (1 - m) (key "double") and the forward error
+    while m < 1, the group double-inverse law ``|G^-1 - A|`` <= |A| m / (1 - m) and the forward error
     ``|G - A^-1|`` <= |G| m / (1 - m) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14);
     past m = 1 those two are inf. rho = 4 (n + 2) eps |A| |G| is about twice the rounding of the products (complex
     inner products of length n, Higham ch. 3) in E and E', plus that of the dense triple products ``AGA`` and
@@ -424,8 +435,8 @@ def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> li
         elif kind == "drazin":
             values = {"D1": e, "D2": ng * m, "D3": exact[0]}
         else:
-            values = {"G1": na * m, "G2": ng * m, "G3": exact[0], "double": na * _neumann(m)}
-        out.append((values, ng * _neumann(m)))
+            values = {"G1": na * m, "G2": ng * m, "G3": exact[0]}
+        out.append((values, ng * _neumann(m), na * _neumann(m) if kind == "group" else None))
     return out
 
 
@@ -447,7 +458,7 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
         return [factors] if len(a) == 1 else [res for m in a for res in _by_svd(kind, m[None], tol)]
     u, s, vh, r = factors
     if kind in ("moore_penrose", "dagger_drazin"):
-        return _reports(kind, a, _pinv(u, s, vh, r), None, {}, tol)
+        return _reports(kind, a, _pinv(u, s, vh, r), None, {}, tol, None, None)
     # index 0: a = u diag(s) vh, so the core bases are the SVD's v and u; as in _pinv, weight 1/inf = 0 leaves
     # the singular members at zero, each to be replaced by its deflated inverse (so a stack of singular members
     # skips the product)
@@ -466,38 +477,26 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     for i in np.flatnonzero(~full).tolist():
         core = _attempt(GinvError, deflate, i)
         (failed if isinstance(core, GinvError) else cores)[i] = core
-    out = _reports(kind, a, inv, {i: core[0] for i, core in cores.items()}, failed, tol)
+    double = None
     if kind == "group":
-        # (G^#)^# on the bases of a's deflation: a's SVD multiplied back, which holds at index 0; each certified
-        # singular member's is replaced by one r x r solve on its own bases
-        double = _double_inverse(inv, dagger(vh), u, s) if any_full else np.zeros_like(a)
-        for i, (_, cu, cv) in cores.items():
-            if isinstance(out[i], GinvReport):
+        # (G^#)^# on the bases of a's deflation: a's SVD multiplied back, which holds at index 0; each singular
+        # member's is one r x r solve on its own bases, or the refusal of that solve
+        with np.errstate(all="ignore"):
+            double = _norm(_double_inverse(inv, dagger(vh), u, s) - a).tolist() if any_full else [math.nan] * len(a)
+            for i, (_, cu, cv) in cores.items():
                 member = _attempt(AxiomResidualError, _double_inverse, inv[i], cu, cv, None)
-                if isinstance(member, AxiomResidualError):
-                    out[i] = member
-                else:
-                    double[i] = member
-        _gate_double_inverse(out, a, double, tol)
-    return out
-
-
-def _gate_double_inverse(out: list, a: np.ndarray, double: np.ndarray, tol: Tolerances) -> None:
-    """Replace in ``out`` each group report whose double-inverse residual |(G^#)^# - a| fails the gate by its error."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = _norm(double - a)
-    for i, gap in enumerate(gaps):
-        if isinstance(out[i], GinvReport) and not (gap <= tol.residual_atol):
-            out[i] = AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
+                double[i] = member if isinstance(member, AxiomResidualError) else float(_norm(member - a[i]))
+    return _reports(kind, a, inv, {i: core[0] for i, core in cores.items()}, failed, tol, None, double)
 
 
 def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, failed: dict, tol: Tolerances,
-             forward: list | None = None) -> list:
-    """Each member's result: its error from ``failed``, else the GinvReport of (a[i], inv[i]) if its residuals pass.
+             forward: list | None, double: list | None) -> list:
+    """Each member's result: its error from ``failed``, else what :func:`_report` gives (a[i], inv[i]).
 
     ``index`` maps the deflated members of a Drazin or group stack to their index (0 for the others); it is None
     for the other kinds. The residuals are evaluated once, on the stack of the members not in ``failed``.
-    ``forward`` holds each member's forward-error bound on the LU route.
+    ``forward`` holds each member's forward-error bound on the LU route, ``double`` each group member's
+    double-inverse residual or the error that forming (G^#)^# raised; each is None where it does not apply.
     """
     out = dict(failed)
     live = [i for i in range(len(a)) if i not in failed]
@@ -505,15 +504,13 @@ def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, fail
         rows = live if failed else slice(None)
         residuals, witness_k = _residuals(kind, a[rows], inv[rows], tol)
         for j, i in enumerate(live):
-            member = {label: float(res[j]) for label, res in residuals.items()}
-            out[i] = _attempt(AxiomResidualError, _enforce, kind, member, tol) or GinvReport(
-                kind=kind,
-                inverse=inv[i].copy(),  # a view would keep the whole stack alive
-                residuals=member,
-                index=None if index is None else index.get(i, 0),
+            out[i] = _report(
+                kind, inv[i], {label: float(res[j]) for label, res in residuals.items()}, tol,
+                None if index is None else index.get(i, 0),
                 # the D1 exponent is the index, reported as such
-                witness_k=int(witness_k[j]) if kind == "dagger_drazin" else None,
-                forward_error_bound=None if forward is None else float(forward[i]),
+                int(witness_k[j]) if kind == "dagger_drazin" else None,
+                None if forward is None else float(forward[i]),
+                None if double is None else double[i],
             )
     return [out[i] for i in range(len(a))]
 
@@ -567,15 +564,12 @@ def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | N
         raise AxiomResidualError(f"Drazin core block is singular: {exc}") from exc
 
 
-def _double_inverse(inv: np.ndarray, u: np.ndarray | None, v: np.ndarray | None, s: np.ndarray | None) -> np.ndarray:
+def _double_inverse(inv: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | None) -> np.ndarray:
     """(G^#)^# of G = ``inv`` from :func:`_core_inverse`, on the bases u, v of the deflation of a.
 
     G has range(u) and row space range(v), so (G^#)^# = u (v^H G u)^{-1} v^H: one r x r solve, no SVD of G,
-    and a's rank decision stands. At index 0 it is a's SVD v diag(s) u^H, also for stacks. Without bases (u is
-    None: G from the LU route, a stack) it is G^-1 from a second LU, nan where LAPACK finds G singular.
+    and a's rank decision stands. At index 0 it is a's SVD v diag(s) u^H, also for stacks.
     """
-    if u is None:
-        return _lu_inverse(inv)
     return v @ (s[..., None] * dagger(u)) if s is not None else _core_inverse(inv, u, v, None)
 
 

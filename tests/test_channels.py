@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,20 @@ class TestKrausToChannel:
     def test_channel_needs_super_or_kraus(self):
         with pytest.raises(ValueError, match="superoperator or Kraus"):
             chn.Channel(2, 2)
+
+    @pytest.mark.parametrize("dim", [2.0, True], ids=["float", "bool"])
+    def test_dimension_that_is_not_an_integer_rejected(self, dim):
+        for dims in ({"d_in": dim, "d_out": 2}, {"d_in": 2, "d_out": dim}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                chn.Channel(**dims, super=np.eye(4))
+
+    def test_numpy_integer_dimension_stored_as_int(self):
+        ch = chn.Channel(d_in=np.int64(2), d_out=np.int32(2), super=np.eye(4))
+        assert type(ch.d_in) is int and type(ch.d_out) is int
+        assert chn.is_cp(ch) and np.allclose(chn.apply(ch, np.eye(2)), np.eye(2))
+        # the JSON wire format round-trips: NumPy integers are not JSON serializable
+        again = chn.channel_from_dict(json.loads(json.dumps(chn.channel_to_dict(ch))))
+        assert (again.d_in, again.d_out) == (2, 2) and np.array_equal(again.super, ch.super)
 
     def test_kraus_super_computed_once(self, monkeypatch):
         calls = []

@@ -8,6 +8,9 @@ tracer that rebinds it there).
 Every module-level private function, class or constant of the package is referenced somewhere in the package
 outside its own definition, so a helper a refactor stopped calling cannot survive it.
 
+``GinvReport(...)`` is called once in ``ginv``, in ``_report``, the gate every route shares, so that no route
+builds a certificate past it.
+
 Importing the CLI loads no process-pool module: the suite imports them only when it starts a pool.
 """
 
@@ -67,6 +70,25 @@ def unreferenced_private_names(sources: dict) -> list:
     return sorted(dead)
 
 
+def call_sites(source: str, callee: str) -> list:
+    """The innermost enclosing function of each call of ``callee`` (a bare name or an attribute) in ``source``,
+    in source order; ``<module>`` for a call outside any function."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
+                sites.append(function)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
 def test_finder_sees_unused_and_kept_imports():
     source = (
         "import math\n"
@@ -98,6 +120,25 @@ def test_finder_sees_dead_private_names():
         "b": "from . import a\nx = a._Kept\n",
     }
     assert unreferenced_private_names(sources) == ["a._UNUSED", "a._recursive"]
+
+
+def test_finder_sees_every_call_site():
+    source = (
+        "R = Report(0)\n"
+        "def build(x):\n"
+        "    def inner():\n"
+        "        return mod.Report(x)\n"
+        "    return Report(inner())\n"
+        "class Route:\n"
+        "    def run(self):\n"
+        "        return isinstance(self, Report) or [Report(i) for i in range(2)]\n"
+        "check = lambda r: Report(r)\n"
+    )
+    assert call_sites(source, "Report") == ["<module>", "inner", "build", "run", "<lambda>"]
+
+
+def test_one_function_builds_every_certificate():
+    assert call_sites((PACKAGE / "ginv.py").read_text(), "GinvReport") == ["_report"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
