@@ -42,6 +42,13 @@ class DimensionMismatchError(ValueError):
     """Well-formed data whose matrix shapes contradict the declared dimensions."""
 
 
+def _dimension(dim, what: str) -> int:
+    """``dim`` as an int: an integer that is not a bool, a NumPy integer converted; else ValueError naming ``what``."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {dim!r}")
+    return operator.index(dim)
+
+
 @dataclass(frozen=True)
 class Channel:
     """A linear map on operator space stored as a superoperator.
@@ -67,9 +74,7 @@ class Channel:
         for name in ("d_in", "d_out"):  # an int, so that shapes, reshapes and JSON see one
             dim = getattr(self, name)
             if type(dim) is not int:  # skips the ABC check (about 0.6 us) for a plain int; a bool takes it
-                if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-                    raise ValueError(f"channel dimension {name} must be an integer, got {dim!r}")
-                object.__setattr__(self, name, operator.index(dim))
+                object.__setattr__(self, name, _dimension(dim, f"channel dimension {name}"))
         computed = None
         if self.kraus is not None:
             # kraus_to_channel and channel_from_dict leave the operators' validation here
@@ -329,7 +334,7 @@ def projector_channel(block_dims) -> Channel:
     superoperator is a Hermitian idempotent and the channel equals its own
     Moore-Penrose, Drazin, and dagger-Drazin inverse.
     """
-    dims = [int(b) for b in block_dims]
+    dims = [_dimension(b, "block dimension") for b in block_dims]
     if not dims or any(b < 1 for b in dims):
         raise ValueError("block dimensions must be positive integers")
     d = sum(dims)
@@ -401,7 +406,7 @@ def random_ucptp(d: int, n_unitaries: int, seed) -> Channel:
 
 def partial_trace(m: np.ndarray, dims, which: int) -> np.ndarray:
     """Partial trace of a (d1*d2) x (d1*d2) matrix over subsystem 1 or 2."""
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = _dimension(dims[0], "subsystem dimension"), _dimension(dims[1], "subsystem dimension")
     m = as_cmatrix(m)
     if m.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {m.shape} does not match dims {(d1, d2)}")

@@ -249,6 +249,9 @@ def cmd_mitigate(args, tol: Tolerances) -> int:
 
 
 def cmd_random(args, _tol: Tolerances) -> int:
+    if args.kind == "ucptp" and args.d_out not in (None, args.d):
+        raise CliError(EXIT_BAD_INPUT,
+                       f"a mixed-unitary channel is square: --d-out {args.d_out} differs from -d {args.d}")
     try:
         if args.kind == "cptp":
             d_out = args.d_out if args.d_out is not None else args.d

@@ -10,12 +10,12 @@ complex matrices). Each comes from one factorization.
   and a factor 2 for rounding, which the eps term keeps small by capping
   cond(A) at 1/(8 n eps)). Every kind's inverse of it is G, at index 0,
   certified from E = GA - I and E' = AG - I (see below).
-* SVD route, for every other input: Moore-Penrose and dagger-Drazin from
-  one thin SVD of the input; Drazin and group from a deflation: one SVD of
-  A, then SVDs of r x r compressions of A, give the index k and bases u_r
-  of range(A^k) and v_r of range((A^k)^H), so that
-  ``A^D = u_r (v_r^H A u_r)^{-1} v_r^H`` (at index 0, read off the SVD of
-  A); no power of A is formed.
+* SVD route, for every other input: Moore-Penrose and dagger-Drazin, and
+  Drazin and group at index 0 (where they are the Moore-Penrose inverse),
+  are read off one thin SVD of the input by :func:`_pinv`. A singular A is
+  deflated: its SVD, then SVDs of r x r compressions of A, give the index k
+  and bases u_r of range(A^k) and v_r of range((A^k)^H), so that
+  ``A^D = u_r (v_r^H A u_r)^{-1} v_r^H``; no power of A is formed.
 
 Every returned inverse is self-certifying: the defining-axiom residuals are
 computed and enforced against ``Tolerances.residual_atol``, so a successful
@@ -23,15 +23,16 @@ return is a numerical certificate.
 
 The kernels work on stacks (N, m, n) of same-shape matrices, in one straight
 pass: one stacked LU inverse of a square stack, which routes each member on
-its own test; one stacked SVD of the other members; the inverses
-(Moore-Penrose and index-0 Drazin read off the SVD for every member at once,
-each singular member deflated alone, a refusal kept as that member's error);
-then one stacked norm per axiom on the members that have an inverse. One
-gate, :func:`_report`, gives every member of either route its report or
-error: the axiom residuals first, then, for the group kind, the
-double-inverse law.
-:func:`certify_many` validates a list of matrices, then certifies them one
-stack per shape; the four public inverses run them on a stack of one.
+its own test; one stacked SVD of the other members; the inverses (one
+stacked product per distinct rank, each member's over its own rank's
+singular triplets; each singular Drazin or group member deflated alone, a
+refusal kept as that member's error); then one stacked norm per axiom on
+the members that have an inverse. One gate, :func:`_report`, gives every
+member of either route its report or error: the axiom residuals first,
+then, for the group kind, the double-inverse law. No member's arithmetic
+depends on its neighbours: :func:`certify_many` certifies a list one stack
+per shape and gives each member its single call's bytes; the four public
+inverses run the kernels on a stack of one.
 
 Axiom residuals, in the left-to-right composition convention of
 :mod:`chaninv.linalg` (f;g on column vectors is G @ F):
@@ -140,14 +141,17 @@ def _svd(m: np.ndarray, tol: Tolerances, shape: tuple | None = None, top: float 
         raise AxiomResidualError(f"computation overflowed: {exc}") from exc
 
 
-def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r) -> np.ndarray:
-    """Moore-Penrose inverses from the stacked thin SVDs of :func:`_svd`: weight 1/s up to each rank, 0 past it.
+def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverses from the stacked thin SVDs of :func:`_svd`, the only place an inverse is read off one.
 
-    Only the leading max(r) singular triplets enter the product.
+    Each member of rank k is the product over its own k leading singular triplets, one stacked product per distinct
+    rank, so it does not depend on its neighbours' ranks; a member of rank 0 stays 0.
     """
-    k = int(np.asarray(r).max(initial=0))
-    w = 1.0 / np.where(np.arange(k) < np.asarray(r)[..., None], s[..., :k], np.inf)
-    return dagger(vh[..., :k, :]) @ (w[..., None] * dagger(u[..., :k]))
+    g = np.zeros((*u.shape[:-2], vh.shape[-1], u.shape[-2]), dtype=np.complex128)
+    for k in set(r.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma (about 1.6 MB)
+        m = r == k
+        g[m] = dagger(vh[m, :k]) @ ((1.0 / s[m, :k])[..., None] * dagger(u[m, :, :k]))
+    return g
 
 
 def _as_square(a, what: str) -> np.ndarray:
@@ -289,9 +293,9 @@ def certify_many(kind: str, mats, tol: Tolerances = DEFAULT_TOL) -> list:
 
     The result keeps the input order. Entry i is what the single call of that kind (:func:`mp_inverse`,
     :func:`drazin_inverse`, :func:`group_inverse` or :func:`dagger_drazin`) gives for ``mats[i]``: its
-    GinvReport, or the exception it raises, of the same type and with the same message (a GinvError for a
-    refused certificate, a ValueError for malformed input). One member's failure leaves the others' results
-    unchanged.
+    GinvReport, with the same inverse bytes, residuals, index, witness and forward-error bound, or the exception
+    it raises, of the same type and with the same message (a GinvError for a refused certificate, a ValueError
+    for malformed input). No member's result depends on the others in ``mats``.
     """
     if kind not in KIND_AXIOMS:
         raise ValueError(f"unknown inverse kind {kind!r}")
@@ -449,9 +453,9 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     """:func:`_certify` by one stacked SVD, for the members the LU route did not take.
 
     Moore-Penrose and dagger-Drazin inverses, and the Drazin and group inverses of index-0 members, are read off
-    the SVD for every member at once; the singular members continue one at a time through the r x r blocks of
-    :func:`_core`, and a refusal there is kept as that member's error. The residuals of the other members are
-    evaluated once, on their stack, by :func:`_reports`.
+    the SVD by :func:`_pinv`; the singular Drazin and group members continue one at a time through the r x r
+    blocks of :func:`_core` and :func:`_core_inverse`, and a refusal there is kept as that member's error. The
+    residuals of the other members are evaluated once, on their stack, by :func:`_reports`.
     """
     factors = _attempt(AxiomResidualError, _svd, a, tol)
     if isinstance(factors, AxiomResidualError):  # some member overflowed: factor each member alone
@@ -459,18 +463,15 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     u, s, vh, r = factors
     if kind in ("moore_penrose", "dagger_drazin"):
         return _reports(kind, a, _pinv(u, s, vh, r), None, {}, tol, None, None)
-    # index 0: a = u diag(s) vh, so the core bases are the SVD's v and u; as in _pinv, weight 1/inf = 0 leaves
-    # the singular members at zero, each to be replaced by its deflated inverse (so a stack of singular members
-    # skips the product)
+    # index 0: the inverse is the Moore-Penrose one; the singular members stay 0 until deflate fills them in
     full = r == a.shape[-1]
-    any_full = full.any()
-    inv = _core_inverse(a, dagger(vh), u, np.where(full[:, None], s, np.inf)) if any_full else np.zeros_like(a)
+    inv = _pinv(u, s, vh, np.where(full, r, 0))
 
     def deflate(i):  # a singular member's index and core bases; its inverse goes into inv
-        k, cu, cv, _ = _core(a[i], tol, (u[i], s[i], vh[i], r[i]))
+        k, cu, cv = _core(a[i], tol, (u[i], s[i], vh[i], r[i]))
         if kind == "group" and k > 1:
             raise IndexTooLargeError(k)
-        inv[i] = _core_inverse(a[i], cu, cv, None)
+        inv[i] = _core_inverse(a[i], cu, cv)
         return k, cu, cv
 
     cores, failed = {}, {}
@@ -479,12 +480,13 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
         (failed if isinstance(core, GinvError) else cores)[i] = core
     double = None
     if kind == "group":
-        # (G^#)^# on the bases of a's deflation: a's SVD multiplied back, which holds at index 0; each singular
-        # member's is one r x r solve on its own bases, or the refusal of that solve
+        # (G^#)^# on the bases of a's deflation: at index 0 a's SVD multiplied back; each singular member's is
+        # u (v^H G u)^{-1} v^H, one r x r solve on its own bases (G has range(u) and row space range(v)), or the
+        # refusal of that solve. No SVD of G: a's rank decision stands
         with np.errstate(all="ignore"):
-            double = _norm(_double_inverse(inv, dagger(vh), u, s) - a).tolist() if any_full else [math.nan] * len(a)
+            double = _norm(u @ (s[..., None] * vh) - a).tolist()
             for i, (_, cu, cv) in cores.items():
-                member = _attempt(AxiomResidualError, _double_inverse, inv[i], cu, cv, None)
+                member = _attempt(AxiomResidualError, _core_inverse, inv[i], cu, cv)
                 double[i] = member if isinstance(member, AxiomResidualError) else float(_norm(member - a[i]))
     return _reports(kind, a, inv, {i: core[0] for i, core in cores.items()}, failed, tol, None, double)
 
@@ -530,16 +532,16 @@ def drazin_index(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def _core(a: np.ndarray, tol: Tolerances, factors: tuple | None = None):
-    """(k, u, v, s): the Drazin index k and orthonormal bases u of range(a^k), v of range((a^k)^H).
+    """(k, u, v): the Drazin index k and orthonormal bases u of range(a^k), v of range((a^k)^H).
 
-    At index 0 a = v diag(s) u^H is its SVD, else s is None. range(a^j) is a-invariant and range((a^j)^H)
-    a^H-invariant, so with bases u_j, v_j of them rank(a^(j+1)) = rank(u_j^H a u_j), range(a^(j+1)) =
-    u_j range(u_j^H a u_j) and range((a^(j+1))^H) = v_j range(v_j^H a^H v_j): one n x n SVD, then r x r
-    blocks until one keeps its rank, and no power of a is formed. ``factors`` is a's ``_svd`` when at hand.
+    range(a^j) is a-invariant and range((a^j)^H) a^H-invariant, so with bases u_j, v_j of them
+    rank(a^(j+1)) = rank(u_j^H a u_j), range(a^(j+1)) = u_j range(u_j^H a u_j) and range((a^(j+1))^H) =
+    v_j range(v_j^H a^H v_j): one n x n SVD, then r x r blocks until one keeps its rank, and no power of a is
+    formed. At index 0 the bases are a's right and left singular vectors. ``factors`` is a's ``_svd`` when at hand.
     """
     u, s, vh, r = _svd(a, tol) if factors is None else factors
     if r == a.shape[0]:
-        return 0, dagger(vh), u, s
+        return 0, dagger(vh), u
     k, u, v = 1, u[:, :r], dagger(vh[:r])
     while r:
         p, _, _, r_next = _svd(dagger(u) @ a @ u, tol, a.shape, s[0])
@@ -548,29 +550,18 @@ def _core(a: np.ndarray, tol: Tolerances, factors: tuple | None = None):
         # the right singular vectors of v^H a v span range(v^H a^H v)
         q = dagger(_svd(dagger(v) @ a @ v, tol, a.shape, s[0])[2][:r_next])
         k, r, u, v = k + 1, r_next, u @ p[:, :r_next], v @ q
-    return k, u, v, None
+    return k, u, v
 
 
-def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | None) -> np.ndarray:
-    """Uncertified Drazin inverse u (v^H a u)^{-1} v^H from :func:`_core`; v^H a u = diag(s) at index 0.
+def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Uncertified Drazin inverse u (v^H a u)^{-1} v^H of a singular ``a`` from the bases of :func:`_core`.
 
-    At index 0 the arguments may be stacks of index-0 members.
+    Given a's Drazin inverse G on the same bases, ``_core_inverse(G, u, v)`` is (G^#)^#.
     """
-    if s is not None:
-        return u @ ((1.0 / s)[..., None] * dagger(v))
     try:
         return u @ np.linalg.solve(dagger(v) @ a @ u, dagger(v))
     except np.linalg.LinAlgError as exc:  # v^H u is invertible when the index is right
         raise AxiomResidualError(f"Drazin core block is singular: {exc}") from exc
-
-
-def _double_inverse(inv: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray | None) -> np.ndarray:
-    """(G^#)^# of G = ``inv`` from :func:`_core_inverse`, on the bases u, v of the deflation of a.
-
-    G has range(u) and row space range(v), so (G^#)^# = u (v^H G u)^{-1} v^H: one r x r solve, no SVD of G,
-    and a's rank decision stands. At index 0 it is a's SVD v diag(s) u^H, also for stacks.
-    """
-    return v @ (s[..., None] * dagger(u)) if s is not None else _core_inverse(inv, u, v, None)
 
 
 def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:

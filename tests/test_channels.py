@@ -393,6 +393,19 @@ class TestProjectorChannel:
         rep = chn.property_report(chn.projector_channel((2, 1)))
         assert rep.cp and rep.tp and rep.unital
 
+    @pytest.mark.parametrize(
+        "dims", [(1.9, 1), (True, 1), (2, 1.0), ("2", 1)], ids=["float", "bool", "whole-float", "str"]
+    )
+    def test_block_dimension_that_is_not_an_integer_rejected(self, dims):
+        # int() would truncate 1.9 to 1 and take True as 1
+        with pytest.raises(ValueError, match="block dimension must be an integer"):
+            chn.projector_channel(dims)
+
+    def test_numpy_integer_block_dimensions(self):
+        ch = chn.projector_channel((np.int64(2), np.int32(1)))
+        assert (ch.d_in, ch.d_out) == (3, 3) and type(ch.d_in) is int
+        assert fro_dist(ch.super, chn.projector_channel((2, 1)).super) == 0.0
+
 
 class TestRandomChannels:
     def test_env_one_is_unitary_conjugation(self):
@@ -498,6 +511,19 @@ class TestPartialTrace:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             chn.partial_trace(np.eye(5), (2, 3), 1)
+
+    @pytest.mark.parametrize(
+        "dims", [(2.7, 2), (2, 2.0), (True, 4), (2, "2")], ids=["float", "whole-float", "bool", "str"]
+    )
+    def test_dimension_that_is_not_an_integer_rejected(self, dims):
+        # int() would truncate (2.7, 2) to (2, 2) and trace np.eye(4) down to a 2 x 2 result
+        with pytest.raises(ValueError, match="subsystem dimension must be an integer"):
+            chn.partial_trace(np.eye(4), dims, 1)
+
+    def test_numpy_integer_dimensions(self):
+        m = random_complex(np.random.default_rng(22), 6, 6)
+        got = chn.partial_trace(m, (np.int64(2), np.int32(3)), 1)
+        assert np.array_equal(got, chn.partial_trace(m, (2, 3), 1))
 
 
 class TestRepresentationRoundTrip:

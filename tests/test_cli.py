@@ -409,6 +409,17 @@ class TestRandom:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("d_out, code", [("3", 2), ("2", 0)])
+    def test_ucptp_refuses_a_different_output_dimension(self, capsys, d_out, code):
+        # a mixed-unitary channel is square: a --d-out other than -d is refused, not ignored
+        got, out, err = run(capsys, ["random", "--kind", "ucptp", "-d", "2", "--d-out", d_out, "--seed", "3"])
+        assert got == code
+        if code:
+            assert out == "" and "--d-out 3 differs from -d 2" in err
+        else:
+            ch = chn.channel_from_dict(json.loads(out))
+            assert (ch.d_in, ch.d_out) == (2, 2)
+
 
 def reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")

@@ -16,7 +16,6 @@ from chaninv.ginv import (
     IndexTooLargeError,
     _core,
     _core_inverse,
-    _double_inverse,
     _residuals,
     certify_many,
     dagger_drazin,
@@ -87,15 +86,15 @@ def assert_at_least_dense(residuals, dense):
 def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
     """(report, gap): the group certificate by the route the closed form replaced.
 
-    G and G1-G3 as :func:`group_inverse` forms them; the double-inverse residual
-    from a second certified Drazin inverse, of G, which decides G's rank anew.
+    G and G1-G3 as :func:`group_inverse` forms them (at index 0, the Drazin inverse's read-off of the SVD);
+    the double-inverse residual from a second certified Drazin inverse, of G, which decides G's rank anew.
     """
     k, inv = 0, lu_route_inverse(a, tol)
     if inv is None:
-        k, u, v, s = _core(a, tol)
+        k, u, v = _core(a, tol)
         if k > 1:
             raise IndexTooLargeError(k)
-        inv = _core_inverse(a, u, v, s)
+        inv = _core_inverse(a, u, v) if k else drazin_inverse(a, tol).inverse
     report = ginv._report("group", inv, _residuals("group", a, inv, tol)[0], tol, k, None, None, None)
     if isinstance(report, GinvError):
         raise report
@@ -107,8 +106,11 @@ def closed_form_gap(a, tol=DEFAULT_TOL):
     g = lu_route_inverse(a, tol)
     if g is not None:
         return fro_dist(ginv._lu_inverse(g[None])[0], a)
-    _, u, v, s = _core(a, tol)
-    return fro_dist(_double_inverse(_core_inverse(a, u, v, s), u, v, s), a)
+    k, u, v = _core(a, tol)
+    if k == 0:  # a's SVD multiplied back
+        w, s, vh = np.linalg.svd(a, full_matrices=False)
+        return fro_dist(w @ (s[:, None] * vh), a)
+    return fro_dist(_core_inverse(_core_inverse(a, u, v), u, v), a)
 
 
 def assert_same_group_certificate(a):
@@ -520,12 +522,18 @@ class TestDoubleInverseClosedForm:
             by_lu = ginv._by_lu
             monkeypatch.setattr(ginv, "_by_lu", lambda kind, a, g, *rest: by_lu(kind, a, g + corruption, *rest))
             match = "group inverse failed its axiom gate"
-        else:
-            closed_form = ginv._double_inverse
-            monkeypatch.setattr(ginv, "_double_inverse", lambda *args: closed_form(*args) + corruption)
+        else:  # diag(1, 0) is its own group inverse, so the member's second solve, for (G^#)^#, is the one corrupted
+            calls, core_inverse = [], ginv._core_inverse
+
+            def corrupting_second_call(*args):
+                calls.append(args)
+                return core_inverse(*args) + corruption if len(calls) == 2 else core_inverse(*args)
+
+            monkeypatch.setattr(ginv, "_core_inverse", corrupting_second_call)
             match = "group inverse double-inverse law violated: residual"
         with pytest.raises(AxiomResidualError, match=match):
             group_inverse(a)
+        assert lu or len(calls) == 2
 
     def test_index_two_still_refused(self):
         a = index2_tp_super(3, np.random.default_rng(5))
@@ -741,16 +749,22 @@ SINGLE_CALLS = {
     "group": group_inverse,
     "dagger_drazin": dagger_drazin,
 }
-FAMILIES = ("invertible", "singular", "index2", "nilpotent", "zero", "huge", "rectangular")
+FAMILIES = ("invertible", "singular", "low_rank", "index2", "nilpotent", "zero", "huge", "rectangular",
+            "low_rank_wide")
 
 
-def family_member(family, n, seed):
-    """An n x n (n x (n+1) if rectangular) matrix of ``family``; huge ones overflow or certify at 1e200."""
+def family_member(family, n, seed, rank=0):
+    """An n x n (n x (n+1) if rectangular or wide) matrix of ``family``; huge ones overflow or certify at 1e200.
+
+    A low-rank member has rank ``rank % n`` (``rank % (n + 1)`` if wide), so a stack of them can mix ranks.
+    """
     rng = np.random.default_rng(seed)
     if family == "invertible":
         return random_complex(rng, n, n)
     if family == "singular":
         return random_complex(rng, n, n - 1) @ random_complex(rng, n - 1, n)
+    if family == "low_rank":
+        return random_complex(rng, n, rank % n) @ random_complex(rng, rank % n, n)
     if family == "index2":
         return core_nilpotent(rng, n - 2, [2])[0]
     if family == "nilpotent":
@@ -760,20 +774,28 @@ def family_member(family, n, seed):
     if family == "huge":
         huge = [np.diag([1e200] + [0.0] * (n - 1)), 1e308 * np.ones((n, n)), 1e200 * random_complex(rng, n, n)]
         return huge[seed % 3]
+    if family == "low_rank_wide":
+        return random_complex(rng, n, rank % (n + 1)) @ random_complex(rng, rank % (n + 1), n + 1)
     return random_complex(rng, n, n + 1)
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     kind=st.sampled_from(list(SINGLE_CALLS)),
+    n=st.integers(2, 6),
     members=st.lists(
-        st.tuples(st.sampled_from(FAMILIES), st.integers(2, 4), st.integers(0, 2**32 - 1)), min_size=1, max_size=8
+        st.tuples(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(-30, 30)),
+        min_size=1, max_size=8,
     ),
 )
-def test_certify_many_matches_single_calls(kind, members):
-    # one stacked kernel per shape gives every member what the single call gives it, whatever its neighbours
-    mats = [family_member(*m) for m in members]
+# stacks of ranks 1 and 2: a product over both triplets, the second weighted 0, changes the rank-1 member's last bits
+@example(kind="moore_penrose", n=3, members=[("low_rank", 0, 1, 0), ("low_rank", 0, 2, 0)])
+@example(kind="dagger_drazin", n=3, members=[("low_rank_wide", 0, 1, -30), ("low_rank_wide", 0, 2, 30)])
+def test_certify_many_matches_single_calls(kind, n, members):
+    # one stacked kernel per shape gives every member, bit for bit, what the single call gives it, whatever the
+    # ranks, scales and refusals of its neighbours: the members share one size n, so a stack mixes ranks
     with np.errstate(over="ignore", invalid="ignore"):
+        mats = [2.0**j * family_member(family, n, seed, rank) for family, seed, rank, j in members]
         batch = certify_many(kind, mats)
         assert len(batch) == len(mats)
         for m, got in zip(mats, batch):
@@ -783,9 +805,10 @@ def test_certify_many_matches_single_calls(kind, members):
                 assert (type(got), str(got)) == (type(exc), str(exc))
                 continue
             assert isinstance(got, GinvReport)
-            assert (got.kind, got.index, got.witness_k) == (want.kind, want.index, want.witness_k)
-            assert got.residuals.keys() == want.residuals.keys()
-            assert fro_dist(got.inverse, want.inverse) <= 1e-14 * np.linalg.norm(want.inverse)
+            assert (got.kind, got.index, got.witness_k, got.forward_error_bound) == (
+                want.kind, want.index, want.witness_k, want.forward_error_bound)
+            assert list(got.residuals.items()) == list(want.residuals.items())
+            assert np.array_equal(got.inverse, want.inverse)
 
 
 def test_certify_many_keeps_order_across_shapes():
@@ -1095,15 +1118,16 @@ class TestLuCertificate:
 
 
 def refusing(original, target):
-    """``_core_inverse`` or ``_double_inverse`` that finds the r x r block of the member ``target`` singular.
+    """``_core_inverse`` that finds the r x r block of ``target`` singular: a member's own, or, for its group
+    inverse, the one that forms (G^#)^#.
 
-    For that member v is zeroed, so v^H x u = 0 and the solve fails as it would on a wrong index; every other
+    For that call v is zeroed, so v^H x u = 0 and the solve fails as it would on a wrong index; every other
     call is passed through unchanged.
     """
-    def patched(x, u, v, s):
-        if s is None and x.shape == target.shape and np.allclose(x, target):
+    def patched(x, u, v):
+        if x.shape == target.shape and np.allclose(x, target):
             v = np.zeros_like(v)
-        return original(x, u, v, s)
+        return original(x, u, v)
 
     return patched
 
@@ -1151,7 +1175,7 @@ class TestOneRefusedMember:
 
     def test_refused_double_inverse(self, monkeypatch):
         target_inverse = self.reference["group"][self.TARGET].inverse
-        monkeypatch.setattr(ginv, "_double_inverse", refusing(ginv._double_inverse, target_inverse))
+        monkeypatch.setattr(ginv, "_core_inverse", refusing(ginv._core_inverse, target_inverse))
         self.assert_only_target_refused("group", certify_many("group", self.MATS))
 
     def test_axiom_refusal_outranks_a_refused_double_inverse(self, monkeypatch):
@@ -1160,13 +1184,12 @@ class TestOneRefusedMember:
         target = self.MATS[self.TARGET]
         core_inverse = ginv._core_inverse
 
-        def corrupting(x, u, v, s):
-            inv = core_inverse(x, u, v, s)
-            return inv + 1e-3 if s is None and x.shape == target.shape and np.allclose(x, target) else inv
+        def corrupting(x, u, v):
+            inv = core_inverse(x, u, v)
+            return inv + 1e-3 if x.shape == target.shape and np.allclose(x, target) else inv
 
         bad = self.reference["group"][self.TARGET].inverse + 1e-3
-        monkeypatch.setattr(ginv, "_core_inverse", corrupting)
-        monkeypatch.setattr(ginv, "_double_inverse", refusing(ginv._double_inverse, bad))
+        monkeypatch.setattr(ginv, "_core_inverse", refusing(corrupting, bad))
         refused = certify_many("group", self.MATS)
         self.assert_only_target_refused("group", refused, "group inverse failed its axiom gate")
 

@@ -141,6 +141,12 @@ def test_one_function_builds_every_certificate():
     assert call_sites((PACKAGE / "ginv.py").read_text(), "GinvReport") == ["_report"]
 
 
+@pytest.mark.parametrize("entry, site", [("svd", "_svd"), ("inv", "_lu_inverse"), ("solve", "_core_inverse")])
+def test_one_function_calls_each_lapack_entry(entry, site):
+    # every route factors through these three, so none grows a factorization of its own
+    assert set(call_sites((PACKAGE / "ginv.py").read_text(), entry)) == {site}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
