@@ -44,6 +44,8 @@ class DimensionMismatchError(ValueError):
 
 def _dimension(dim, what: str) -> int:
     """``dim`` as an int: an integer that is not a bool, a NumPy integer converted; else ValueError naming ``what``."""
+    if type(dim) is int:  # skips the ABC check (about 0.6 us)
+        return dim
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {dim!r}")
     return operator.index(dim)
@@ -168,7 +170,7 @@ def kraus_to_channel(kraus_ops) -> Channel:
 
 
 def identity_channel(d: int) -> Channel:
-    return kraus_to_channel([np.eye(d, dtype=np.complex128)])
+    return kraus_to_channel([np.eye(_dimension(d, "dimension d"), dtype=np.complex128)])
 
 
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
@@ -296,6 +298,7 @@ def depolarizing(d: int, a: float) -> Channel:
     as D_a . D_b = D_{a+b-ab}, so for a != 1 it is invertible with inverse
     D_{a/(a-1)}, while D_1 is idempotent.
     """
+    d = _dimension(d, "dimension d")
     if d < 1:
         raise ValueError("dimension must be positive")
     if not np.isfinite(a):
@@ -372,6 +375,7 @@ def _phase_fixed_qr(g: np.ndarray) -> np.ndarray:
 
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    d = _dimension(d, "dimension d")
     return _haar_isometry(_get_rng(seed), d, d)
 
 
@@ -383,6 +387,8 @@ def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> Channel:
     sum K_i^H K_i = V^H V = I holds by construction. ``env_dim = 1`` gives a
     unitary conjugation. Deterministic for a given seed.
     """
+    d_in, d_out = _dimension(d_in, "dimension d_in"), _dimension(d_out, "dimension d_out")
+    env_dim = _dimension(env_dim, "dimension env_dim")
     if d_in < 1 or d_out < 1 or env_dim < 1:
         raise ValueError("dimensions must be positive")
     if env_dim * d_out < d_in:
@@ -394,6 +400,7 @@ def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> Channel:
 
 def random_ucptp(d: int, n_unitaries: int, seed) -> Channel:
     """Random mixed-unitary channel: Haar unitaries with Dirichlet weights."""
+    d, n_unitaries = _dimension(d, "dimension d"), _dimension(n_unitaries, "unitary count n_unitaries")
     if d < 1 or n_unitaries < 1:
         raise ValueError("dimensions must be positive")
     rng = _get_rng(seed)

@@ -22,17 +22,19 @@ computed and enforced against ``Tolerances.residual_atol``, so a successful
 return is a numerical certificate.
 
 The kernels work on stacks (N, m, n) of same-shape matrices, in one straight
-pass: one stacked LU inverse of a square stack, which routes each member on
-its own test; one stacked SVD of the other members; the inverses (one
+pass, :func:`_certify`: one stacked LU inverse of a square stack, which
+routes each member on its own test, and the values from E and E' of the
+members it takes; one stacked SVD of the others and their inverses (one
 stacked product per distinct rank, each member's over its own rank's
 singular triplets; each singular Drazin or group member deflated alone, a
-refusal kept as that member's error); then one stacked norm per axiom on
-the members that have an inverse. One gate, :func:`_report`, gives every
-member of either route its report or error: the axiom residuals first,
-then, for the group kind, the double-inverse law. No member's arithmetic
-depends on its neighbours: :func:`certify_many` certifies a list one stack
-per shape and gives each member its single call's bytes; the four public
-inverses run the kernels on a stack of one.
+refusal kept as that member's error); then one evaluation of the dense
+residuals, one stacked norm per axiom, on the members of both routes still
+unjudged. One gate, :func:`_report`, gives every member its report or
+error: the axiom residuals first, then, for the group kind, the
+double-inverse law. No member's arithmetic depends on its neighbours:
+:func:`certify_many` certifies a list one stack per shape and gives each
+member its single call's bytes; the four public inverses run the kernels
+on a stack of one.
 
 Axiom residuals, in the left-to-right composition convention of
 :mod:`chaninv.linalg` (f;g on column vectors is G @ F):
@@ -57,10 +59,10 @@ its axiom's label; G^-1 is not formed. Each bound is at least the dense
 residual's computed value, so a member the bounds pass would pass the dense
 gate too. The gate is absolute, so far from unit scale a bound can fail where
 the dense residual passes: a member whose values from E and E' do not all
-pass is judged by the dense residuals above and, for the group kind, G^-1
-from a second LU. Either way the verdict is the dense gate's. Every LU-route
-report carries ``forward_error_bound`` >= ``|G - A^-1|_F``; SVD-route reports
-carry None.
+pass is judged by the dense residuals above, in the evaluation the
+SVD-route members share, and, for the group kind, G^-1 from a second LU.
+Either way the verdict is the dense gate's. Every LU-route report carries
+``forward_error_bound`` >= ``|G - A^-1|_F``; SVD-route reports carry None.
 """
 
 import math
@@ -319,17 +321,46 @@ def _certify_all(kind: str, mats, tol: Tolerances) -> list:
 def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     """GinvReport or GinvError for each member of the validated stack ``a`` (N, m, n), square for Drazin/group.
 
-    Each member is routed alone, whatever its neighbours: one that :func:`_lu_route` proves full rank is certified
-    from its LU inverse by :func:`_by_lu`, every other one by :func:`_by_svd`.
+    Each member is routed alone, whatever its neighbours. One that :func:`_lu_route` proves full rank has its LU
+    inverse at index 0, certified from :func:`_lu_values` if :func:`_report` passes them; every other member has
+    its inverse, or its refusal, from :func:`_by_svd`. The members still unjudged, of either route, are judged in
+    one :func:`_residuals` call on their stack and one :func:`_report` each; an LU member keeps its forward-error
+    bound, and a group member falling back from the LU route has G^-1 from a second LU for its double-inverse law.
     """
-    g, lu, norms = _lu_route(a, tol)
-    if lu.all():
-        return _by_lu(kind, a, g, norms, tol)
-    if not lu.any():
-        return _by_svd(kind, a, tol)
-    out = dict(zip(np.flatnonzero(lu).tolist(), _by_lu(kind, a[lu], g[lu], norms[lu], tol)))
-    out.update(zip(np.flatnonzero(~lu).tolist(), _by_svd(kind, a[~lu], tol)))
-    return [out[i] for i in range(len(a))]
+    index0 = 0 if kind in _SQUARE_KINDS else None
+    inv, lu, norms = _lu_route(a, tol)  # LU inverses; the SVD route's replace those of its members
+    lu_rows = [i for i, route in enumerate(lu.tolist()) if route]  # lists: a NumPy reduction costs 1-2 us
+    svd_rows = [i for i, route in enumerate(lu.tolist()) if not route]
+    out, forward = [None] * len(a), {}  # out: each member's result, or (index, double) until the dense residuals
+    if lu_rows:
+        rows = lu_rows if svd_rows else slice(None)  # a stack that takes one route is not copied
+        for i, (values, bound, double) in zip(lu_rows, _lu_values(kind, a[rows], inv[rows], norms[rows])):
+            out[i] = _report(kind, inv[i], values, tol, index0, 0 if kind == "dagger_drazin" else None, bound, double)
+            if not isinstance(out[i], GinvReport):
+                forward[i], out[i] = float(bound), (index0, None)  # a float, as the dense values are
+        if kind == "group" and forward:  # G^-1 by a second LU, nan where LAPACK finds G singular: fails the gate
+            rest = list(forward)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, double in zip(rest, _norm(_lu_inverse(inv[rest]) - a[rest]).tolist()):
+                    out[i] = (0, double)
+    if svd_rows:
+        svd_inv, results = _by_svd(kind, a[svd_rows] if lu_rows else a, tol)
+        for i, result in zip(svd_rows, results):
+            out[i] = result
+        if lu_rows:
+            inv[svd_rows] = svd_inv
+        else:
+            inv = svd_inv
+    live = [i for i, res in enumerate(out) if isinstance(res, tuple)]
+    if live:  # an empty or all-judged stack has no residuals to evaluate
+        f, h = (a, inv) if len(live) == len(a) else (a[live], inv[live])
+        residuals, witness_k = _residuals(kind, f, h, tol)
+        for j, i in enumerate(live):
+            index, double = out[i]
+            # the D1 exponent is the index, reported as such
+            out[i] = _report(kind, h[j], {label: float(res[j]) for label, res in residuals.items()}, tol, index,
+                             int(witness_k[j]) if kind == "dagger_drazin" else None, forward.get(i), double)
+    return out
 
 
 def _lu_inverse(m: np.ndarray) -> np.ndarray:
@@ -378,31 +409,6 @@ def _lu_route(a: np.ndarray, tol: Tolerances):
         return g, norms[:, 0] * norms[:, 1] * (n * (tol.rank_rtol + 4 * _EPS)) <= 0.5, norms
 
 
-def _by_lu(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray, tol: Tolerances) -> list:
-    """:func:`_certify` on full-rank members: their LU inverse ``g`` is every kind's inverse, at index 0.
-
-    A member is certified from :func:`_lu_values` when :func:`_report` passes them. Every other member is judged by
-    the dense residuals of :func:`_reports` and, for the group kind, by G^-1 from a second LU. Both report the
-    forward-error bound.
-    """
-    square = kind in _SQUARE_KINDS
-    out, rest, bounds = [], [], []
-    for i, (values, forward, double) in enumerate(_lu_values(kind, a, g, norms)):
-        out.append(_report(kind, g[i], values, tol, 0 if square else None, 0 if kind == "dagger_drazin" else None,
-                           forward, double))
-        if not isinstance(out[i], GinvReport):
-            rest.append(i)
-            bounds.append(forward)
-    if rest:
-        double = None
-        if kind == "group":  # nan where LAPACK finds G singular, which fails the gate
-            with np.errstate(over="ignore", invalid="ignore"):
-                double = _norm(_lu_inverse(g[rest]) - a[rest]).tolist()
-        for i, result in zip(rest, _reports(kind, a[rest], g[rest], {} if square else None, {}, tol, bounds, double)):
-            out[i] = result
-    return out
-
-
 def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> list:
     """(values, forward, double) for each pair (A, G) of the stacks: the axiom values of ``kind``, a forward-error
     bound and, for the group kind, a bound on its double-inverse law (None for the others).
@@ -449,72 +455,52 @@ def _neumann(m: float) -> float:
     return m / (1 - m) if m < 1 else math.inf
 
 
-def _by_svd(kind: str, a: np.ndarray, tol: Tolerances) -> list:
-    """:func:`_certify` by one stacked SVD, for the members the LU route did not take.
+def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
+    """(inv, results) for the members the LU route did not take: their stacked inverses and, for each member, its
+    (index, double) or the GinvError that refuses it; :func:`_certify` evaluates their axiom residuals.
 
-    Moore-Penrose and dagger-Drazin inverses, and the Drazin and group inverses of index-0 members, are read off
-    the SVD by :func:`_pinv`; the singular Drazin and group members continue one at a time through the r x r
-    blocks of :func:`_core` and :func:`_core_inverse`, and a refusal there is kept as that member's error. The
-    residuals of the other members are evaluated once, on their stack, by :func:`_reports`.
+    One stacked SVD gives every inverse through :func:`_pinv` but those of the singular Drazin and group members,
+    which continue one at a time through the r x r blocks of :func:`_core` and :func:`_core_inverse`. index is the
+    Drazin index (None for the other kinds), double a group member's double-inverse residual or the error that
+    forming (G^#)^# raised (None for the other kinds).
     """
     factors = _attempt(AxiomResidualError, _svd, a, tol)
     if isinstance(factors, AxiomResidualError):  # some member overflowed: factor each member alone
-        return [factors] if len(a) == 1 else [res for m in a for res in _by_svd(kind, m[None], tol)]
+        if len(a) == 1:
+            return np.zeros((1, a.shape[2], a.shape[1]), dtype=np.complex128), [factors]
+        parts = [_by_svd(kind, m[None], tol) for m in a]
+        return np.concatenate([inv for inv, _ in parts]), [res for _, results in parts for res in results]
     u, s, vh, r = factors
     if kind in ("moore_penrose", "dagger_drazin"):
-        return _reports(kind, a, _pinv(u, s, vh, r), None, {}, tol, None, None)
+        return _pinv(u, s, vh, r), [(None, None)] * len(a)
     # index 0: the inverse is the Moore-Penrose one; the singular members stay 0 until deflate fills them in
     full = r == a.shape[-1]
     inv = _pinv(u, s, vh, np.where(full, r, 0))
+    results = [(0, None)] * len(a)
+    if kind == "group" and full.any():
+        # index 0: (G^#)^# = G^-1 is a's SVD multiplied back; no SVD of G, so a's rank decision stands
+        rows = slice(None) if full.all() else full
+        with np.errstate(all="ignore"):
+            doubles = _norm(u[rows] @ (s[rows, :, None] * vh[rows]) - a[rows]).tolist()
+        for i, double in zip(np.flatnonzero(full).tolist(), doubles):
+            results[i] = (0, double)
 
-    def deflate(i):  # a singular member's index and core bases; its inverse goes into inv
+    def deflate(i):  # a singular member's index and double-inverse law; its inverse goes into inv
         k, cu, cv = _core(a[i], tol, (u[i], s[i], vh[i], r[i]))
         if kind == "group" and k > 1:
             raise IndexTooLargeError(k)
         inv[i] = _core_inverse(a[i], cu, cv)
-        return k, cu, cv
-
-    cores, failed = {}, {}
-    for i in np.flatnonzero(~full).tolist():
-        core = _attempt(GinvError, deflate, i)
-        (failed if isinstance(core, GinvError) else cores)[i] = core
-    double = None
-    if kind == "group":
-        # (G^#)^# on the bases of a's deflation: at index 0 a's SVD multiplied back; each singular member's is
-        # u (v^H G u)^{-1} v^H, one r x r solve on its own bases (G has range(u) and row space range(v)), or the
-        # refusal of that solve. No SVD of G: a's rank decision stands
+        if kind == "drazin":
+            return k, None
+        # (G^#)^# = u (v^H G u)^{-1} v^H, one r x r solve on a's bases (G has range(u) and row space range(v)),
+        # or the refusal of that solve
         with np.errstate(all="ignore"):
-            double = _norm(u @ (s[..., None] * vh) - a).tolist()
-            for i, (_, cu, cv) in cores.items():
-                member = _attempt(AxiomResidualError, _core_inverse, inv[i], cu, cv)
-                double[i] = member if isinstance(member, AxiomResidualError) else float(_norm(member - a[i]))
-    return _reports(kind, a, inv, {i: core[0] for i, core in cores.items()}, failed, tol, None, double)
+            double = _attempt(AxiomResidualError, _core_inverse, inv[i], cu, cv)
+            return k, double if isinstance(double, AxiomResidualError) else float(_norm(double - a[i]))
 
-
-def _reports(kind: str, a: np.ndarray, inv: np.ndarray, index: dict | None, failed: dict, tol: Tolerances,
-             forward: list | None, double: list | None) -> list:
-    """Each member's result: its error from ``failed``, else what :func:`_report` gives (a[i], inv[i]).
-
-    ``index`` maps the deflated members of a Drazin or group stack to their index (0 for the others); it is None
-    for the other kinds. The residuals are evaluated once, on the stack of the members not in ``failed``.
-    ``forward`` holds each member's forward-error bound on the LU route, ``double`` each group member's
-    double-inverse residual or the error that forming (G^#)^# raised; each is None where it does not apply.
-    """
-    out = dict(failed)
-    live = [i for i in range(len(a)) if i not in failed]
-    if live:  # an empty stack has no residuals to evaluate
-        rows = live if failed else slice(None)
-        residuals, witness_k = _residuals(kind, a[rows], inv[rows], tol)
-        for j, i in enumerate(live):
-            out[i] = _report(
-                kind, inv[i], {label: float(res[j]) for label, res in residuals.items()}, tol,
-                None if index is None else index.get(i, 0),
-                # the D1 exponent is the index, reported as such
-                int(witness_k[j]) if kind == "dagger_drazin" else None,
-                None if forward is None else float(forward[i]),
-                None if double is None else double[i],
-            )
-    return [out[i] for i in range(len(a))]
+    for i in np.flatnonzero(~full).tolist():
+        results[i] = _attempt(GinvError, deflate, i)
+    return inv, results
 
 
 def mp_inverse(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
@@ -593,10 +579,10 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     :func:`drazin_inverse` proved a full rank), the law is bounded without
     forming G^-1: ``|G^-1 - a| <= |a| m / (1 - m)``, m = min(|Ga - I|,
     |aG - I|) plus a rounding term, with G1 <= |a| m, G2 <= |G| m and
-    G3 = |aG - Ga|. Where
-    those fail the absolute gate, G^-1 comes from a second LU and G1-G3 are
-    the dense residuals. Else (G^#)^# is a's SVD multiplied back. An LU-route
-    report carries ``forward_error_bound`` >= |G - a^-1|_F.
+    G3 = |aG - Ga|. Where those fail the absolute gate, G^-1 comes from a
+    second LU and G1-G3 are the dense residuals. Else (G^#)^# is a's SVD
+    multiplied back. An LU-route report carries ``forward_error_bound`` >=
+    |G - a^-1|_F.
     """
     return _one(_certify("group", _as_square(a, "group inverse")[None], tol))
 

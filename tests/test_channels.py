@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +440,31 @@ class TestRandomChannels:
     def test_isometry_needs_room(self):
         with pytest.raises(ValueError):
             chn.random_cptp(5, 2, 1, 17)
+
+    @pytest.mark.parametrize(
+        "make, args, message",
+        [
+            (chn.random_cptp, (2.5, 2, 2, 1), "d_in must be an integer, got 2.5"),
+            (chn.random_cptp, (2, 2, 2.0, 1), "env_dim must be an integer, got 2.0"),
+            (chn.random_ucptp, (2.0, 2, 1), "d must be an integer, got 2.0"),
+            (chn.random_ucptp, (2, 2.0, 1), "n_unitaries must be an integer, got 2.0"),
+            (chn.depolarizing, (True, 0.5), "d must be an integer, got True"),
+            (chn.depolarizing, (2.0, 0.5), "d must be an integer, got 2.0"),
+            (chn.haar_unitary, (2.0, 1), "d must be an integer, got 2.0"),
+            (chn.identity_channel, (2.0,), "d must be an integer, got 2.0"),
+        ],
+    )
+    def test_dimension_that_is_not_an_integer_rejected(self, make, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(*args)
+
+    def test_numpy_integer_dimensions(self):
+        two = np.int64(2)
+        assert fro_dist(chn.random_cptp(two, np.int32(3), two, 5).super, chn.random_cptp(2, 3, 2, 5).super) == 0.0
+        assert fro_dist(chn.random_ucptp(two, two, 5).super, chn.random_ucptp(2, 2, 5).super) == 0.0
+        assert fro_dist(chn.haar_unitary(two, 5), chn.haar_unitary(2, 5)) == 0.0
+        for ch in (chn.depolarizing(two, 0.5), chn.identity_channel(two)):
+            assert (ch.d_in, ch.d_out) == (2, 2) and type(ch.d_in) is int
 
 
 class TestComposition:

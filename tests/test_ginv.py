@@ -76,6 +76,20 @@ def lu_route_inverse(a, tol=DEFAULT_TOL):
     return g[0] if lu[0] else None
 
 
+def corrupt_lu_route(monkeypatch, corrupt):
+    """Make :func:`ginv._certify` use ``corrupt(G)`` for the LU inverses G that :func:`ginv._lu_route` returns.
+
+    The route and the norms stay those of the true G, so the corruption comes after the route is chosen.
+    """
+    lu_route = ginv._lu_route
+
+    def corrupted(a, tol):
+        g, lu, norms = lu_route(a, tol)
+        return corrupt(g), lu, norms
+
+    monkeypatch.setattr(ginv, "_lu_route", corrupted)
+
+
 def assert_at_least_dense(residuals, dense):
     """Each LU-route value is at least the dense residual's computed value: the bounds count its rounding too."""
     assert residuals.keys() == dense.keys()
@@ -519,8 +533,7 @@ class TestDoubleInverseClosedForm:
         lu = lu_route_inverse(a.astype(complex)) is not None
         assert lu == (a[1, 1] != 0)
         if lu:
-            by_lu = ginv._by_lu
-            monkeypatch.setattr(ginv, "_by_lu", lambda kind, a, g, *rest: by_lu(kind, a, g + corruption, *rest))
+            corrupt_lu_route(monkeypatch, lambda g: g + corruption)
             match = "group inverse failed its axiom gate"
         else:  # diag(1, 0) is its own group inverse, so the member's second solve, for (G^#)^#, is the one corrupted
             calls, core_inverse = [], ginv._core_inverse
@@ -799,16 +812,44 @@ def test_certify_many_matches_single_calls(kind, n, members):
         batch = certify_many(kind, mats)
         assert len(batch) == len(mats)
         for m, got in zip(mats, batch):
-            try:
-                want = SINGLE_CALLS[kind](m)
-            except (GinvError, ValueError) as exc:
-                assert (type(got), str(got)) == (type(exc), str(exc))
-                continue
-            assert isinstance(got, GinvReport)
-            assert (got.kind, got.index, got.witness_k, got.forward_error_bound) == (
-                want.kind, want.index, want.witness_k, want.forward_error_bound)
-            assert list(got.residuals.items()) == list(want.residuals.items())
-            assert np.array_equal(got.inverse, want.inverse)
+            assert_single_call_result(kind, m, got)
+
+
+def assert_single_call_result(kind, m, got):
+    """``got`` is, bit for bit, what the single call of ``kind`` gives ``m``: its report or its refusal."""
+    try:
+        want = SINGLE_CALLS[kind](m)
+    except (GinvError, ValueError) as exc:
+        assert (type(got), str(got)) == (type(exc), str(exc))
+        return
+    assert isinstance(got, GinvReport)
+    assert (got.kind, got.index, got.witness_k, got.forward_error_bound) == (
+        want.kind, want.index, want.witness_k, want.forward_error_bound)
+    assert list(got.residuals.items()) == list(want.residuals.items())
+    assert np.array_equal(got.inverse, want.inverse)
+
+
+@pytest.mark.parametrize("kind", ["moore_penrose", "group"])
+def test_one_dense_evaluation_per_stack(monkeypatch, kind):
+    # an LU-route member whose bounds fail the absolute gate, so that the dense residuals judge it, next to a
+    # singular member of the SVD route: one evaluation of the dense residuals, on the stack of both
+    big = 2.0**27 * random_complex(np.random.default_rng(3), 3, 3)
+    mats = [big, np.diag([1.0, 0.5, 0.0])]
+    g, lu, norms = ginv._lu_route(np.array(mats, dtype=complex), DEFAULT_TOL)
+    assert lu.tolist() == [True, False]
+    ((values, _, _),) = ginv._lu_values(kind, big[None].astype(complex), g[:1], norms[:1])
+    assert not all(v <= ATOL for v in values.values())
+    calls, residuals = [], ginv._residuals
+
+    def counted(kind, f, g, tol):
+        calls.append(len(f))
+        return residuals(kind, f, g, tol)
+
+    monkeypatch.setattr(ginv, "_residuals", counted)
+    batch = certify_many(kind, mats)
+    assert calls == [2]
+    for m, got in zip(mats, batch):
+        assert_single_call_result(kind, m, got)
 
 
 def test_certify_many_keeps_order_across_shapes():
@@ -837,10 +878,12 @@ def counting_svd(calls):
 
 @settings(derandomize=True, deadline=None)
 @given(n=st.integers(1, 8), j=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+@example(n=1, j=27, seed=0)  # the LU route refuses the group kind and the SVD route certifies it
 def test_lu_route_certifies_without_svd(n, j, seed):
     # T C T^-1 with C and T of singular values in [0.5, 2]: condition number at most 64, at scale 2^j
     a = 2.0**j * core_nilpotent(np.random.default_rng(seed), n, [])[0]
-    assert lu_route_inverse(a) is not None
+    g = lu_route_inverse(a)
+    assert g is not None
     pinv = np.linalg.pinv(a)
     for kind, fn in SINGLE_CALLS.items():
         calls = []
@@ -852,8 +895,15 @@ def test_lu_route_certifies_without_svd(n, j, seed):
                 res = exc
         assert calls == []
         if isinstance(res, AxiomResidualError):
-            # the gate is absolute, so far from scale 1 it may refuse; the SVD route refuses there too
-            assert isinstance(ginv._by_svd(kind, a[None].astype(complex), DEFAULT_TOL)[0], AxiomResidualError)
+            # the gate is absolute, so far from scale 1 it may refuse: it is the dense gate's refusal of the LU
+            # inverse. At n = 1 near 2^27 or 2^-27 the ulp of A or G exceeds the gate, and the SVD route may certify
+            # its own inverse of A; that inverse is the LU inverse to rounding
+            assert refusal_text(res) == refusal_text(dense_lu_certificate(kind, a, g))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ginv, "_lu_route", lambda a, tol: (None, np.zeros(len(a), dtype=bool), None))
+                (svd_route,) = ginv._certify(kind, a[None].astype(complex), DEFAULT_TOL)
+            if isinstance(svd_route, GinvReport):
+                assert fro_dist(svd_route.inverse, g) <= 1e-10 * np.linalg.norm(g)
             continue
         assert res.index == (0 if kind in ("drazin", "group") else None)
         assert res.witness_k == (0 if kind == "dagger_drazin" else None)
@@ -1080,8 +1130,7 @@ class TestLuCertificate:
         ((values, _, _),) = ginv._lu_values(kind, self.A[None], bad[None], norms)
         assert not all(v <= ATOL for v in values.values())
         assert max(verify_axioms(kind, self.A, bad)[0].values()) > ATOL
-        by_lu = ginv._by_lu
-        monkeypatch.setattr(ginv, "_by_lu", lambda kind, a, g, *rest: by_lu(kind, a, bad[None], *rest))
+        corrupt_lu_route(monkeypatch, lambda g: bad[None])
         with pytest.raises(AxiomResidualError, match=f"{kind} inverse failed its axiom gate"):
             SINGLE_CALLS[kind](self.A)
 
@@ -1095,8 +1144,7 @@ class TestLuCertificate:
         bad = g + 1e-2 * np.linalg.norm(g) * r / np.linalg.norm(r)
         assert lu[0] and verify_axioms("group", a, bad)[0]["G1"] > ATOL
         assert np.linalg.norm(np.linalg.inv(bad) - a) > ATOL
-        by_lu = ginv._by_lu
-        monkeypatch.setattr(ginv, "_by_lu", lambda kind, a, g, *rest: by_lu(kind, a, bad[None], *rest))
+        corrupt_lu_route(monkeypatch, lambda g: bad[None])
         with pytest.raises(AxiomResidualError, match="group inverse failed its axiom gate"):
             group_inverse(a)
 

@@ -9,7 +9,8 @@ Every module-level private function, class or constant of the package is referen
 outside its own definition, so a helper a refactor stopped calling cannot survive it.
 
 ``GinvReport(...)`` is called once in ``ginv``, in ``_report``, the gate every route shares, so that no route
-builds a certificate past it.
+builds a certificate past it. ``_report`` and the dense ``_residuals`` are called only where ``_certify`` judges a
+stack (and ``_residuals`` in ``verify_axioms``), so that no route grows a gate or a residual stage of its own.
 
 Importing the CLI loads no process-pool module: the suite imports them only when it starts a pool.
 """
@@ -139,6 +140,11 @@ def test_finder_sees_every_call_site():
 
 def test_one_function_builds_every_certificate():
     assert call_sites((PACKAGE / "ginv.py").read_text(), "GinvReport") == ["_report"]
+
+
+@pytest.mark.parametrize("callee, sites", [("_residuals", {"verify_axioms", "_certify"}), ("_report", {"_certify"})])
+def test_one_function_judges_every_stack(callee, sites):
+    assert set(call_sites((PACKAGE / "ginv.py").read_text(), callee)) == sites
 
 
 @pytest.mark.parametrize("entry, site", [("svd", "_svd"), ("inv", "_lu_inverse"), ("solve", "_core_inverse")])
