@@ -24,17 +24,15 @@ return is a numerical certificate.
 The kernels work on stacks (N, m, n) of same-shape matrices, in one straight
 pass, :func:`_certify`: one stacked LU inverse of a square stack, which
 routes each member on its own test, and the values from E and E' of the
-members it takes; one stacked SVD of the others and their inverses (one
-stacked product per distinct rank, each member's over its own rank's
-singular triplets; each singular Drazin or group member deflated alone, a
-refusal kept as that member's error); then one evaluation of the dense
-residuals, one stacked norm per axiom, on the members of both routes still
-unjudged. One gate, :func:`_report`, gives every member its report or
-error: the axiom residuals first, then, for the group kind, the
-double-inverse law. No member's arithmetic depends on its neighbours:
-:func:`certify_many` certifies a list one stack per shape and gives each
-member its single call's bytes; the four public inverses run the kernels
-on a stack of one.
+members it takes; one stacked SVD of the others, their inverses read off it
+by :func:`_pinv` or, for a singular Drazin or group member, by deflating it
+alone; then one evaluation of the dense residuals, one stacked norm per
+axiom, on the members of both routes still unjudged. One gate,
+:func:`_report`, gives every member its report or error: the axiom
+residuals first, then, for the group kind, the double-inverse law. No
+member's arithmetic depends on its neighbours: :func:`certify_many` gives
+each member of a list, certified one stack per shape, its single call's
+bytes; the four public inverses run the kernels on a stack of one.
 
 Axiom residuals, in the left-to-right composition convention of
 :mod:`chaninv.linalg` (f;g on column vectors is G @ F):
@@ -58,10 +56,9 @@ m = min(|E|, |E'|) plus a term for rounding, and each bound is reported under
 its axiom's label; G^-1 is not formed. Each bound is at least the dense
 residual's computed value, so a member the bounds pass would pass the dense
 gate too. The gate is absolute, so far from unit scale a bound can fail where
-the dense residual passes: a member whose values from E and E' do not all
-pass is judged by the dense residuals above, in the evaluation the
-SVD-route members share, and, for the group kind, G^-1 from a second LU.
-Either way the verdict is the dense gate's. Every LU-route report carries
+the dense residual passes: a member whose values do not all pass is judged
+by the dense residuals, with the SVD-route members, and, for the group
+kind, G^-1 from a second LU. Every LU-route report carries
 ``forward_error_bound`` >= ``|G - A^-1|_F``; SVD-route reports carry None.
 """
 
@@ -321,11 +318,10 @@ def _certify_all(kind: str, mats, tol: Tolerances) -> list:
 def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     """GinvReport or GinvError for each member of the validated stack ``a`` (N, m, n), square for Drazin/group.
 
-    Each member is routed alone, whatever its neighbours. One that :func:`_lu_route` proves full rank has its LU
-    inverse at index 0, certified from :func:`_lu_values` if :func:`_report` passes them; every other member has
-    its inverse, or its refusal, from :func:`_by_svd`. The members still unjudged, of either route, are judged in
-    one :func:`_residuals` call on their stack and one :func:`_report` each; an LU member keeps its forward-error
-    bound, and a group member falling back from the LU route has G^-1 from a second LU for its double-inverse law.
+    Each member is routed alone: one that :func:`_lu_route` proves full rank has its LU inverse at index 0,
+    certified from :func:`_lu_values` if :func:`_report` passes them, any other its inverse or refusal from
+    :func:`_by_svd`. Those still unjudged, of either route, take one :func:`_residuals` call on their stack and one
+    :func:`_report` each; an LU member keeps its forward-error bound.
     """
     index0 = 0 if kind in _SQUARE_KINDS else None
     inv, lu, norms = _lu_route(a, tol)  # LU inverses; the SVD route's replace those of its members
@@ -333,34 +329,39 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     svd_rows = [i for i, route in enumerate(lu.tolist()) if not route]
     out, forward = [None] * len(a), {}  # out: each member's result, or (index, double) until the dense residuals
     if lu_rows:
-        rows = lu_rows if svd_rows else slice(None)  # a stack that takes one route is not copied
+        rows = _rows(lu_rows, len(a))
         for i, (values, bound, double) in zip(lu_rows, _lu_values(kind, a[rows], inv[rows], norms[rows])):
             out[i] = _report(kind, inv[i], values, tol, index0, 0 if kind == "dagger_drazin" else None, bound, double)
             if not isinstance(out[i], GinvReport):
                 forward[i], out[i] = float(bound), (index0, None)  # a float, as the dense values are
         if kind == "group" and forward:  # G^-1 by a second LU, nan where LAPACK finds G singular: fails the gate
-            rest = list(forward)
+            rows = _rows(list(forward), len(a))
             with np.errstate(over="ignore", invalid="ignore"):
-                for i, double in zip(rest, _norm(_lu_inverse(inv[rest]) - a[rest]).tolist()):
+                for i, double in zip(forward, _norm(_lu_inverse(inv[rows]) - a[rows]).tolist()):
                     out[i] = (0, double)
     if svd_rows:
-        svd_inv, results = _by_svd(kind, a[svd_rows] if lu_rows else a, tol)
+        rows = _rows(svd_rows, len(a))
+        svd_inv, results = _by_svd(kind, a[rows], tol)
         for i, result in zip(svd_rows, results):
             out[i] = result
         if lu_rows:
-            inv[svd_rows] = svd_inv
+            inv[rows] = svd_inv
         else:
             inv = svd_inv
     live = [i for i, res in enumerate(out) if isinstance(res, tuple)]
     if live:  # an empty or all-judged stack has no residuals to evaluate
-        f, h = (a, inv) if len(live) == len(a) else (a[live], inv[live])
-        residuals, witness_k = _residuals(kind, f, h, tol)
-        for j, i in enumerate(live):
+        rows = _rows(live, len(a))
+        h = inv[rows]
+        residuals, witness_k = _residuals(kind, a[rows], h, tol)
+        for j, i in enumerate(live):  # a Drazin member's D1 exponent is its index, reported as such
             index, double = out[i]
-            # the D1 exponent is the index, reported as such
             out[i] = _report(kind, h[j], {label: float(res[j]) for label, res in residuals.items()}, tol, index,
                              int(witness_k[j]) if kind == "dagger_drazin" else None, forward.get(i), double)
     return out
+
+
+def _rows(rows: list, n: int):
+    return rows if len(rows) < n else slice(None)  # all n members as a slice: indexing by it does not copy
 
 
 def _lu_inverse(m: np.ndarray) -> np.ndarray:
@@ -457,12 +458,11 @@ def _neumann(m: float) -> float:
 
 def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
     """(inv, results) for the members the LU route did not take: their stacked inverses and, for each member, its
-    (index, double) or the GinvError that refuses it; :func:`_certify` evaluates their axiom residuals.
+    (index, double) or the GinvError that refuses it. index is the Drazin index, double a group member's
+    double-inverse residual or the error forming (G^#)^# raised (each None for the kinds without it).
 
     One stacked SVD gives every inverse through :func:`_pinv` but those of the singular Drazin and group members,
-    which continue one at a time through the r x r blocks of :func:`_core` and :func:`_core_inverse`. index is the
-    Drazin index (None for the other kinds), double a group member's double-inverse residual or the error that
-    forming (G^#)^# raised (None for the other kinds).
+    which continue one at a time through the r x r blocks of :func:`_core` and :func:`_core_inverse`.
     """
     factors = _attempt(AxiomResidualError, _svd, a, tol)
     if isinstance(factors, AxiomResidualError):  # some member overflowed: factor each member alone
@@ -477,12 +477,12 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
     full = r == a.shape[-1]
     inv = _pinv(u, s, vh, np.where(full, r, 0))
     results = [(0, None)] * len(a)
-    if kind == "group" and full.any():
+    if kind == "group" and (index0 := np.flatnonzero(full).tolist()):
         # index 0: (G^#)^# = G^-1 is a's SVD multiplied back; no SVD of G, so a's rank decision stands
-        rows = slice(None) if full.all() else full
+        rows = _rows(index0, len(a))
         with np.errstate(all="ignore"):
             doubles = _norm(u[rows] @ (s[rows, :, None] * vh[rows]) - a[rows]).tolist()
-        for i, double in zip(np.flatnonzero(full).tolist(), doubles):
+        for i, double in zip(index0, doubles):
             results[i] = (0, double)
 
     def deflate(i):  # a singular member's index and double-inverse law; its inverse goes into inv

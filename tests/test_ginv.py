@@ -878,7 +878,6 @@ def counting_svd(calls):
 
 @settings(derandomize=True, deadline=None)
 @given(n=st.integers(1, 8), j=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
-@example(n=1, j=27, seed=0)  # the LU route refuses the group kind and the SVD route certifies it
 def test_lu_route_certifies_without_svd(n, j, seed):
     # T C T^-1 with C and T of singular values in [0.5, 2]: condition number at most 64, at scale 2^j
     a = 2.0**j * core_nilpotent(np.random.default_rng(seed), n, [])[0]
@@ -896,18 +895,24 @@ def test_lu_route_certifies_without_svd(n, j, seed):
         assert calls == []
         if isinstance(res, AxiomResidualError):
             # the gate is absolute, so far from scale 1 it may refuse: it is the dense gate's refusal of the LU
-            # inverse. At n = 1 near 2^27 or 2^-27 the ulp of A or G exceeds the gate, and the SVD route may certify
-            # its own inverse of A; that inverse is the LU inverse to rounding
+            # inverse, and the SVD route refuses there too
             assert refusal_text(res) == refusal_text(dense_lu_certificate(kind, a, g))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ginv, "_lu_route", lambda a, tol: (None, np.zeros(len(a), dtype=bool), None))
                 (svd_route,) = ginv._certify(kind, a[None].astype(complex), DEFAULT_TOL)
-            if isinstance(svd_route, GinvReport):
-                assert fro_dist(svd_route.inverse, g) <= 1e-10 * np.linalg.norm(g)
+            assert isinstance(svd_route, AxiomResidualError)
             continue
         assert res.index == (0 if kind in ("drazin", "group") else None)
         assert res.witness_k == (0 if kind == "dagger_drazin" else None)
         assert fro_dist(res.inverse, pinv) <= 1e-10 * np.linalg.norm(pinv)
+
+
+def test_lu_route_certifies_without_svd_at_n1_j27():
+    # the property above at one input that breaks it, so that its other draws still run. It fails: the dense gate
+    # refuses the LU inverse of the group kind (double-inverse residual 1.666e-8, G^-1 by a second LU) where the SVD
+    # route certifies its own (|u s v^H - A| = 7.45e-9). Near 2^27 the ulp of A is above the absolute 1e-8 gate, so
+    # the verdict rests on rounding; a gate relative to the input's scale would remove it
+    test_lu_route_certifies_without_svd.hypothesis.inner_test(n=1, j=27, seed=0)
 
 
 class TestLuRoute:
