@@ -26,9 +26,10 @@ pass, :func:`_certify`: one stacked LU inverse of a square stack, which
 routes each member on its own test, and the values from E and E' of the
 members it takes; one stacked SVD of the others, their inverses read off it
 by :func:`_pinv` or, for a singular Drazin or group member, by deflating it
-alone; then one evaluation of the dense residuals, one stacked norm per
-axiom, on the members of both routes still unjudged. One gate,
-:func:`_report`, gives every member its report or error: the axiom
+alone; for the group kind, one stacked LU inverse of the returned G of the
+index-0 members still open; then one evaluation of the dense residuals, one
+stacked norm per axiom, on the members of both routes still unjudged. One
+gate, :func:`_report`, gives every member its report or error: the axiom
 residuals first, then, for the group kind, the double-inverse law. No
 member's arithmetic depends on its neighbours: :func:`certify_many` gives
 each member of a list, certified one stack per shape, its single call's
@@ -43,7 +44,9 @@ Axiom residuals, in the left-to-right composition convention of
 * Drazin, inverse G of square A: D1 ``|G A^(k+1) - A^k|`` minimized over
   k, D2 ``|GAG - G|``, D3 ``|AG - GA|``.
 * Group: G1 ``|AGA - A|``, G2 ``|GAG - G|``, G3 ``|AG - GA|``, and
-  ``|(G^#)^# - A|`` in closed form on A's rank decision (no SVD of G).
+  ``|(G^#)^# - A|``: at index 1 in closed form on A's deflation (no SVD of
+  G); at index 0, where (G^#)^# = G^-1, bounded from E and E' (below) or
+  by an LU inverse of the returned G, on either route.
 * Dagger-Drazin, inverse G of F with gram matrices P = F^H F and
   Q = F F^H: Dd1 ``max(|G F P^k - P^k|, |Q^k F G - Q^k|)`` minimized over
   k, Dd2 ``|GFG - G|``, Dd3 ``|GF - (GF)^H|``, Dd4 ``|FG - (FG)^H|``.
@@ -57,8 +60,8 @@ its axiom's label; G^-1 is not formed. Each bound is at least the dense
 residual's computed value, so a member the bounds pass would pass the dense
 gate too. The gate is absolute, so far from unit scale a bound can fail where
 the dense residual passes: a member whose values do not all pass is judged
-by the dense residuals, with the SVD-route members, and, for the group
-kind, G^-1 from a second LU. Every LU-route report carries
+as an SVD-route member is, by the dense residuals and, for the group kind,
+by G^-1 from an LU inverse of G. Every LU-route report carries
 ``forward_error_bound`` >= ``|G - A^-1|_F``; SVD-route reports carry None.
 """
 
@@ -75,7 +78,7 @@ from .linalg import (  # noqa: F401
     DEFAULT_TOL, Tolerances, _attempt, _numerical_rank, _one, as_cmatrix, dagger, svd,
 )
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a Python float, so the LU-route values are too
 
 KIND_AXIOMS = {
     "moore_penrose": ("MP1", "MP2", "MP3", "MP4"),
@@ -320,8 +323,9 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
 
     Each member is routed alone: one that :func:`_lu_route` proves full rank has its LU inverse at index 0,
     certified from :func:`_lu_values` if :func:`_report` passes them, any other its inverse or refusal from
-    :func:`_by_svd`. Those still unjudged, of either route, take one :func:`_residuals` call on their stack and one
-    :func:`_report` each; an LU member keeps its forward-error bound.
+    :func:`_by_svd`. Every index-0 group member still unjudged, of either route, takes ``|G^-1 - A|`` from one
+    :func:`_lu_inverse` call on the returned inverses. Those still unjudged take one :func:`_residuals` call on their
+    stack and one :func:`_report` each; an LU member keeps its forward-error bound.
     """
     index0 = 0 if kind in _SQUARE_KINDS else None
     inv, lu, norms = _lu_route(a, tol)  # LU inverses; the SVD route's replace those of its members
@@ -333,12 +337,7 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
         for i, (values, bound, double) in zip(lu_rows, _lu_values(kind, a[rows], inv[rows], norms[rows])):
             out[i] = _report(kind, inv[i], values, tol, index0, 0 if kind == "dagger_drazin" else None, bound, double)
             if not isinstance(out[i], GinvReport):
-                forward[i], out[i] = float(bound), (index0, None)  # a float, as the dense values are
-        if kind == "group" and forward:  # G^-1 by a second LU, nan where LAPACK finds G singular: fails the gate
-            rows = _rows(list(forward), len(a))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i, double in zip(forward, _norm(_lu_inverse(inv[rows]) - a[rows]).tolist()):
-                    out[i] = (0, double)
+                forward[i], out[i] = bound, (index0, None)
     if svd_rows:
         rows = _rows(svd_rows, len(a))
         svd_inv, results = _by_svd(kind, a[rows], tol)
@@ -348,6 +347,12 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
             inv[rows] = svd_inv
         else:
             inv = svd_inv
+    unsettled = [i for i, res in enumerate(out) if res == (0, None)] if kind == "group" else []
+    if unsettled:  # (G^#)^# = G^-1 at index 0, by LU of the returned G: nan where LAPACK finds G singular, which fails
+        rows = _rows(unsettled, len(a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, double in zip(unsettled, _norm(_lu_inverse(inv[rows]) - a[rows]).tolist()):
+                out[i] = (0, double)
     live = [i for i, res in enumerate(out) if isinstance(res, tuple)]
     if live:  # an empty or all-judged stack has no residuals to evaluate
         rows = _rows(live, len(a))
@@ -367,23 +372,16 @@ def _rows(rows: list, n: int):
 def _lu_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of each member of the stack ``m`` by LU, nan for a member LAPACK finds exactly singular.
 
-    One such member makes the stacked call raise. The members with an all-zero row or column are exactly singular
-    and stay nan; the rest are retried as one stack and, if that raises too, inverted one at a time. Each member
-    gets the inverse its own call gives. No NumPy warning escapes.
+    One stacked call; when a member makes it raise, one call per member, so that each member gets the inverse its
+    own call gives. No NumPy warning escapes.
     """
     with np.errstate(all="ignore"):
         try:
             return np.linalg.inv(m)
         except np.linalg.LinAlgError:
             g = np.full_like(m, np.nan)
-            nonzero = m != 0
-            rest = np.flatnonzero(nonzero.any(axis=-1).all(axis=-1) & nonzero.any(axis=-2).all(axis=-1))
-            if len(rest) < len(m):  # else the retried stack is the one that raised
-                with suppress(np.linalg.LinAlgError):
-                    g[rest] = np.linalg.inv(m[rest])
-                    return g
-            if len(rest) > 1:  # a stack of one holds only the member that raised
-                for i in rest.tolist():
+            if len(m) > 1:  # a stack of one holds only the member that raised
+                for i in range(len(m)):
                     with suppress(np.linalg.LinAlgError):
                         g[i] = np.linalg.inv(m[i])
             return g
@@ -459,7 +457,7 @@ def _neumann(m: float) -> float:
 def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
     """(inv, results) for the members the LU route did not take: their stacked inverses and, for each member, its
     (index, double) or the GinvError that refuses it. index is the Drazin index, double a group member's
-    double-inverse residual or the error forming (G^#)^# raised (each None for the kinds without it).
+    double-inverse residual at index 1 or the error forming (G^#)^# raised (else None: :func:`_certify` forms it).
 
     One stacked SVD gives every inverse through :func:`_pinv` but those of the singular Drazin and group members,
     which continue one at a time through the r x r blocks of :func:`_core` and :func:`_core_inverse`.
@@ -477,13 +475,6 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
     full = r == a.shape[-1]
     inv = _pinv(u, s, vh, np.where(full, r, 0))
     results = [(0, None)] * len(a)
-    if kind == "group" and (index0 := np.flatnonzero(full).tolist()):
-        # index 0: (G^#)^# = G^-1 is a's SVD multiplied back; no SVD of G, so a's rank decision stands
-        rows = _rows(index0, len(a))
-        with np.errstate(all="ignore"):
-            doubles = _norm(u[rows] @ (s[rows, :, None] * vh[rows]) - a[rows]).tolist()
-        for i, double in zip(index0, doubles):
-            results[i] = (0, double)
 
     def deflate(i):  # a singular member's index and double-inverse law; its inverse goes into inv
         k, cu, cv = _core(a[i], tol, (u[i], s[i], vh[i], r[i]))
@@ -579,9 +570,9 @@ def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     :func:`drazin_inverse` proved a full rank), the law is bounded without
     forming G^-1: ``|G^-1 - a| <= |a| m / (1 - m)``, m = min(|Ga - I|,
     |aG - I|) plus a rounding term, with G1 <= |a| m, G2 <= |G| m and
-    G3 = |aG - Ga|. Where those fail the absolute gate, G^-1 comes from a
-    second LU and G1-G3 are the dense residuals. Else (G^#)^# is a's SVD
-    multiplied back. An LU-route report carries ``forward_error_bound`` >=
+    G3 = |aG - Ga|. Where those fail the absolute gate, G1-G3 are the dense
+    residuals; then, as for a G read off a's SVD, G^-1 is an LU inverse of
+    the returned G. An LU-route report carries ``forward_error_bound`` >=
     |G - a^-1|_F.
     """
     return _one(_certify("group", _as_square(a, "group inverse")[None], tol))

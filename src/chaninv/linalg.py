@@ -6,6 +6,8 @@ matrix product G @ F. Every formula in this package is transcribed through
 that single convention.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,9 @@ class Tolerances:
     rank_rtol near machine eps that bound also needs cond(A) <= 1/(8 n eps).
     residual_atol is an absolute Frobenius-norm tolerance for equality and
     axiom checks, and psd_atol is the eigenvalue floor used when deciding
-    positive semidefiniteness.
+    positive semidefiniteness. Each must be a real number, not a bool, that
+    is positive and finite (else ValueError naming the field); it is kept as
+    given.
     """
 
     rank_rtol: float = DEFAULT_RANK_RTOL
@@ -36,8 +40,9 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rtol", "residual_atol", "psd_atol"):
             value = getattr(self, name)
-            if not (value > 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            # a bool is an Integral, and so Real, but no tolerance
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be a strictly positive finite real number, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

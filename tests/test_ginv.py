@@ -118,13 +118,12 @@ def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
 def closed_form_gap(a, tol=DEFAULT_TOL):
     """The double-inverse residual |(G^#)^# - a| as :func:`group_inverse` computes it."""
     g = lu_route_inverse(a, tol)
-    if g is not None:
-        return fro_dist(ginv._lu_inverse(g[None])[0], a)
-    k, u, v = _core(a, tol)
-    if k == 0:  # a's SVD multiplied back
-        w, s, vh = np.linalg.svd(a, full_matrices=False)
-        return fro_dist(w @ (s[:, None] * vh), a)
-    return fro_dist(_core_inverse(_core_inverse(a, u, v), u, v), a)
+    if g is None:
+        k, u, v = _core(a, tol)
+        if k:
+            return fro_dist(_core_inverse(_core_inverse(a, u, v), u, v), a)
+        g = ginv._pinv(*ginv._svd(a[None], tol))[0]  # the SVD route's G at index 0
+    return fro_dist(ginv._lu_inverse(g[None])[0], a)  # at index 0, (G^#)^# = G^-1 by LU of the returned G
 
 
 def assert_same_group_certificate(a):
@@ -909,9 +908,9 @@ def test_lu_route_certifies_without_svd(n, j, seed):
 
 def test_lu_route_certifies_without_svd_at_n1_j27():
     # the property above at one input that breaks it, so that its other draws still run. It fails: the dense gate
-    # refuses the LU inverse of the group kind (double-inverse residual 1.666e-8, G^-1 by a second LU) where the SVD
-    # route certifies its own (|u s v^H - A| = 7.45e-9). Near 2^27 the ulp of A is above the absolute 1e-8 gate, so
-    # the verdict rests on rounding; a gate relative to the input's scale would remove it
+    # refuses the LU inverse of the group kind (double-inverse residual |G^-1 - A| = 1.666e-8) where the SVD route
+    # certifies its own G, which differs in the last bits (7.45e-9). Near 2^27 the ulp of A is above the absolute
+    # 1e-8 gate, so the verdict rests on rounding; a gate relative to the input's scale would remove it
     test_lu_route_certifies_without_svd.hypothesis.inner_test(n=1, j=27, seed=0)
 
 
@@ -965,15 +964,14 @@ class TestLuRoute:
             assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("members, inv_calls", [
-        ("gzng", 2),  # the zero-row members are left out of one retried stack
-        ("zn", 2),  # which is empty here
-        ("gzsg", 5),  # s is singular with no zero row, so the retried stack raises too: one call per member left
-        ("gs", 3),  # nothing to leave out: no retried stack
-        ("s", 1),  # a stack of one holds only the member that raised
+        ("gg", 1),  # no member raises: one stacked call
+        ("gzng", 5),  # the zero and nilpotent members make it raise: then one call per member
+        ("zn", 3),
+        ("gzsg", 5),  # s is singular with no zero row or column
+        ("gs", 3),
+        ("s", 1),  # a stack of one holds only the member that raised: no call more
     ])
-    def test_lu_inverse_retries_the_members_without_a_zero_line(self, monkeypatch, members, inv_calls):
-        # a member with an all-zero row or column stays nan without a call of its own; the others keep their own
-        # call's inverse
+    def test_lu_inverse_is_one_stacked_call_or_one_call_per_member(self, monkeypatch, members, inv_calls):
         rng = np.random.default_rng(32)
         make = {"g": lambda: random_complex(rng, 3, 3), "z": lambda: np.zeros((3, 3)), "n": lambda: np.eye(3, k=1),
                 "s": lambda: np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])}
@@ -987,7 +985,7 @@ class TestLuRoute:
 
         monkeypatch.setattr(np.linalg, "inv", counting)
         g = ginv._lu_inverse(m)
-        assert len(calls) == inv_calls
+        assert calls == [m.shape] + [m.shape[1:]] * (inv_calls - 1)
         for x, got in zip(m, g):
             try:
                 want = inv(x)
@@ -1164,6 +1162,43 @@ class TestLuCertificate:
         monkeypatch.setattr(np.linalg, "inv", counted)
         rep = group_inverse(self.A)
         assert rep.index == 0 and calls == [(1, 9, 9)]
+
+    @pytest.mark.parametrize("route", ["svd", "lu_fallback"])
+    def test_group_at_index_zero_inverts_the_returned_inverse(self, monkeypatch, route):
+        # the double-inverse law |G^-1 - A| at index 0 comes from one LU of the G that is returned, on either route
+        # where the bounds from E and E' do not settle it
+        a = np.diag([1.0, 3e-10]).astype(complex) if route == "svd" else 2.0**-14 * self.A
+        g, lu, norms = ginv._lu_route(a[None], DEFAULT_TOL)
+        assert lu[0] == (route == "lu_fallback")
+        calls = []
+        lu_inverse = ginv._lu_inverse
+
+        def recording(m):
+            calls.append(m.copy())
+            return lu_inverse(m)
+
+        monkeypatch.setattr(ginv, "_lu_inverse", recording)
+        rep = group_inverse(a)
+        assert [c.tobytes() for c in calls] == [a[None].tobytes(), rep.inverse[None].tobytes()]
+        if route == "svd":
+            assert (rep.index, rep.forward_error_bound) == (0, None)
+            assert rep.residuals == {"G2": 0.0, "G3": 0.0, "G1": 0.0}
+            assert np.array_equal(rep.inverse, np.diag([1.0, 1 / 3e-10]))
+        else:
+            want = dense_lu_certificate("group", a, g[0])
+            assert (rep.index, rep.residuals) == (want.index, want.residuals)
+            assert np.array_equal(rep.inverse, want.inverse)
+            assert rep.forward_error_bound == ginv._lu_values("group", a[None], g, norms)[0][1]
+
+    def test_every_value_is_a_python_float(self):
+        # on the LU bounds (A), the LU fallback (2^-14 A) and the SVD route (a singular and an ill-conditioned member)
+        mats = [self.A, 2.0**-14 * self.A, np.diag([1.0] * 8 + [0.0]), np.diag([1.0, 3e-10])]
+        bound_types = [float, float, type(None), type(None)]
+        for kind, fn in SINGLE_CALLS.items():
+            for reps in ([fn(m) for m in mats], certify_many(kind, mats)):
+                for rep, bound_type in zip(reps, bound_types):
+                    assert {type(v) for v in rep.residuals.values()} == {float}, (kind, rep.residuals)
+                    assert type(rep.forward_error_bound) is bound_type
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_svd_route_has_no_forward_error_bound(self, kind):

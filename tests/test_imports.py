@@ -142,7 +142,11 @@ def test_one_function_builds_every_certificate():
     assert call_sites((PACKAGE / "ginv.py").read_text(), "GinvReport") == ["_report"]
 
 
-@pytest.mark.parametrize("callee, sites", [("_residuals", {"verify_axioms", "_certify"}), ("_report", {"_certify"})])
+@pytest.mark.parametrize("callee, sites", [
+    ("_residuals", {"verify_axioms", "_certify"}),
+    ("_report", {"_certify"}),
+    ("_lu_inverse", {"_lu_route", "_certify"}),  # the route's inverses, then every index-0 group member's G^-1
+])
 def test_one_function_judges_every_stack(callee, sites):
     assert set(call_sites((PACKAGE / "ginv.py").read_text(), callee)) == sites
 

@@ -1,4 +1,6 @@
 import gc
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +44,15 @@ class TestTolerances:
             Tolerances(**{field: 0.0})
         with pytest.raises(ValueError):
             Tolerances(**{field: -1e-8})
+        # a bool, a value that is not a real number, and a non-finite one, each named by its field
+        for value in (True, np.True_, "1e-8", 1 + 0j, None, math.inf, math.nan, np.float64(np.inf)):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("value", [1, np.float32(1e-3), np.int64(2), Fraction(1, 3), 5e-324], ids=repr)
+    def test_keeps_a_valid_value_as_given(self, value):
+        tol = Tolerances(rank_rtol=value, residual_atol=value, psd_atol=value)
+        assert all(type(v) is type(value) and v == value for v in (tol.rank_rtol, tol.residual_atol, tol.psd_atol))
 
 
 class TestCMatrixValidation:
