@@ -411,6 +411,8 @@ def random_ucptp(d: int, n_unitaries: int, seed) -> Channel:
 
 def partial_trace(m: np.ndarray, dims, which: int) -> np.ndarray:
     """Partial trace of a (d1*d2) x (d1*d2) matrix over subsystem 1 or 2."""
+    if len(dims) != 2:
+        raise ValueError(f"partial_trace needs 2 subsystem dimensions, got {len(dims)}")
     d1, d2 = _dimension(dims[0], "subsystem dimension"), _dimension(dims[1], "subsystem dimension")
     m = as_cmatrix(m)
     if m.shape != (d1 * d2, d1 * d2):

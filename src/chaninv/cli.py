@@ -10,6 +10,21 @@ Exit codes:
   4  group inverse does not exist (Drazin index > 1)
   5  the computation overflowed, or the inverse failed its certificate
   6  channel is not trace preserving (mitigate)
+  141  stdout was closed before the output was written (128 + SIGPIPE; the
+       console script only, not ``main``)
+
+Each subcommand takes only the options it reads; any other is a usage error
+(exit 2):
+
+  check     --atol --psd-atol --output
+  inverse   --rank-rtol --atol --output --kind --out
+  theorems  --rank-rtol --atol --psd-atol --seed --output --count
+  mitigate  --rank-rtol --atol --psd-atol --output -n/--repetitions
+  random    --seed --kind -d --d-out --env -m/--unitaries --out
+
+A tolerance a subcommand takes no flag for keeps the library default.
+``random`` refuses a flag of the other ``--kind``: ``--env`` with ucptp,
+``-m`` with cptp, and a ``--d-out`` other than ``-d`` with ucptp.
 
 Channels are JSON objects ``{"d_in": n, "d_out": m, "kraus": [...]}`` or
 ``{"d_in": n, "d_out": m, "super": [...]}`` with matrices as row-major
@@ -23,8 +38,10 @@ Environment variables are never consulted; flags alone determine a run.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -48,6 +65,7 @@ EXIT_DIMENSION = 3
 EXIT_NO_GROUP_INVERSE = 4
 EXIT_RESIDUAL = 5
 EXIT_NOT_TP = 6
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 class CliError(Exception):
@@ -57,8 +75,10 @@ class CliError(Exception):
 
 
 def _tolerances(args) -> Tolerances:
+    """The tolerances the subcommand's flags set; a field it has no flag for keeps the library default."""
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
     try:
-        return Tolerances(rank_rtol=args.rank_rtol, residual_atol=args.atol, psd_atol=args.psd_atol)
+        return Tolerances(**{name: value for name, value in vars(args).items() if name in fields})
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
 
@@ -117,7 +137,8 @@ def _write_out(text, out_path) -> None:
             raise CliError(EXIT_BAD_INPUT, f"cannot write {out_path}: {exc}") from exc
 
 
-def cmd_check(args, tol: Tolerances) -> int:
+def cmd_check(args) -> int:
+    tol = _tolerances(args)
     ch = _load_channel(args.channel)
     report = chn.property_report(ch, tol)
     if args.output == "json":
@@ -129,7 +150,8 @@ def cmd_check(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def cmd_inverse(args, tol: Tolerances) -> int:
+def cmd_inverse(args) -> int:
+    tol = _tolerances(args)
     ch = _load_channel(args.channel)
     if args.kind in ("drazin", "group") and ch.d_in != ch.d_out:
         raise CliError(EXIT_DIMENSION, f"{args.kind} inverse needs d_in == d_out, got {ch.d_in} != {ch.d_out}")
@@ -167,7 +189,8 @@ def cmd_inverse(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def cmd_theorems(args, tol: Tolerances) -> int:
+def cmd_theorems(args) -> int:
+    tol = _tolerances(args)
     try:
         reports = theorems.run_suite(seed=args.seed, instance_count=args.count, tol=tol)
     except ValueError as exc:  # a negative seed or count
@@ -184,7 +207,8 @@ def cmd_theorems(args, tol: Tolerances) -> int:
     return EXIT_OK if theorems.suite_passed(reports) else EXIT_SUITE_FAILED
 
 
-def cmd_mitigate(args, tol: Tolerances) -> int:
+def cmd_mitigate(args) -> int:
+    tol = _tolerances(args)
     if args.repetitions < 0:
         raise CliError(EXIT_BAD_INPUT, "repetitions must be non-negative")
     ch = _load_channel(args.channel)
@@ -248,16 +272,20 @@ def cmd_mitigate(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def cmd_random(args, _tol: Tolerances) -> int:
+def cmd_random(args) -> int:
     if args.kind == "ucptp" and args.d_out not in (None, args.d):
         raise CliError(EXIT_BAD_INPUT,
                        f"a mixed-unitary channel is square: --d-out {args.d_out} differs from -d {args.d}")
+    if args.kind == "ucptp" and args.env is not None:
+        raise CliError(EXIT_BAD_INPUT, "--env sizes a cptp channel's environment, not a ucptp channel's")
+    if args.kind == "cptp" and args.unitaries is not None:
+        raise CliError(EXIT_BAD_INPUT, "-m/--unitaries counts a ucptp channel's unitaries, not a cptp channel's")
     try:
         if args.kind == "cptp":
             d_out = args.d_out if args.d_out is not None else args.d
-            ch = chn.random_cptp(args.d, d_out, args.env, args.seed)
+            ch = chn.random_cptp(args.d, d_out, args.env if args.env is not None else 2, args.seed)
         else:
-            ch = chn.random_ucptp(args.d, args.unitaries, args.seed)
+            ch = chn.random_ucptp(args.d, args.unitaries if args.unitaries is not None else 3, args.seed)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     text = _dump(chn.channel_to_dict(ch))
@@ -266,19 +294,23 @@ def cmd_random(args, _tol: Tolerances) -> int:
     return EXIT_OK
 
 
+def _option(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, attached to each subcommand that reads it."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*names, **kwargs)
+    return parser
+
+
 @functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank-rtol", type=float, default=Tolerances().rank_rtol,
+    rank_rtol = _option("--rank-rtol", type=float, default=Tolerances().rank_rtol,
                         help="relative singular-value cutoff for rank decisions")
-    common.add_argument("--atol", type=float, default=Tolerances().residual_atol,
-                        help="absolute Frobenius tolerance for residual checks")
-    common.add_argument("--psd-atol", type=float, default=Tolerances().psd_atol,
-                        help="eigenvalue floor for positive-semidefiniteness")
-    common.add_argument("--seed", type=int, default=theorems.DEFAULT_SUITE_SEED,
-                        help="seed for randomized commands")
-    common.add_argument("--output", choices=("json", "text"), default="json",
-                        help="report format")
+    atol = _option("--atol", dest="residual_atol", metavar="ATOL", type=float, default=Tolerances().residual_atol,
+                   help="absolute Frobenius tolerance for residual checks")
+    psd_atol = _option("--psd-atol", type=float, default=Tolerances().psd_atol,
+                       help="eigenvalue floor for positive-semidefiniteness")
+    seed = _option("--seed", type=int, default=theorems.DEFAULT_SUITE_SEED, help="seed for randomized commands")
+    output = _option("--output", choices=("json", "text"), default="json", help="report format")
 
     parser = argparse.ArgumentParser(
         prog="chaninv",
@@ -286,22 +318,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="CP/TP/unital report for a channel file")
+    p = sub.add_parser("check", parents=[atol, psd_atol, output], help="CP/TP/unital report for a channel file")
     p.add_argument("channel", help="channel JSON file")
     p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("inverse", parents=[common], help="compute a generalized inverse")
+    p = sub.add_parser("inverse", parents=[rank_rtol, atol, output], help="compute a generalized inverse")
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--kind", choices=("mp", "drazin", "group", "dagger-drazin"), required=True)
     p.add_argument("--out", help="also write the inverse channel JSON to this file")
     p.set_defaults(handler=cmd_inverse)
 
-    p = sub.add_parser("theorems", parents=[common], help="run the verification suite")
+    p = sub.add_parser("theorems", parents=[rank_rtol, atol, psd_atol, seed, output],
+                       help="run the verification suite")
     p.add_argument("--count", type=int, default=theorems.DEFAULT_SUITE_COUNT,
                    help="instances per randomized item")
     p.set_defaults(handler=cmd_theorems)
 
-    p = sub.add_parser("mitigate", parents=[common],
+    p = sub.add_parser("mitigate", parents=[rank_rtol, atol, psd_atol, output],
                        help="deterministic error-mitigation demonstration")
     p.add_argument("channel", help="channel JSON file (square, trace preserving)")
     p.add_argument("state", help="density matrix JSON file")
@@ -310,12 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of channel applications to undo")
     p.set_defaults(handler=cmd_mitigate)
 
-    p = sub.add_parser("random", parents=[common], help="generate a random channel file")
+    p = sub.add_parser("random", parents=[seed], help="generate a random channel file")
     p.add_argument("--kind", choices=("cptp", "ucptp"), required=True)
     p.add_argument("-d", type=int, required=True, help="input dimension")
     p.add_argument("--d-out", type=int, default=None, help="output dimension (cptp; default d)")
-    p.add_argument("--env", type=int, default=2, help="environment dimension (cptp)")
-    p.add_argument("-m", "--unitaries", type=int, default=3, help="number of unitaries (ucptp)")
+    p.add_argument("--env", type=int, help="environment dimension (cptp; default 2)")
+    p.add_argument("-m", "--unitaries", type=int, help="number of unitaries (ucptp; default 3)")
     p.add_argument("--out", help="also write the channel JSON to this file")
     p.set_defaults(handler=cmd_random)
 
@@ -325,17 +358,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        tol = _tolerances(args)
         # every non-finite result is gated or reported, so NumPy's warnings only add noise
         with np.errstate(all="ignore"):
-            return args.handler(args, tol)
+            return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
 
 
 def entry_point():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at shutdown is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

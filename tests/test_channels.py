@@ -538,6 +538,12 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             chn.partial_trace(np.eye(5), (2, 3), 1)
 
+    @pytest.mark.parametrize("dims", [(2, 3, 5), (6,)], ids=["three", "one"])
+    def test_dimension_count_rejected(self, dims):
+        # (2, 3, 5) would trace with its first two dimensions, and (6,) would raise IndexError
+        with pytest.raises(ValueError, match=f"2 subsystem dimensions, got {len(dims)}"):
+            chn.partial_trace(np.eye(6), dims, 1)
+
     @pytest.mark.parametrize(
         "dims", [(2.7, 2), (2, 2.0), (True, 4), (2, "2")], ids=["float", "whole-float", "bool", "str"]
     )

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -420,6 +424,17 @@ class TestRandom:
             ch = chn.channel_from_dict(json.loads(out))
             assert (ch.d_in, ch.d_out) == (2, 2)
 
+    @pytest.mark.parametrize("kind, flag", [("ucptp", "--env"), ("cptp", "-m"), ("cptp", "--unitaries")])
+    def test_refuses_a_flag_of_the_other_kind(self, capsys, kind, flag):
+        code, out, err = run(capsys, ["random", "--kind", kind, "-d", "2", flag, "2", "--seed", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: " + ("--env" if flag == "--env" else "-m/--unitaries")) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, flag", [("cptp", ["--env", "2"]), ("ucptp", ["-m", "3"])])
+    def test_kind_flag_defaults(self, capsys, kind, flag):
+        argv = ["random", "--kind", kind, "-d", "3", "--seed", "6"]
+        assert run(capsys, argv) == run(capsys, argv + flag)
+
 
 def reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
@@ -529,6 +544,64 @@ class TestWireFormat:
         assert out.endswith("\n") and out.count("\n") == 1
         payload = json.loads(out, parse_constant=reject_constant)
         assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+OPTIONS = {
+    "check": {"--atol", "--psd-atol", "--output"},
+    "inverse": {"--rank-rtol", "--atol", "--output", "--kind", "--out"},
+    "theorems": {"--rank-rtol", "--atol", "--psd-atol", "--seed", "--output", "--count"},
+    "mitigate": {"--rank-rtol", "--atol", "--psd-atol", "--output", "-n", "--repetitions"},
+    "random": {"--seed", "--kind", "-d", "--d-out", "--env", "-m", "--unitaries", "--out"},
+}
+# each shared option with its default value, which a subcommand that does not read it refuses all the same
+SHARED = {"--rank-rtol": "1e-10", "--atol": "1e-8", "--psd-atol": "1e-8", "--seed": "7", "--output": "json"}
+REMOVED = [(command, flag) for command, options in OPTIONS.items() for flag in SHARED if flag not in options]
+
+
+class TestOptions:
+    """Each subcommand takes exactly the options its handler reads."""
+
+    def test_each_subcommand_takes_only_its_options(self):
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                   for name, p in sub.choices.items()}
+        assert options == OPTIONS
+        assert sum(len(opts & set(SHARED)) for opts in options.values()) == 16
+        assert len(REMOVED) == 9
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        f = write_channel(tmp_path / "ch.json", chn.depolarizing(2, 0.3))
+        argv = {
+            "check": ["check", f],
+            "inverse": ["inverse", f, "--kind", "drazin"],
+            "mitigate": ["mitigate", f, write_json(tmp_path / "rho.json", chn.matrix_to_pairs(np.diag([1.0, 0.0]))),
+                         write_json(tmp_path / "obs.json", chn.matrix_to_pairs(np.diag([1.0, -1.0])))],
+            "random": ["random", "--kind", "cptp", "-d", "2"],
+        }[command]
+        assert run(capsys, argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, SHARED[flag]])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"unrecognized arguments: {flag}" in out.err
+
+
+@pytest.mark.parametrize("d", [2, 8], ids=["buffered", "past-the-buffer"])
+def test_closed_stdout_exits_141_quietly(d):
+    # the console script on a pipe whose reader is gone, as in `chaninv random ... | head -c 60`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from chaninv.cli import entry_point; entry_point()",
+             "random", "--kind", "cptp", "-d", str(d), "--seed", "4"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestParserReuse:

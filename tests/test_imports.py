@@ -12,6 +12,9 @@ outside its own definition, so a helper a refactor stopped calling cannot surviv
 builds a certificate past it. ``_report`` and the dense ``_residuals`` are called only where ``_certify`` judges a
 stack (and ``_residuals`` in ``verify_axioms``), so that no route grows a gate or a residual stage of its own.
 
+No module of the package reads the environment (``os.environ``, ``os.environb``, ``os.getenv``), so that flags
+alone determine a ``chaninv`` run.
+
 Importing the CLI loads no process-pool module: the suite imports them only when it starts a pool.
 """
 
@@ -90,6 +93,22 @@ def call_sites(source: str, callee: str) -> list:
     return sites
 
 
+ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
+
+
+def environment_reads(source: str) -> list:
+    """``line: os.name`` of each read of an environment reader of ``os`` in ``source``, as an attribute of ``os``
+    or imported from it."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            reads.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [(node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT_READERS]
+    return [f"{line}: os.{name}" for line, name in sorted(reads)]
+
+
 def test_finder_sees_unused_and_kept_imports():
     source = (
         "import math\n"
@@ -138,6 +157,19 @@ def test_finder_sees_every_call_site():
     assert call_sites(source, "Report") == ["<module>", "inner", "build", "run", "<lambda>"]
 
 
+def test_finder_sees_environment_reads():
+    source = (
+        "import os\n"
+        "from os import getenv as ge, path\n"
+        "def home():\n"
+        "    return os.environ.get('HOME') or os.getenv('USER')\n"
+        "raw = os.environb[b'PATH']\n"
+        "cpus = os.sched_getaffinity(0)\n"
+        "environ = {}\n"
+    )
+    assert environment_reads(source) == ["2: os.getenv", "4: os.environ", "4: os.getenv", "5: os.environb"]
+
+
 def test_one_function_builds_every_certificate():
     assert call_sites((PACKAGE / "ginv.py").read_text(), "GinvReport") == ["_report"]
 
@@ -160,6 +192,11 @@ def test_one_function_calls_each_lapack_entry(entry, site):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text()) == []
 
 
 def test_no_dead_private_names():

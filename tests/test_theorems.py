@@ -511,6 +511,11 @@ class TestSuiteWorkers:
         assert kwargs["mp_context"].get_start_method() == "fork"
         assert multiprocessing.active_children() == []
 
+    def test_heaviest_first_names_every_group_once(self):
+        # the forked path looks each group up by these names; the serial path never reads them
+        groups = thm._suite_groups(thm.DEFAULT_SUITE_SEED, 200, thm.DEFAULT_TOL)
+        assert sorted(thm._HEAVIEST_FIRST) == sorted(groups)
+
     def test_no_pool_at_one_batch(self, pools):
         thm.run_suite(seed=1, instance_count=thm._BATCH_SIZE)
         assert pools == []
