@@ -145,7 +145,10 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a rows x cols matrix."""
+    """Inverse of :func:`vec` for a rows x cols matrix; rows and cols are non-negative integers, not bools."""
+    rows, cols = _dimension(rows, "rows"), _dimension(cols, "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"rows and cols must be non-negative, got {rows} and {cols}")
     v = np.asarray(v, dtype=np.complex128).ravel()
     if v.size != rows * cols:
         raise ValueError(f"vector of length {v.size} cannot fill a {rows}x{cols} matrix")
@@ -312,10 +315,10 @@ def conjugation_channel(f: np.ndarray) -> Channel:
 
 
 def mixed_unitary(unitaries, probs, tol: Tolerances = DEFAULT_TOL) -> Channel:
-    """Convex mixture of unitary conjugations; always unital CPTP."""
+    """Convex mixture of unitary conjugations; always unital CPTP. ``probs`` is a flat list, one per unitary."""
     probs = np.asarray(probs, dtype=float)
-    if len(unitaries) != probs.size or probs.size == 0:
-        raise ValueError("need one probability per unitary")
+    if probs.ndim != 1 or len(unitaries) != probs.size or probs.size == 0:
+        raise ValueError(f"need a flat list of one probability per unitary, got shape {probs.shape}")
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > tol.residual_atol:
         raise ValueError(f"probabilities must be non-negative and sum to 1, got {probs}")
     ops = [as_cmatrix(u, "unitary") for u in unitaries]

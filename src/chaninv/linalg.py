@@ -29,8 +29,8 @@ class Tolerances:
     residual_atol is an absolute Frobenius-norm tolerance for equality and
     axiom checks, and psd_atol is the eigenvalue floor used when deciding
     positive semidefiniteness. Each must be a real number, not a bool, that
-    is positive and finite (else ValueError naming the field); it is kept as
-    given.
+    is positive and finite as a float (else ValueError naming the field), so
+    ``10**400`` is refused; it is kept as given.
     """
 
     rank_rtol: float = DEFAULT_RANK_RTOL
@@ -41,7 +41,12 @@ class Tolerances:
         for name in ("rank_rtol", "residual_atol", "psd_atol"):
             value = getattr(self, name)
             # a bool is an Integral, and so Real, but no tolerance
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+            valid = not isinstance(value, bool) and isinstance(value, numbers.Real)
+            try:  # an int or Fraction past the largest float compares below inf, but overflows as a float
+                valid = valid and 0.0 < value and float(value) < math.inf
+            except OverflowError:
+                valid = False
+            if not valid:
                 raise ValueError(f"{name} must be a strictly positive finite real number, got {value!r}")
 
 

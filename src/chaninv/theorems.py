@@ -30,7 +30,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -55,9 +55,9 @@ DEFAULT_SUITE_COUNT = 200
 # can certify nothing either way.
 MIN_REL_SIGMA = 1e-2
 
-# Instances that run_suite draws, then certifies as one batch. Stacks of a few dozen small matrices
-# already spread the per-call overhead; larger ones only add to the peak memory.
-_BATCH_SIZE = 32
+# run_suite forks worker processes only above this many instances per item. On two CPUs the pool breaks even between
+# 16 and 32: a suite took 97 ms forked against 61 ms in one process at 16, and 86 ms against 119 ms at 32.
+_POOL_MIN_COUNT = 32
 
 # Dimensions and environment sizes that run_suite cycles through.
 _DIMS = (2, 3, 4)
@@ -365,8 +365,9 @@ def search_mp_tp_violation(
     empirical evidence, not a proof. Every candidate is drawn first, then all
     their inverses are certified together.
     """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
+    d, env_dim, trials = (chn._dimension(v, name) for v, name in ((d, "d"), (env_dim, "env_dim"), (trials, "trials")))
+    if min(d, env_dim, trials) < 1:
+        raise ValueError(f"d, env_dim and trials must each be at least 1, got {d}, {env_dim}, {trials}")
     rng = chn._get_rng(seed)
     candidates = [amplitude_damping(0.5)] if d == 2 else []
     for i in range(trials):
@@ -503,7 +504,7 @@ def check_double_inverse_gap(d: int, seed, tol: Tolerances = DEFAULT_TOL) -> The
     f^DD != f; this exhibits a TP superoperator where the gap is large while
     the Drazin inverse itself is still TP.
     """
-    if d < 2:
+    if (d := chn._dimension(d, "d")) < 2:
         raise ValueError(f"an index-2 map on d x d matrices needs d >= 2, got d = {d}")
     return _one(_run_checks([(_double_inverse_gap, (_index2_tp_superoperator(d, chn._get_rng(seed)),))], tol))
 
@@ -534,15 +535,12 @@ def _aggregate(theorem_id: str, reports) -> TheoremReport:
 
 
 def _run_item(theorem_id: str, check, instances, extra, tol: Tolerances) -> TheoremReport:
-    """``check(instance, *extra, tol)`` for each instance, ``_BATCH_SIZE`` at a time through :func:`_run_checks`.
+    """``check(instance, *extra, tol)`` for every instance, all through one :func:`_run_checks` call.
 
-    Each chunk of instances is drawn just before it is checked. An instance whose check ended with an exception
-    gets an inconclusive report carrying its message; the other instances keep their reports.
+    An instance whose check ended with an exception gets an inconclusive report carrying its message; the other
+    instances keep their reports.
     """
-    results = []
-    instances = iter(instances)
-    while chunk := list(islice(instances, _BATCH_SIZE)):
-        results += _run_checks([(check, (instance, *extra)) for instance in chunk], tol)
+    results = _run_checks([(check, (instance, *extra)) for instance in instances], tol)
     return _aggregate(theorem_id, [
         TheoremReport(theorem_id, 1, float("inf"), INCONCLUSIVE, {"error": str(r)}) if isinstance(r, Exception) else r
         for r in results
@@ -554,9 +552,10 @@ def _suite_groups(seed, instance_count: int, tol: Tolerances) -> dict:
     ``(theorem_id, check, instances, *extra)``. Groups and items are in report order.
 
     Items that share instances form one group, which draws them once: the three orthogonal sums share their
-    families and the two intertwiner items their squares. Every other item is a group of one, drawn as it runs.
-    Every item draws from its own generator, a child of ``seed``, so a group draws the same instances whichever
-    groups run before it and in whichever process. A negative seed raises ValueError here.
+    families and the two intertwiner items their squares. Every other item is a group of one. An item's instances
+    are all drawn when it runs, before any is checked. Every item draws from its own generator, a child of ``seed``,
+    so a group draws the same instances whichever groups run before it and in whichever process. A negative seed
+    raises ValueError here.
     """
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(12)]
     n = range(instance_count)
@@ -617,13 +616,11 @@ def _suite_groups(seed, instance_count: int, tol: Tolerances) -> dict:
 def _run_group(seed, instance_count: int, tol: Tolerances, group: str) -> list:
     """The reports of the items of ``group`` of the suite ``(seed, instance_count, tol)``, in table order.
 
-    The table is rebuilt from these arguments, which pickle, so a worker process can run any group alone.
+    The table is rebuilt from these arguments, which pickle, so a worker process can run any group alone; the
+    suite runs every group through here, in a worker or in its own process.
     """
-    return _run_items(_suite_groups(seed, instance_count, tol)[group](), tol)
-
-
-def _run_items(items, tol: Tolerances) -> list:
-    return [_run_item(theorem_id, check, instances, extra, tol) for theorem_id, check, instances, *extra in items]
+    return [_run_item(theorem_id, check, instances, extra, tol)
+            for theorem_id, check, instances, *extra in _suite_groups(seed, instance_count, tol)[group]()]
 
 
 def run_suite(
@@ -634,9 +631,9 @@ def run_suite(
     """Run every theorem check over deterministic randomized instances.
 
     The suite is one table of items ``(theorem_id, check, instances, *extra)``:
-    an item's instances are drawn ``_BATCH_SIZE`` at a time, and the checks
-    ``check(instance, *extra, tol)`` of each such list run together, their
-    certificates batched by :func:`_run_checks`. Every item draws from its
+    all of an item's instances are drawn, then their checks
+    ``check(instance, *extra, tol)`` run together as one batch, their
+    certificates stacked by :func:`_run_checks`. Every item draws from its
     own generator, a child of ``seed``, so reports are reproducible for a
     fixed seed regardless of item order or scheduling. Random channels are
     redrawn while uncertifiable (see MIN_REL_SIGMA). Individual check
@@ -648,27 +645,29 @@ def run_suite(
 
     The items form groups that run on their own: the three orthogonal sums,
     which share their families, the two intertwiner items, which share their
-    squares, and every other item alone. Above ``_BATCH_SIZE`` instances per
-    item, on Linux under CPython before 3.12, with no other Python thread
-    alive and at least two CPUs available to this process, the groups run
-    in that many forked worker processes, heaviest first (see
+    squares, and every other item alone. Above ``_POOL_MIN_COUNT``
+    instances per item, on Linux under CPython before 3.12, with no other
+    Python thread alive and at least two CPUs available to this process, the
+    groups run in that many forked worker processes, heaviest first (see
     :func:`_suite_workers`); otherwise, or when the pool cannot start or
-    breaks, they run in this process. The reports come back in table order,
-    so the output is the same either way.
+    breaks, each runs in this process, exactly as a worker runs it. The
+    reports come back in table order, so the output is the same either way.
     """
+    instance_count = chn._dimension(instance_count, "instance count")
     if instance_count < 0:
         raise ValueError(f"instance count must be non-negative, got {instance_count}")
     table = _suite_groups(seed, instance_count, tol)  # checks the seed before any worker starts
     workers = _suite_workers(instance_count)
     reports = _forked_groups(seed, instance_count, tol, workers) if workers > 1 else None
     if reports is None:
-        reports = {group: _run_items(items(), tol) for group, items in table.items()}
+        reports = {group: _run_group(seed, instance_count, tol, group) for group in table}
     return list(chain.from_iterable(reports[group] for group in table))
 
 
 # The suite's groups, heaviest first at 200 instances per item: run_suite hands them to its workers in this order,
 # and a worker takes the next group when it is done, so no heavy group starts last and keeps the others waiting. The
-# orthogonal sums take about 30% of the suite's time, the intertwiners 13%, the next four items 8-10% each.
+# orthogonal sums take 30-32% of the suite's time, the intertwiners 12-13%, and the next five items 7-10% each, in an
+# order that changes from seed to seed.
 _HEAVIEST_FIRST = (
     "orthogonal-sum", "intertwiner", "dagger-drazin-tp-u-preservation", "mp-tp-u-iff", "group-double-inverse",
     "drazin-unital-preservation", "drazin-tp-preservation", "mp-tp-violation-search", "pure-channel-criteria",
@@ -682,14 +681,14 @@ def _suite_workers(instance_count: int) -> int:
 
     Forking copies only the calling thread, so the pool needs a process whose other threads can hold no lock the
     workers need: no other Python thread may be alive, and CPython 3.12 and later warn on a fork in a process that
-    has other OS threads, which NumPy's OpenBLAS starts. At ``_BATCH_SIZE`` instances or fewer, starting the pool
-    costs more than it saves. Each worker needs a CPU of its own.
+    has other OS threads, which NumPy's OpenBLAS starts; there, and off Linux, the suite always runs here. At
+    ``_POOL_MIN_COUNT`` instances or fewer, starting the pool saves little or nothing. Each worker needs a CPU.
     """
     if (
         sys.platform != "linux"
         or sys.version_info >= (3, 12)
         or threading.active_count() != 1
-        or instance_count <= _BATCH_SIZE
+        or instance_count <= _POOL_MIN_COUNT
     ):
         return 1
     return min(len(os.sched_getaffinity(0)), len(_HEAVIEST_FIRST))

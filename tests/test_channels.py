@@ -39,6 +39,20 @@ class TestVec:
         with pytest.raises(ValueError):
             chn.unvec(np.zeros(5), 2, 2)
 
+    @pytest.mark.parametrize("rows, cols, match", [
+        (2.0, 2, "rows must be an integer, got 2.0"),
+        (True, 4, "rows must be an integer, got True"),
+        (2, np.float64(2), "cols must be an integer"),
+        (-2, -2, "non-negative, got -2 and -2"),
+    ])
+    def test_unvec_refuses_a_bad_shape(self, rows, cols, match):
+        with pytest.raises(ValueError, match=match):
+            chn.unvec(np.zeros(4), rows, cols)
+
+    def test_unvec_takes_numpy_and_zero_dimensions(self):
+        assert chn.unvec(np.arange(4), np.int64(2), 2).shape == (2, 2)
+        assert chn.unvec(np.zeros(0), 0, 3).shape == (0, 3)
+
 
 class TestKrausToChannel:
     def test_identity_channel(self):
@@ -375,6 +389,9 @@ class TestMixedUnitary:
             chn.mixed_unitary([np.eye(2), X], [0.9, 0.3])
         with pytest.raises(ValueError):
             chn.mixed_unitary([np.eye(2), X], [1.2, -0.2])
+        # a nested list of the right size would pair its rows with the unitaries: a channel that is not TP
+        with pytest.raises(ValueError, match="flat list"):
+            chn.mixed_unitary([np.eye(2), np.eye(2)], [[0.5, 0.5]])
 
     def test_non_unitary_member(self):
         with pytest.raises(ValueError):

@@ -266,6 +266,14 @@ class TestTheorems:
     @pytest.mark.parametrize("seed", sorted(GOLDEN, key=int))
     def test_count_200_matches_golden_record(self, capsys, seed):
         # recorded from the per-instance suite before items were certified as one batch each
+        self.assert_golden(capsys, seed)
+
+    def test_count_200_in_one_process_matches_golden_record(self, capsys, monkeypatch):
+        # the path off Linux and on CPython 3.12 and later, where the suite never forks
+        monkeypatch.setattr(thm, "_suite_workers", lambda instance_count: 1)
+        self.assert_golden(capsys, "7")
+
+    def assert_golden(self, capsys, seed):
         code, out, _ = run(capsys, ["theorems", "--count", "200", "--seed", seed])
         golden = self.GOLDEN[seed]
         assert code == golden["exit_code"]

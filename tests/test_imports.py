@@ -12,6 +12,9 @@ outside its own definition, so a helper a refactor stopped calling cannot surviv
 builds a certificate past it. ``_report`` and the dense ``_residuals`` are called only where ``_certify`` judges a
 stack (and ``_residuals`` in ``verify_axioms``), so that no route grows a gate or a residual stage of its own.
 
+No call of ``_run_checks`` in ``theorems`` sits inside a loop, so that each suite item checks all its instances
+in one call, one ``_certify_all`` call per kind and round, and the suite never goes back to checking them in chunks.
+
 No module of the package reads the environment (``os.environ``, ``os.environb``, ``os.getenv``), so that flags
 alone determine a ``chaninv`` run.
 
@@ -74,16 +77,19 @@ def unreferenced_private_names(sources: dict) -> list:
     return sorted(dead)
 
 
+def _called(call) -> str | None:
+    """The name a call calls: a bare name or the last attribute (``mod.f`` -> ``f``)."""
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
 def call_sites(source: str, callee: str) -> list:
     """The innermost enclosing function of each call of ``callee`` (a bare name or an attribute) in ``source``,
     in source order; ``<module>`` for a call outside any function."""
     sites = []
 
     def visit(node, function):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
-                sites.append(function)
+        if isinstance(node, ast.Call) and _called(node) == callee:
+            sites.append(function)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             function = getattr(node, "name", "<lambda>")
         for child in ast.iter_child_nodes(node):
@@ -91,6 +97,24 @@ def call_sites(source: str, callee: str) -> list:
 
     visit(ast.parse(source), "<module>")
     return sites
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def calls_in_loops(source: str, callee: str) -> list:
+    """The line of each call of ``callee`` (a bare name or an attribute) in ``source`` that sits inside a ``for``
+    or ``while`` statement or a comprehension, in source order."""
+    lines = []
+
+    def visit(node, looped):
+        if looped and isinstance(node, ast.Call) and _called(node) == callee:
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped or isinstance(node, LOOPS))
+
+    visit(ast.parse(source), False)
+    return lines
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
@@ -157,6 +181,20 @@ def test_finder_sees_every_call_site():
     assert call_sites(source, "Report") == ["<module>", "inner", "build", "run", "<lambda>"]
 
 
+def test_finder_sees_calls_in_loops():
+    source = (
+        "def run(items, tol):\n"
+        "    out = run_checks([(check, i) for i in items], tol)\n"
+        "    while chunk := take(items):\n"
+        "        out += run_checks(chunk, tol)\n"
+        "    for x in items:\n"
+        "        if x:\n"
+        "            mod.run_checks([x], tol)\n"
+        "    return out + [run_checks(c, tol) for c in items]\n"
+    )
+    assert calls_in_loops(source, "run_checks") == [4, 7, 8]
+
+
 def test_finder_sees_environment_reads():
     source = (
         "import os\n"
@@ -187,6 +225,10 @@ def test_one_function_judges_every_stack(callee, sites):
 def test_one_function_calls_each_lapack_entry(entry, site):
     # every route factors through these three, so none grows a factorization of its own
     assert set(call_sites((PACKAGE / "ginv.py").read_text(), entry)) == {site}
+
+
+def test_each_suite_item_checks_its_instances_in_one_call():
+    assert calls_in_loops((PACKAGE / "theorems.py").read_text(), "_run_checks") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -44,8 +44,10 @@ class TestTolerances:
             Tolerances(**{field: 0.0})
         with pytest.raises(ValueError):
             Tolerances(**{field: -1e-8})
-        # a bool, a value that is not a real number, and a non-finite one, each named by its field
-        for value in (True, np.True_, "1e-8", 1 + 0j, None, math.inf, math.nan, np.float64(np.inf)):
+        # a bool, a value that is not a real number, a non-finite one, and ones past the largest float, each named
+        # by its field
+        for value in (True, np.True_, "1e-8", 1 + 0j, None, math.inf, math.nan, np.float64(np.inf), 10**400,
+                      Fraction(10**400)):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 Tolerances(**{field: value})
 

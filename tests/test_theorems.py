@@ -503,8 +503,8 @@ class TestSuiteWorkers:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not FORKS_HERE, reason="the suite forks only on Linux, CPython < 3.12, with 2 CPUs or more")
-    def test_pool_above_one_batch(self, pools):
-        thm.run_suite(seed=1, instance_count=thm._BATCH_SIZE + 1)
+    def test_pool_above_min_count(self, pools):
+        thm.run_suite(seed=1, instance_count=thm._POOL_MIN_COUNT + 1)
         assert len(pools) == 1
         (workers,), kwargs = pools[0]
         assert workers == min(len(os.sched_getaffinity(0)), len(thm._HEAVIEST_FIRST))
@@ -516,8 +516,8 @@ class TestSuiteWorkers:
         groups = thm._suite_groups(thm.DEFAULT_SUITE_SEED, 200, thm.DEFAULT_TOL)
         assert sorted(thm._HEAVIEST_FIRST) == sorted(groups)
 
-    def test_no_pool_at_one_batch(self, pools):
-        thm.run_suite(seed=1, instance_count=thm._BATCH_SIZE)
+    def test_no_pool_at_min_count(self, pools):
+        thm.run_suite(seed=1, instance_count=thm._POOL_MIN_COUNT)
         assert pools == []
 
     def test_no_pool_while_another_thread_lives(self, pools):
@@ -629,7 +629,8 @@ class TestRunChecks:
         assert all(r.max_residual <= 1e-12 for r in reports)
 
     def test_one_certificate_call_per_round(self, monkeypatch):
-        # the batching carries the suite's throughput: 32 group-double-inverse instances, two rounds, two calls
+        # the batching carries the suite's throughput: a suite item checks all its instances together, so 40
+        # group-double-inverse instances take two rounds and two calls
         calls = []
         original = thm._certify_all
 
@@ -639,10 +640,10 @@ class TestRunChecks:
 
         monkeypatch.setattr(thm, "_certify_all", counting)
         rng = np.random.default_rng(4)
-        mats = [thm.draw_ucptp(2 + i % 2, 2, rng).super for i in range(32)]
-        reports = thm._run_checks([(thm._group_double_inverse, (m,)) for m in mats], thm.DEFAULT_TOL)
-        assert calls == [("drazin", 32), ("drazin", 32)]
-        assert [r.verdict for r in reports] == [thm.VERIFIED] * 32
+        mats = [thm.draw_ucptp(2 + i % 2, 2, rng).super for i in range(40)]
+        report = thm._run_item("group-double-inverse", thm._group_double_inverse, mats, (), thm.DEFAULT_TOL)
+        assert calls == [("drazin", 40), ("drazin", 40)]
+        assert (report.instances, report.verdict) == (40, thm.VERIFIED)
 
 
 NON_SQUARE = np.ones((2, 3), dtype=complex)
@@ -668,6 +669,13 @@ NON_SQUARE = np.ones((2, 3), dtype=complex)
          r"f must be square for the drazin variant, got shape \(2, 3\)"),
         (thm.check_intertwiner_propagation, (NON_SQUARE, NON_SQUARE.T, np.ones((3, 2)), "dagger_drazin"),
          r"h \(default k\) must have shape \(2, 3\) for f of shape \(2, 3\) and g of shape \(3, 2\), got \(3, 2\)"),
+        (thm.check_double_inverse_gap, (2.5, 1), "d must be an integer, got 2.5"),
+        (thm.check_double_inverse_gap, (True, 1), "d must be an integer, got True"),
+        (thm.search_mp_tp_violation, (0, 2, 3, 1), "must each be at least 1, got 0, 2, 3"),
+        (thm.search_mp_tp_violation, (2, 0, 3, 1), "must each be at least 1, got 2, 0, 3"),
+        (thm.search_mp_tp_violation, (2, 3, 2.5, 1), "trials must be an integer, got 2.5"),
+        (thm.run_suite, (1, True), "instance count must be an integer, got True"),
+        (thm.run_suite, (1, 2.5), "instance count must be an integer, got 2.5"),
     ],
 )
 def test_public_checks_reject_malformed_input(check, args, match):
