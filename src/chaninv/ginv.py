@@ -41,15 +41,17 @@ Axiom residuals, in the left-to-right composition convention of
 * Moore-Penrose, inverse G of F: MP1 ``|FGF - F|``, MP2 ``|GFG - G|``,
   MP3 ``|FG - (FG)^H|``, MP4 ``|GF - (GF)^H|`` (both projector
   conditions are checked; MP3/MP4 follow the classical matrix labelling).
-* Drazin, inverse G of square A: D1 ``|G A^(k+1) - A^k|`` minimized over
-  k, D2 ``|GAG - G|``, D3 ``|AG - GA|``.
+* Drazin, inverse G of square A: D1 ``|G A^(k+1) - A^k|`` at k = ind(A),
+  D2 ``|GAG - G|``, D3 ``|AG - GA|``.
 * Group: G1 ``|AGA - A|``, G2 ``|GAG - G|``, G3 ``|AG - GA|``, and
   ``|(G^#)^# - A|``: at index 1 in closed form on A's deflation (no SVD of
   G); at index 0, where (G^#)^# = G^-1, bounded from E and E' (below) or
   by an LU inverse of the returned G, on either route.
 * Dagger-Drazin, inverse G of F with gram matrices P = F^H F and
-  Q = F F^H: Dd1 ``max(|G F P^k - P^k|, |Q^k F G - Q^k|)`` minimized over
-  k, Dd2 ``|GFG - G|``, Dd3 ``|GF - (GF)^H|``, Dd4 ``|FG - (FG)^H|``.
+  Q = F F^H: Dd1 ``max(|G F P^k - P^k|, |Q^k F G - Q^k|)``, Dd2 ``|GFG - G|``,
+  Dd3 ``|GF - (GF)^H|``, Dd4 ``|FG - (FG)^H|``. P and Q are Hermitian, so
+  of index at most 1: k = 0 for a square F of full rank, else k = 1.
+  D1 and Dd1 are judged at the k the factorization found, and at no other.
 
 On the LU route these come from two products per member, E = GA - I and
 E' = AG - I (:func:`_lu_values`). MP3, MP4, D1, D3, G3, Dd1, Dd3 and Dd4 are
@@ -68,8 +70,6 @@ by G^-1 from an LU inverse of G. Every LU-route report carries
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, islice
 
 import numpy as np
 
@@ -112,8 +112,9 @@ class FormulaMismatchError(GinvError):
 class GinvReport:
     """An inverse of a given kind with its axiom residuals.
 
-    ``index`` is the Drazin index for the drazin and group kinds;
-    ``witness_k`` is the exponent realizing the Dd1 axiom for dagger_drazin.
+    ``index`` is the Drazin index for the drazin and group kinds, and D1's
+    exponent; ``witness_k`` is Dd1's exponent for dagger_drazin: 0 for a
+    square input of full rank, else 1.
     ``forward_error_bound`` bounds ``|inverse - a^-1|_F`` on the LU route:
     ``|G|_F m / (1 - m)``, with m = min(|GA - I|_F, |AG - I|_F) plus
     4 (n + 2) eps |a|_F |G|_F for rounding, and inf for m >= 1. It is None
@@ -166,9 +167,10 @@ def _as_square(a, what: str) -> np.ndarray:
 def verify_axioms(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """Frobenius residual of every defining axiom of ``kind`` for the pair (f, g).
 
-    Returns ``(residuals, witness_k)`` where witness_k is the exponent
-    minimizing the D1/Dd1 residual (None for kinds without one). Callers
-    threshold; an overflowed residual is reported as the inf or nan it is.
+    Returns ``(residuals, k)``, k the one exponent at which D1 or Dd1 is evaluated, found by the inverses' rule at
+    ``tol.rank_rtol``: for D1 the Drazin index of f (:func:`drazin_index`), for Dd1 0 if f is square and of full rank,
+    else 1 (F^H F is Hermitian, so of index at most 1). k is None for the other kinds, and where f's SVD overflows,
+    which makes D1 or Dd1 nan. Callers threshold; an overflowed residual is reported as the inf or nan it is.
     """
     if kind not in KIND_AXIOMS:
         raise ValueError(f"unknown inverse kind {kind!r}")
@@ -178,8 +180,14 @@ def verify_axioms(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances = DEF
         raise ValueError(f"shape mismatch: inverse of {f.shape} must be {(f.shape[1], f.shape[0])}, got {g.shape}")
     if kind in ("drazin", "group") and f.shape[0] != f.shape[1]:
         raise ValueError(f"{kind} axioms need a square matrix, got shape {f.shape}")
-    residuals, witness_k = _residuals(kind, f, g, tol)
-    return {label: float(r) for label, r in residuals.items()}, None if witness_k is None else int(witness_k)
+    k = None
+    with suppress(AxiomResidualError):
+        if kind == "drazin":
+            k = _core(f, tol)[0]
+        elif kind == "dagger_drazin":
+            k = int(f.shape[0] != f.shape[1] or _core(f, tol)[0] > 0)
+    residuals = _residuals(kind, f[None], g[None], [k])
+    return {label: float(r[0]) for label, r in residuals.items()}, k
 
 
 def _norm(m: np.ndarray):
@@ -188,11 +196,12 @@ def _norm(m: np.ndarray):
     return np.sqrt(np.vecdot(v, v).real)
 
 
-def _residuals(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances):
+def _residuals(kind: str, f: np.ndarray, g: np.ndarray, k: list) -> dict:
     """:func:`verify_axioms` on arrays the library built itself, without re-validating them.
 
-    ``f`` and ``g`` may be stacks (N, m, n) and (N, n, m); each residual and the witness are then arrays over
-    the stack. An overflow gives an inf or nan residual, which fails the gate, and no NumPy warning.
+    ``f`` and ``g`` may be stacks (N, m, n) and (N, n, m); each residual is then an array over the stack. D1 and
+    Dd1 are evaluated once per member, at its exponent in the list ``k`` (nan where it is None); the other kinds do
+    not read ``k``. An overflow gives an inf or nan residual, which fails the gate, and no NumPy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         fg = f @ g
@@ -203,63 +212,56 @@ def _residuals(kind: str, f: np.ndarray, g: np.ndarray, tol: Tolerances):
                 "MP2": _norm(gf @ g - g),
                 "MP3": _norm(fg - dagger(fg)),
                 "MP4": _norm(gf - dagger(gf)),
-            }, None
+            }
 
         if kind in ("drazin", "group"):
             labels = KIND_AXIOMS[kind]
-            residuals = {
-                labels[1]: _norm(gf @ g - g),
-                labels[2]: _norm(fg - gf),
-            }
+            residuals = {labels[1]: _norm(gf @ g - g), labels[2]: _norm(fg - gf)}
             if kind == "group":
                 residuals["G1"] = _norm(fg @ f - f)
-                return residuals, None
-            # D1 at k = 0 is |GF - I|; each later power is formed only while some member has not passed
-            later = (_norm(gf @ p - p) for p in islice(_powers(f), f.shape[-1]))
-            best_k, residuals["D1"] = _witness(chain([_from_eye(gf)], later), tol)
-            return residuals, best_k
+            else:
+                residuals["D1"] = _at_exponents(kind, f, gf, fg, k)
+            return residuals
 
-        residuals = {
+        return {
             "Dd2": _norm(gf @ g - g),
             "Dd3": _norm(gf - dagger(gf)),
             "Dd4": _norm(fg - dagger(fg)),
+            "Dd1": _at_exponents(kind, f, gf, fg, k),
         }
-        # the gram matrices P = F^H F and Q = F F^H are formed only if k = 0 fails
-        pairs = islice(zip(_powers(dagger(f), f), _powers(f, dagger(f))), max(f.shape[-2:]))
-        later = (np.maximum(_norm(gf @ p - p), _norm(q @ fg - q)) for p, q in pairs)
-        best_k, residuals["Dd1"] = _witness(chain([np.maximum(_from_eye(gf), _from_eye(fg))], later), tol)
-        return residuals, best_k
+
+
+def _at_exponents(kind: str, f: np.ndarray, gf: np.ndarray, fg: np.ndarray, k: list) -> np.ndarray:
+    """D1 or Dd1 of each member of the stack ``f`` at its exponent in ``k``, one evaluation per distinct exponent.
+
+    D1 is ``|G A^(e+1) - A^e|``, Dd1 ``max(|G F P^e - P^e|, |Q^e F G - Q^e|)`` with P = F^H F and Q = F F^H; every
+    power is I at e = 0. A member whose exponent is None gets nan.
+    """
+    out = np.empty(len(k))
+    for e in set(k):
+        rows = _rows([i for i, x in enumerate(k) if x == e], len(k))
+        if e is None:
+            out[rows] = np.nan
+        elif not e:
+            out[rows] = _from_eye(gf[rows]) if kind == "drazin" else np.maximum(_from_eye(gf[rows]),
+                                                                                 _from_eye(fg[rows]))
+        elif kind == "drazin":
+            p = _power(f[rows], e)
+            out[rows] = _norm(gf[rows] @ p - p)
+        else:
+            m = f[rows]
+            p, q = _power(dagger(m) @ m, e), _power(m @ dagger(m), e)
+            out[rows] = np.maximum(_norm(gf[rows] @ p - p), _norm(q @ fg[rows] - q))
+    return out
 
 
 def _from_eye(m: np.ndarray):
     return _norm(m - np.eye(m.shape[-1], dtype=np.complex128))
 
 
-def _powers(*factors: np.ndarray):
-    """m, m^2, m^3, ... without end, for m the product of ``factors``, formed on first use."""
-    p = m = reduce(np.matmul, factors)
-    while True:
-        yield p
-        p = p @ m
-
-
-def _witness(residuals, tol: Tolerances):
-    """(k, r) of the first passing residual, else of the smallest; nan only if all are nan.
-
-    Item k of ``residuals`` holds the k-th residual of every member of a stack; items are drawn only while some
-    member has passed none of them. A member takes item k if it has not passed yet and item k passes, is
-    smaller, or replaces a nan.
-    """
-    atol = tol.residual_atol
-    for k, r in enumerate(residuals):
-        if k == 0:
-            best_k, best = np.zeros(np.shape(r), dtype=int), np.asarray(r)
-        else:
-            take = ~(best <= atol) & ((r <= atol) | np.isnan(best) | (r < best))
-            best_k, best = np.where(take, k, best_k), np.where(take, r, best)
-        if (best <= atol).all():
-            break
-    return best_k, best
+def _power(m: np.ndarray, e: int) -> np.ndarray:
+    """m^e for e >= 1, one factor at a time: m^(j+1) = m^j @ m."""
+    return m if e == 1 else _power(m, e - 1) @ m
 
 
 def _report(kind: str, inverse: np.ndarray, residuals: dict, tol: Tolerances, index: int | None,
@@ -325,19 +327,25 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     certified from :func:`_lu_values` if :func:`_report` passes them, any other its inverse or refusal from
     :func:`_by_svd`. Every index-0 group member still unjudged, of either route, takes ``|G^-1 - A|`` from one
     :func:`_lu_inverse` call on the returned inverses. Those still unjudged take one :func:`_residuals` call on their
-    stack and one :func:`_report` each; an LU member keeps its forward-error bound.
+    stack and one :func:`_report` each; an LU member keeps its forward-error bound. D1 and Dd1 are judged at the
+    member's exponent, 0 on the LU route, else from :func:`_by_svd`: its report's ``index``, or dagger-Drazin's
+    ``witness_k``.
     """
-    index0 = 0 if kind in _SQUARE_KINDS else None
+    k0 = None if kind == "moore_penrose" else 0  # every LU-route member's exponent
+
+    def labelled(k):  # (index, witness_k) of a report at exponent k
+        return (k, None) if kind in _SQUARE_KINDS else (None, k)
+
     inv, lu, norms = _lu_route(a, tol)  # LU inverses; the SVD route's replace those of its members
     lu_rows = [i for i, route in enumerate(lu.tolist()) if route]  # lists: a NumPy reduction costs 1-2 us
     svd_rows = [i for i, route in enumerate(lu.tolist()) if not route]
-    out, forward = [None] * len(a), {}  # out: each member's result, or (index, double) until the dense residuals
+    out, forward = [None] * len(a), {}  # out: each member's result, or (exponent, double) until the dense residuals
     if lu_rows:
         rows = _rows(lu_rows, len(a))
         for i, (values, bound, double) in zip(lu_rows, _lu_values(kind, a[rows], inv[rows], norms[rows])):
-            out[i] = _report(kind, inv[i], values, tol, index0, 0 if kind == "dagger_drazin" else None, bound, double)
+            out[i] = _report(kind, inv[i], values, tol, *labelled(k0), bound, double)
             if not isinstance(out[i], GinvReport):
-                forward[i], out[i] = bound, (index0, None)
+                forward[i], out[i] = bound, (k0, None)
     if svd_rows:
         rows = _rows(svd_rows, len(a))
         svd_inv, results = _by_svd(kind, a[rows], tol)
@@ -357,11 +365,11 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     if live:  # an empty or all-judged stack has no residuals to evaluate
         rows = _rows(live, len(a))
         h = inv[rows]
-        residuals, witness_k = _residuals(kind, a[rows], h, tol)
-        for j, i in enumerate(live):  # a Drazin member's D1 exponent is its index, reported as such
-            index, double = out[i]
-            out[i] = _report(kind, h[j], {label: float(res[j]) for label, res in residuals.items()}, tol, index,
-                             int(witness_k[j]) if kind == "dagger_drazin" else None, forward.get(i), double)
+        residuals = _residuals(kind, a[rows], h, [out[i][0] for i in live])
+        for j, i in enumerate(live):
+            k, double = out[i]
+            out[i] = _report(kind, h[j], {label: float(res[j]) for label, res in residuals.items()}, tol,
+                             *labelled(k), forward.get(i), double)
     return out
 
 
@@ -456,8 +464,10 @@ def _neumann(m: float) -> float:
 
 def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
     """(inv, results) for the members the LU route did not take: their stacked inverses and, for each member, its
-    (index, double) or the GinvError that refuses it. index is the Drazin index, double a group member's
-    double-inverse residual at index 1 or the error forming (G^#)^# raised (else None: :func:`_certify` forms it).
+    (k, double) or the GinvError that refuses it. k is the exponent of D1 or Dd1: the Drazin index for Drazin and
+    group, for dagger-Drazin 0 when the member is square and of full rank, else 1, and None for Moore-Penrose.
+    double is a group member's double-inverse residual at index 1 or the error forming (G^#)^# raised (else None:
+    :func:`_certify` forms it).
 
     One stacked SVD gives every inverse through :func:`_pinv` but those of the singular Drazin and group members,
     which continue one at a time through the r x r blocks of :func:`_core` and :func:`_core_inverse`.
@@ -469,8 +479,10 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
         parts = [_by_svd(kind, m[None], tol) for m in a]
         return np.concatenate([inv for inv, _ in parts]), [res for _, results in parts for res in results]
     u, s, vh, r = factors
-    if kind in ("moore_penrose", "dagger_drazin"):
+    if kind == "moore_penrose":
         return _pinv(u, s, vh, r), [(None, None)] * len(a)
+    if kind == "dagger_drazin":  # only a square member of full rank has rank max(m, n)
+        return _pinv(u, s, vh, r), [(int(x < max(a.shape[1:])), None) for x in r.tolist()]
     # index 0: the inverse is the Moore-Penrose one; the singular members stay 0 until deflate fills them in
     full = r == a.shape[-1]
     inv = _pinv(u, s, vh, np.where(full, r, 0))
@@ -542,18 +554,12 @@ def _core_inverse(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
-    """Drazin inverse from the core-nilpotent decomposition found by the index search.
+    """Drazin inverse from the core-nilpotent decomposition found by the deflation of :func:`_core`.
 
-    Jordan-form routes are numerically unstable; this one needs the
-    deflation's SVDs (one n x n, the rest r x r) and one r x r solve, and is
-    certified by the D1-D3 residuals. For invertible input (index 0) it
-    returns the ordinary inverse: the LU inverse G when the norm test
-    ``|a|_F |G|_F n (rank_rtol + 4 eps) <= 1/2`` proves a full rank without
-    an SVD, else read off the SVD of the input. G is certified from
-    E = Ga - I and E' = aG - I: D1 = |E|, D3 = |E' - E| and the bound
-    D2 <= |G| m, m = min(|E|, |E'|) plus a rounding term, or, where those
-    fail the absolute gate, by the dense D1-D3. Its report carries
-    ``forward_error_bound`` >= |G - a^-1|_F.
+    Jordan-form routes are numerically unstable; this one needs the deflation's SVDs (one n x n, the rest r x r) and
+    one r x r solve, and is certified by the D1-D3 residuals, D1 at k = the index. For invertible input (index 0) it
+    returns the ordinary inverse: the LU inverse G on the LU route (see the module docstring), whose report carries
+    ``forward_error_bound`` >= |G - a^-1|_F, else read off the SVD of the input.
     """
     return _one(_certify("drazin", _as_square(a, "Drazin inverse")[None], tol))
 
@@ -561,19 +567,11 @@ def drazin_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
 def group_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     """Group inverse (Drazin inverse in the index <= 1 case).
 
-    Raises IndexTooLargeError, before forming any inverse, when the Drazin
-    index exceeds 1. The result is certified against G1-G3 and the
-    double-inverse law |(G^#)^# - a|, with (G^#)^# = u (v^H G u)^{-1} v^H on
-    the bases u, v of the deflation of a that gave G: no SVD of G, so the
-    check reuses a's rank decision instead of deciding G's. At index 0,
-    (G^#)^# = G^-1. When G is a's LU inverse (the norm test of
-    :func:`drazin_inverse` proved a full rank), the law is bounded without
-    forming G^-1: ``|G^-1 - a| <= |a| m / (1 - m)``, m = min(|Ga - I|,
-    |aG - I|) plus a rounding term, with G1 <= |a| m, G2 <= |G| m and
-    G3 = |aG - Ga|. Where those fail the absolute gate, G1-G3 are the dense
-    residuals; then, as for a G read off a's SVD, G^-1 is an LU inverse of
-    the returned G. An LU-route report carries ``forward_error_bound`` >=
-    |G - a^-1|_F.
+    Raises IndexTooLargeError, before forming any inverse, when the Drazin index exceeds 1. The result is certified
+    against G1-G3 and the double-inverse law |(G^#)^# - a|, with (G^#)^# = u (v^H G u)^{-1} v^H on the bases u, v of
+    the deflation of a that gave G: no SVD of G, so the check reuses a's rank decision instead of deciding G's. At
+    index 0, (G^#)^# = G^-1: bounded from Ga - I and aG - I when G is a's LU inverse (see the module docstring), else
+    by an LU inverse of the returned G. An LU-route report carries ``forward_error_bound`` >= |G - a^-1|_F.
     """
     return _one(_certify("group", _as_square(a, "group inverse")[None], tol))
 
@@ -585,7 +583,7 @@ def dagger_drazin(f: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GinvReport:
     matrix F^H F is Hermitian, so its index is at most 1 and
     (F^H F)^D F^H = (F^H F)^+ F^H = F^+. It is therefore computed from one
     thin SVD of F (the LU inverse on the LU route of a square F), without
-    forming a gram matrix, and certified against Dd1-Dd4; the reported
-    ``witness_k`` realizes Dd1.
+    forming a gram matrix, and certified against Dd1-Dd4. Dd1 is judged at
+    the exponent ``witness_k``: 0 when F is square and of full rank, else 1.
     """
     return _one(_certify("dagger_drazin", as_cmatrix(f)[None], tol))

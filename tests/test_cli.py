@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from chaninv import channels as chn
+from chaninv import cli
 from chaninv import theorems as thm
 from chaninv.cli import _build_parser, main
-from chaninv.ginv import dagger_drazin, drazin_inverse, group_inverse, mp_inverse
+from chaninv.ginv import AxiomResidualError, dagger_drazin, drazin_inverse, group_inverse, mp_inverse
 from chaninv.linalg import dagger, fro_dist
 
 
@@ -291,6 +292,15 @@ class TestTheorems:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_text_output_one_line_per_item(self, capsys):
+        code, out, _ = run(capsys, ["theorems", "--output", "text", "--count", "1"])
+        reports = thm.run_suite(instance_count=1)
+        assert out.splitlines() == [
+            f"{r.theorem_id}: {r.verdict} (instances={r.instances}, max_residual={r.max_residual!r}, "
+            f"witness={'yes' if r.witness else 'no'})" for r in reports
+        ]
+        assert code == (0 if thm.suite_passed(reports) else 1)
+
     def test_fixed_seed_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, ["theorems", "--count", "6", "--seed", "42"])
         code2, out2, _ = run(capsys, ["theorems", "--count", "6", "--seed", "42"])
@@ -373,6 +383,50 @@ class TestMitigate:
         code, _, _ = run(capsys, ["mitigate", fch, frho, fobs])
         assert code == 2
 
+
+    def test_negative_repetitions_exit_2(self, tmp_path, capsys):
+        fch, frho, fobs = self._files(tmp_path, chn.identity_channel(2), np.diag([1.0, 0.0]), np.eye(2))
+        code, out, err = run(capsys, ["mitigate", fch, frho, fobs, "-n", "-1"])
+        assert code == 2 and out == ""
+        assert "repetitions must be non-negative" in err
+
+    def test_rectangular_channel_exit_3(self, tmp_path, capsys):
+        isometry = chn.conjugation_channel(np.eye(3, 2))  # 2 -> 3 and trace preserving
+        fch, frho, fobs = self._files(tmp_path, isometry, np.diag([1.0, 0.0]), np.eye(2))
+        code, out, err = run(capsys, ["mitigate", fch, frho, fobs])
+        assert code == 3 and out == ""
+        assert "needs a square channel, got 2 -> 3" in err
+
+    @pytest.mark.parametrize("rho, obs, message", [
+        (np.diag([1.5, -0.5]), np.eye(2), "state must be positive semidefinite"),
+        (np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), "observable must be Hermitian"),
+    ], ids=["negative_state", "non_hermitian_observable"])
+    def test_invalid_state_or_observable_exit_2(self, tmp_path, capsys, rho, obs, message):
+        fch, frho, fobs = self._files(tmp_path, chn.identity_channel(2), rho, obs)
+        code, out, err = run(capsys, ["mitigate", fch, frho, fobs])
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_refused_drazin_certificate_exit_5(self, tmp_path, capsys, monkeypatch):
+        def refuse(a, tol):
+            raise AxiomResidualError("drazin inverse failed its axiom gate")
+
+        monkeypatch.setattr(cli, "drazin_inverse", refuse)
+        fch, frho, fobs = self._files(tmp_path, chn.identity_channel(2), np.diag([1.0, 0.0]), np.eye(2))
+        code, out, err = run(capsys, ["mitigate", fch, frho, fobs])
+        assert code == 5 and out == ""
+        assert "failed its axiom gate" in err
+
+    def test_text_output_on_singular_channel_has_caveat(self, tmp_path, capsys):
+        rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        fch, frho, fobs = self._files(tmp_path, chn.projector_channel((1, 1)), rho, x)
+        code, out, _ = run(capsys, ["mitigate", fch, frho, fobs, "--output", "text"])
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["ideal", "noisy", "mitigated", "drazin_index", "caveat"]
+        assert lines[3] == "drazin_index: 1"
+        assert lines[4].startswith("caveat: channel is singular (Drazin index 1)")
 
     @pytest.mark.parametrize("which", ["state", "observable"])
     @pytest.mark.parametrize("value", ["1", True, False])
@@ -564,6 +618,48 @@ OPTIONS = {
 # each shared option with its default value, which a subcommand that does not read it refuses all the same
 SHARED = {"--rank-rtol": "1e-10", "--atol": "1e-8", "--psd-atol": "1e-8", "--seed": "7", "--output": "json"}
 REMOVED = [(command, flag) for command, options in OPTIONS.items() for flag in SHARED if flag not in options]
+
+
+class TestWireFormatRefusals:
+    # each is refused at the boundary, directly and through `chaninv check`: exit 2, or 3 for a shape contradiction
+
+    @pytest.mark.parametrize("pairs, message", [
+        ("[]", "must be a non-empty nested list of [re, im] pairs"),
+        ("[[]]", "rows must be non-empty"),
+        ("[[[1, 0], [0, 0]], [[1, 0]]]", "rows have inconsistent lengths"),
+        ("[[[Infinity, 0]]]", "contains non-finite entries"),  # json reads Infinity as inf
+    ], ids=["empty", "empty_row", "ragged", "infinite"])
+    def test_bad_matrix_exit_2(self, tmp_path, capsys, pairs, message):
+        with pytest.raises(chn.ChannelFormatError) as exc:
+            chn.matrix_from_pairs(json.loads(pairs))
+        assert message in str(exc.value)
+        f = tmp_path / "ch.json"
+        f.write_text(f'{{"d_in": 1, "d_out": 1, "super": {pairs}}}')
+        code, out, err = run(capsys, ["check", str(f)])
+        assert code == 2 and out == ""
+        assert f"super {message}" in err
+
+    @pytest.mark.parametrize("data, message", [
+        ({"d_in": 1, "d_out": 1, "kraus": []}, "kraus must be a non-empty list of matrices"),
+        ({"d_in": 1, "d_out": 1}, "channel JSON needs a 'kraus' or 'super' field"),
+    ], ids=["no_kraus", "no_field"])
+    def test_bad_channel_exit_2(self, tmp_path, capsys, data, message):
+        with pytest.raises(chn.ChannelFormatError) as exc:
+            chn.channel_from_dict(data)
+        assert str(exc.value) == message
+        code, out, err = run(capsys, ["check", write_json(tmp_path / "ch.json", data)])
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_super_contradicting_dims_exit_3(self, tmp_path, capsys):
+        message = "superoperator shape (3, 3) does not match dims (4, 4)"
+        with pytest.raises(chn.DimensionMismatchError) as exc:
+            chn.Channel(d_in=2, d_out=2, super=np.eye(3))
+        assert str(exc.value) == message
+        data = {"d_in": 2, "d_out": 2, "super": chn.matrix_to_pairs(np.eye(3))}
+        code, out, err = run(capsys, ["check", write_json(tmp_path / "ch.json", data)])
+        assert code == 3 and out == ""
+        assert message in err
 
 
 class TestOptions:

@@ -109,7 +109,7 @@ def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
         if k > 1:
             raise IndexTooLargeError(k)
         inv = _core_inverse(a, u, v) if k else drazin_inverse(a, tol).inverse
-    report = ginv._report("group", inv, _residuals("group", a, inv, tol)[0], tol, k, None, None, None)
+    report = ginv._report("group", inv, _residuals("group", a, inv, [k]), tol, k, None, None, None)
     if isinstance(report, GinvError):
         raise report
     return report, fro_dist(drazin_inverse(inv, tol).inverse, a)
@@ -689,6 +689,35 @@ class TestVerifyAxioms:
         with pytest.raises(ValueError):
             verify_axioms("moore_penrose", np.zeros((2, 3)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("kind", ["drazin", "group"])
+    def test_square_kinds_refuse_rectangular(self, kind):
+        with pytest.raises(ValueError, match="need a square matrix"):
+            verify_axioms(kind, np.zeros((2, 3)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("kind, label", [("drazin", "D1"), ("dagger_drazin", "Dd1")])
+    @pytest.mark.parametrize("a", [0.5 * np.eye(30), 0.01 * np.eye(6)], ids=["half_eye30", "hundredth_eye6"])
+    def test_zero_is_not_the_inverse_of_a_small_invertible(self, kind, label, a):
+        # G = 0 fails D1/Dd1 at the index, 0, although |G A^(k+1) - A^k| = |A^k| is tiny for some k > 0
+        n = a.shape[0]
+        res, k = verify_axioms(kind, a, np.zeros((n, n)))
+        assert k == 0
+        assert res[label] == np.sqrt(n)
+        assert isinstance(ginv._report(kind, np.zeros((n, n)), res, DEFAULT_TOL, 0, None, None, None),
+                          AxiomResidualError)
+
+    @pytest.mark.parametrize("kind, label", [("drazin", "D1"), ("dagger_drazin", "Dd1")])
+    def test_overflowed_exponent_reads_nan(self, kind, label):
+        # f's SVD overflows, so no exponent is found: D1 or Dd1 is nan, which fails the gate, and nothing raises
+        res, k = verify_axioms(kind, np.full((2, 2), 1e308), np.zeros((2, 2)))
+        assert k is None and np.isnan(res[label])
+
+    @pytest.mark.parametrize("f, k", [(np.eye(2), 0), (NILPOTENT, 1), (np.eye(2, 3), 1)],
+                             ids=["square_full_rank", "square_singular", "rectangular"])
+    def test_dagger_drazin_exponent_by_rank_and_shape(self, f, k):
+        res, got = verify_axioms("dagger_drazin", f, dagger(f))  # each f is a partial isometry: F^+ = F^H
+        assert got == k
+        assert max(res.values()) == 0.0
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             verify_axioms("cholesky", np.eye(2), np.eye(2))
@@ -826,6 +855,17 @@ def assert_single_call_result(kind, m, got):
         want.kind, want.index, want.witness_k, want.forward_error_bound)
     assert list(got.residuals.items()) == list(want.residuals.items())
     assert np.array_equal(got.inverse, want.inverse)
+
+
+@pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+def test_overflowed_member_factored_alone(kind):
+    # sigma_max of the first member overflows, so the stacked SVD is refused and each member is factored alone
+    mats = [np.full((2, 2), 1e308), np.diag([1.0, 0.0])]
+    batch = certify_many(kind, mats)
+    assert isinstance(batch[0], AxiomResidualError) and "largest singular value is inf" in str(batch[0])
+    assert isinstance(batch[1], GinvReport)
+    for m, got in zip(mats, batch):
+        assert_single_call_result(kind, m, got)
 
 
 @pytest.mark.parametrize("kind", ["moore_penrose", "group"])
@@ -1281,54 +1321,6 @@ class TestOneRefusedMember:
         refused = certify_many("group", self.MATS)
         self.assert_only_target_refused("group", refused, "group inverse failed its axiom gate")
 
-
-def witness_by_member(residuals, tol):
-    """The per-member reference for :func:`ginv._witness`: the same rule, one member at a time in Python."""
-    atol = tol.residual_atol
-    for k, r in enumerate(residuals):
-        if k == 0:
-            shape, best = np.shape(r), np.ravel(r).tolist()
-            best_k = [0] * len(best)
-        else:
-            for j, x in enumerate(np.ravel(r).tolist()):
-                b = best[j]
-                if not b <= atol and (x <= atol or b != b or x < b):  # b != b: b is nan
-                    best_k[j], best[j] = k, x
-        if all(b <= atol for b in best):
-            break
-    return np.array(best_k).reshape(shape), np.array(best).reshape(shape)
-
-
-# residuals that pass, tie, fail, overflow or are undefined
-RESIDUALS = st.one_of(
-    st.sampled_from([0.0, 1e-9, ATOL, 2e-8, 0.5, 1.0, np.inf, np.nan]),
-    st.floats(0.0, 10.0),
-)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    members=st.one_of(st.none(), st.integers(1, 8)),
-    data=st.data(),
-)
-def test_witness_matches_per_member_rule(members, data):
-    # None: one matrix, whose residuals are NumPy scalars; else a stack of that many members
-    items = data.draw(st.lists(st.lists(RESIDUALS, min_size=members or 1, max_size=members or 1), min_size=1,
-                               max_size=6))
-    items = [np.float64(item[0]) if members is None else np.array(item) for item in items]
-    drawn = {"vectorized": 0, "by_member": 0}
-
-    def counted(name):
-        for item in items:
-            drawn[name] += 1
-            yield item
-
-    k, r = ginv._witness(counted("vectorized"), DEFAULT_TOL)
-    want_k, want_r = witness_by_member(counted("by_member"), DEFAULT_TOL)
-    assert drawn["vectorized"] == drawn["by_member"]
-    assert (k.shape, k.dtype, r.shape, r.dtype) == (want_k.shape, want_k.dtype, want_r.shape, want_r.dtype)
-    np.testing.assert_array_equal(k, want_k)
-    np.testing.assert_array_equal(r, want_r)  # nan matches nan
 
 class TestDegenerateConventions:
     def test_empty_matrix_every_kind(self):

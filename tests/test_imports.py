@@ -10,7 +10,9 @@ outside its own definition, so a helper a refactor stopped calling cannot surviv
 
 ``GinvReport(...)`` is called once in ``ginv``, in ``_report``, the gate every route shares, so that no route
 builds a certificate past it. ``_report`` and the dense ``_residuals`` are called only where ``_certify`` judges a
-stack (and ``_residuals`` in ``verify_axioms``), so that no route grows a gate or a residual stage of its own.
+stack (and ``_residuals`` in ``verify_axioms``), so that no route grows a gate or a residual stage of its own. The
+deflation ``_core`` is called only by ``_by_svd``'s ``deflate``, ``drazin_index`` and ``verify_axioms``, so that every
+Drazin index, and the exponent at which ``verify_axioms`` judges D1 or Dd1, comes from it.
 
 No call of ``_run_checks`` in ``theorems`` sits inside a loop, so that each suite item checks all its instances
 in one call, one ``_certify_all`` call per kind and round, and the suite never goes back to checking them in chunks.
@@ -216,6 +218,7 @@ def test_one_function_builds_every_certificate():
     ("_residuals", {"verify_axioms", "_certify"}),
     ("_report", {"_certify"}),
     ("_lu_inverse", {"_lu_route", "_certify"}),  # the route's inverses, then every index-0 group member's G^-1
+    ("_core", {"deflate", "drazin_index", "verify_axioms"}),  # every Drazin index, and verify_axioms' exponents
 ])
 def test_one_function_judges_every_stack(callee, sites):
     assert set(call_sites((PACKAGE / "ginv.py").read_text(), callee)) == sites
