@@ -377,6 +377,8 @@ def _phase_fixed_qr(g: np.ndarray) -> np.ndarray:
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     d = _dimension(d, "dimension d")
+    if d < 1:
+        raise ValueError(f"dimension d must be positive, got {d}")
     return _haar_isometry(_get_rng(seed), d, d)
 
 

@@ -16,24 +16,42 @@ complex matrices). Each comes from one factorization.
   deflated: its SVD, then SVDs of r x r compressions of A, give the index k
   and bases u_r of range(A^k) and v_r of range((A^k)^H), so that
   ``A^D = u_r (v_r^H A u_r)^{-1} v_r^H``; no power of A is formed.
+* Real coordinates, around both routes: a member of shape (d_out^2, d_in^2)
+  that is the superoperator of a Hermiticity-preserving (HP) map, as every
+  channel is, qualifies when ``P_out A P_in == conj(A)`` holds bit for bit,
+  P the vec swap vec(X) -> vec(X^T). It is certified as the real matrix
+  ``A_r = Re A + Im(A) P_in``, which is exactly ``U_out^H A U_in`` for the
+  unitary ``U = ((1 + i) I + (1 - i) P) / 2``, so both routes run in float64
+  on it. Its inverse is mapped back as
+  ``G = (G_r + P G_r P) / 2 + i (G_r P - P G_r) / 2``, and
+  ``P G P == conj(G)`` holds bit for bit: the inverse of an HP map is HP by
+  construction. Both maps round each entry at most once (by at most u |A|_F
+  and u |G|_F in all, u = eps / 2, and not at all where Im A = 0 or where
+  G_r commutes with P). Every value reported on this route adds the
+  first-order change of its axiom's residual under those two moves
+  (:func:`_basis_terms`; on the LU route, through E and E', below), so that
+  it holds for the returned pair (A, G). Every other member keeps the
+  complex path, bit for bit.
 
 Every returned inverse is self-certifying: the defining-axiom residuals are
 computed and enforced against ``Tolerances.residual_atol``, so a successful
 return is a numerical certificate.
 
-The kernels work on stacks (N, m, n) of same-shape matrices, in one straight
-pass, :func:`_certify`: one stacked LU inverse of a square stack, which
-routes each member on its own test, and the values from E and E' of the
-members it takes; one stacked SVD of the others, their inverses read off it
-by :func:`_pinv` or, for a singular Drazin or group member, by deflating it
-alone; for the group kind, one stacked LU inverse of the returned G of the
-index-0 members still open; then one evaluation of the dense residuals, one
-stacked norm per axiom, on the members of both routes still unjudged. One
-gate, :func:`_report`, gives every member its report or error: the axiom
-residuals first, then, for the group kind, the double-inverse law. No
-member's arithmetic depends on its neighbours: :func:`certify_many` gives
-each member of a list, certified one stack per shape, its single call's
-bytes; the four public inverses run the kernels on a stack of one.
+The kernels work on stacks (N, m, n) of same-shape matrices, complex or real,
+in one straight pass. :func:`_certify` judges a stack's HP members as one real
+stack and the others as one complex stack, each by :func:`_judge`: one stacked
+LU inverse of a square stack, which routes each member on its own test, and
+the values from E and E' of the members it takes; one stacked SVD of the
+others, their inverses read off it by :func:`_pinv` or, for a singular Drazin
+or group member, by deflating it alone; for the group kind, one stacked LU
+inverse of the returned G of the index-0 members still open; then one
+evaluation of the dense residuals, one stacked norm per axiom, on the members
+of both routes still unjudged. One gate, :func:`_report`, gives every member
+its report or error: the axiom residuals first, then, for the group kind, the
+double-inverse law. No member's arithmetic depends on its neighbours:
+:func:`certify_many` gives each member of a list, certified one stack per
+shape, its single call's bytes; the four public inverses run the kernels on a
+stack of one.
 
 Axiom residuals, in the left-to-right composition convention of
 :mod:`chaninv.linalg` (f;g on column vectors is G @ F):
@@ -79,6 +97,7 @@ from .linalg import (  # noqa: F401
 )
 
 _EPS = float(np.finfo(float).eps)  # a Python float, so the LU-route values are too
+_U = _EPS / 2  # the unit roundoff
 
 KIND_AXIOMS = {
     "moore_penrose": ("MP1", "MP2", "MP3", "MP4"),
@@ -117,8 +136,11 @@ class GinvReport:
     square input of full rank, else 1.
     ``forward_error_bound`` bounds ``|inverse - a^-1|_F`` on the LU route:
     ``|G|_F m / (1 - m)``, with m = min(|GA - I|_F, |AG - I|_F) plus
-    4 (n + 2) eps |a|_F |G|_F for rounding, and inf for m >= 1. It is None
-    on the SVD route.
+    4 (n + 2) eps |a|_F |G|_F for rounding, and inf for m >= 1. For a
+    Hermiticity-preserving a, certified in real coordinates, E and G are
+    those of the real pair, and m also adds 2 u |a|_F |G|_F (u = eps / 2)
+    for rounding the change of coordinates, so the bound holds for the
+    inverse returned. It is None on the SVD route.
     """
 
     kind: str
@@ -150,7 +172,7 @@ def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: np.ndarray) -> np.nda
     Each member of rank k is the product over its own k leading singular triplets, one stacked product per distinct
     rank, so it does not depend on its neighbours' ranks; a member of rank 0 stays 0.
     """
-    g = np.zeros((*u.shape[:-2], vh.shape[-1], u.shape[-2]), dtype=np.complex128)
+    g = np.zeros((*u.shape[:-2], vh.shape[-1], u.shape[-2]), dtype=u.dtype)
     for k in set(r.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma (about 1.6 MB)
         m = r == k
         g[m] = dagger(vh[m, :k]) @ ((1.0 / s[m, :k])[..., None] * dagger(u[m, :, :k]))
@@ -256,7 +278,7 @@ def _at_exponents(kind: str, f: np.ndarray, gf: np.ndarray, fg: np.ndarray, k: l
 
 
 def _from_eye(m: np.ndarray):
-    return _norm(m - np.eye(m.shape[-1], dtype=np.complex128))
+    return _norm(m - np.eye(m.shape[-1], dtype=m.dtype))
 
 
 def _power(m: np.ndarray, e: int) -> np.ndarray:
@@ -323,6 +345,118 @@ def _certify_all(kind: str, mats, tol: Tolerances) -> list:
 def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     """GinvReport or GinvError for each member of the validated stack ``a`` (N, m, n), square for Drazin/group.
 
+    The coordinate stage. A member that :func:`_hermiticity_preserving` selects is judged by :func:`_judge` in real
+    coordinates, as ``A_r = U_out^H A U_in`` (:func:`_real_coordinates`), and its report carries its inverse mapped
+    back; every other member is judged as it is. Each member is routed on its own test.
+    """
+    hp = _hermiticity_preserving(a)
+    if not hp:
+        return _judge(kind, a, tol)
+    members = a[_rows(hp, len(a))]
+    out = dict(zip(hp, _judge(kind, _real_coordinates(members), tol, members.imag.any(axis=(1, 2)).tolist())))
+    rest = [i for i in range(len(a)) if i not in out]
+    if rest:
+        out.update(zip(rest, _judge(kind, a[_rows(rest, len(a))], tol)))
+    return [out[i] for i in range(len(a))]
+
+
+def _hermiticity_preserving(a: np.ndarray) -> list:
+    """Rows of the stack ``a`` whose members are Hermiticity-preserving superoperators, bit for bit.
+
+    A member of shape (d_out^2, d_in^2) qualifies when ``P_out A P_in == conj(A)`` holds entry by entry, P the vec
+    swap vec(X) -> vec(X^T): a reshape to (d_out, d_out, d_in, d_in) and a swap of each index pair. P_out fixes
+    index 0, so row 0 of A, as a d_in x d_in matrix, must be Hermitian: that screen comes first and rules out most
+    other members in d_in^2 comparisons. A stack with a side that is 0 or not a perfect square has none.
+    """
+    if not all(n and math.isqrt(n) ** 2 == n for n in a.shape[1:]):
+        return []
+    t = _vec_pairs(a)
+    first = t[:, 0, 0]
+    rows = np.flatnonzero((first == first.conj().swapaxes(-1, -2)).all(axis=(1, 2)))
+    if not rows.size:
+        return []
+    s = t[rows]
+    return rows[(s.transpose(0, 2, 1, 4, 3) == s.conj()).all(axis=(1, 2, 3, 4))].tolist()
+
+
+def _real_coordinates(a: np.ndarray) -> np.ndarray:
+    """``A_r = Re A + Im(A) P_in`` for each Hermiticity-preserving member of the stack ``a``: one add per entry.
+
+    With U = ((1 + i) I + (1 - i) P) / 2, which is unitary, U_out^H A U_in = (A + conj(A)) / 2 + i (P A - A P) / 2,
+    and P_out A = conj(A) P_in for such an A: that is A_r exactly, a real matrix with the singular values of A.
+    """
+    return np.add(_vec_pairs(a.real), _vec_pairs(a.imag).swapaxes(-1, -2)).reshape(a.shape)
+
+
+def _complex_coordinates(g: np.ndarray) -> np.ndarray:
+    """``G = U_in G_r U_out^H = (G_r + P G_r P) / 2 + i (G_r P - P G_r) / 2`` for a real inverse G_r, or a stack.
+
+    Each entry is one add or subtract of halved entries of G_r (halving is exact), and the swapped entry is the same
+    sum, or the negated difference, of the same two numbers: ``P_in G P_out == conj(G)`` holds bit for bit, so G is
+    HP by construction. The result owns its data.
+    """
+    half = 0.5 * _vec_pairs(g)
+    out = np.empty(g.shape, dtype=np.complex128)
+    parts = out.reshape(half.shape)
+    np.add(half, half.swapaxes(-4, -3).swapaxes(-2, -1), out=parts.real)
+    np.subtract(half.swapaxes(-2, -1), half.swapaxes(-4, -3), out=parts.imag)
+    return out
+
+
+def _vec_pairs(m: np.ndarray) -> np.ndarray:
+    """``m`` (..., p^2, q^2) as (..., p, p, q, q): each vec index split into the pair that the vec swap P exchanges."""
+    p, q = math.isqrt(m.shape[-2]), math.isqrt(m.shape[-1])
+    return m.reshape(*m.shape[:-2], p, p, q, q)
+
+
+def _coordinate_rounding(rounded: list, g: np.ndarray, norms: list) -> list:
+    """(alpha, gamma) for each member of a stack in real coordinates: how far, in Frobenius norm, rounding the change
+    of coordinates moves its A and the G returned for it.
+
+    Forming A_r and mapping G_r back round each entry at most once, by at most u |A| and u |G| in all (u = eps / 2).
+    ``rounded`` says whether forming A_r rounded at all: not where Im A = 0. Mapping G_r back does not round where
+    G_r commutes with the vec swaps, ``P_in G_r P_out == G_r``: every sum is then an exact 2x and every difference 0.
+    ``norms`` holds each member's (|A|, |G|).
+    """
+    t = _vec_pairs(g)
+    fixed = (t == t.transpose(0, 2, 1, 4, 3)).all(axis=(1, 2, 3, 4)).tolist()
+    return [(_U * na if r else 0.0, 0.0 if f else _U * ng) for r, f, (na, ng) in zip(rounded, fixed, norms)]
+
+
+def _power_of(x: float, e: int) -> float:
+    return math.prod([x] * e)  # inf on overflow, where ** raises
+
+
+def _basis_terms(kind: str, a: float, g: float, alpha: float, gamma: float, k: int | None) -> dict:
+    """The first-order change of each axiom's residual, and of the group's double-inverse law (key "double"), when A
+    moves by ``alpha`` and G by ``gamma`` in Frobenius norm, with |A|_F = a and |G|_F = g.
+
+    Each residual is a difference of products of A and G (Higham, ch. 3): one term per factor, bounded by
+    submultiplicativity. D1 and Dd1 are taken at the exponent k. The double law |G^-1 - A| moves by alpha + a^2 gamma,
+    as G^-1 = A to first order. Every term is 0.0 where alpha and gamma are, whatever a and g.
+    """
+    def moved(x, y):  # alpha x + gamma y, with no 0 * inf
+        return (alpha * x if alpha else 0.0) + (gamma * y if gamma else 0.0)
+
+    outer = moved(2 * a * g + 1, a * a)  # |AGA - A|
+    inner = moved(g * g, 2 * a * g + 1)  # |GAG - G|
+    pair = 2 * moved(g, a)  # |X - X^H| for X = AG or GA, and |AG - GA|
+    if kind == "moore_penrose":
+        return {"MP1": outer, "MP2": inner, "MP3": pair, "MP4": pair}
+    if kind == "group":
+        return {"G1": outer, "G2": inner, "G3": pair, "double": moved(1.0, a * a)}
+    # |G A^(e+1) - A^e| has e + 1 factors A and one G against e factors A; |G F P^e - P^e|, with P = F^H F, and its
+    # twin |Q^e F G - Q^e| have 2e + 1 factors F and one G against 2e. A None exponent's D1 or Dd1 is nan anyway
+    e = (k or 0) * (1 if kind == "drazin" else 2)
+    power = moved((e + 1) * g * _power_of(a, e) + (e * _power_of(a, e - 1) if e else 0.0), _power_of(a, e + 1))
+    if kind == "drazin":
+        return {"D1": power, "D2": inner, "D3": pair}
+    return {"Dd1": power, "Dd2": inner, "Dd3": pair, "Dd4": pair}
+
+
+def _judge(kind: str, a: np.ndarray, tol: Tolerances, rounded: list | None = None) -> list:
+    """GinvReport or GinvError for each member of the stack ``a``, in the coordinates it is given in.
+
     Each member is routed alone: one that :func:`_lu_route` proves full rank has its LU inverse at index 0,
     certified from :func:`_lu_values` if :func:`_report` passes them, any other its inverse or refusal from
     :func:`_by_svd`. Every index-0 group member still unjudged, of either route, takes ``|G^-1 - A|`` from one
@@ -330,6 +464,11 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     stack and one :func:`_report` each; an LU member keeps its forward-error bound. D1 and Dd1 are judged at the
     member's exponent, 0 on the LU route, else from :func:`_by_svd`: its report's ``index``, or dagger-Drazin's
     ``witness_k``.
+
+    ``rounded`` is None for a stack in the input's own coordinates. For one in real coordinates it holds whether
+    forming each member rounded (see :func:`_coordinate_rounding`); every report then carries its inverse mapped
+    back by :func:`_complex_coordinates`, and every value is gated and reported with :func:`_basis_terms` added (the
+    LU values through their ``rounding``), so that it holds for that returned pair (A, G).
     """
     k0 = None if kind == "moore_penrose" else 0  # every LU-route member's exponent
 
@@ -342,8 +481,14 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     out, forward = [None] * len(a), {}  # out: each member's result, or (exponent, double) until the dense residuals
     if lu_rows:
         rows = _rows(lu_rows, len(a))
-        for i, (values, bound, double) in zip(lu_rows, _lu_values(kind, a[rows], inv[rows], norms[rows])):
-            out[i] = _report(kind, inv[i], values, tol, *labelled(k0), bound, double)
+        g = shown = inv[rows]
+        rounding = None
+        if rounded is not None:
+            rounding = _coordinate_rounding([rounded[i] for i in lu_rows], g, norms[rows].tolist())
+            shown = _complex_coordinates(g)
+        certified = _lu_values(kind, a[rows], g, norms[rows], rounding)
+        for j, (i, (values, bound, double)) in enumerate(zip(lu_rows, certified)):
+            out[i] = _report(kind, shown[j], values, tol, *labelled(k0), bound, double)
             if not isinstance(out[i], GinvReport):
                 forward[i], out[i] = bound, (k0, None)
     if svd_rows:
@@ -366,10 +511,20 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
         rows = _rows(live, len(a))
         h = inv[rows]
         residuals = _residuals(kind, a[rows], h, [out[i][0] for i in live])
+        shown = h
+        if rounded is not None:
+            with np.errstate(over="ignore"):
+                sizes = np.array([_norm(a[rows]), _norm(h)]).T.tolist()
+            rounding = _coordinate_rounding([rounded[i] for i in live], h, sizes)
+            shown = _complex_coordinates(h)
         for j, i in enumerate(live):
             k, double = out[i]
-            out[i] = _report(kind, h[j], {label: float(res[j]) for label, res in residuals.items()}, tol,
-                             *labelled(k), forward.get(i), double)
+            values = {label: float(res[j]) for label, res in residuals.items()}
+            if rounded is not None:
+                terms = _basis_terms(kind, *sizes[j], *rounding[j], k)
+                values = {label: v + terms[label] for label, v in values.items()}
+                double = double + terms["double"] if isinstance(double, float) else double
+            out[i] = _report(kind, shown[j], values, tol, *labelled(k), forward.get(i), double)
     return out
 
 
@@ -416,7 +571,7 @@ def _lu_route(a: np.ndarray, tol: Tolerances):
         return g, norms[:, 0] * norms[:, 1] * (n * (tol.rank_rtol + 4 * _EPS)) <= 0.5, norms
 
 
-def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> list:
+def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray, rounding: list | None = None) -> list:
     """(values, forward, double) for each pair (A, G) of the stacks: the axiom values of ``kind``, a forward-error
     bound and, for the group kind, a bound on its double-inverse law (None for the others).
 
@@ -431,20 +586,29 @@ def _lu_values(kind: str, a: np.ndarray, g: np.ndarray, norms: np.ndarray) -> li
     ``GAG``. So each bound holds for the exact residual and is at least its dense computed value: a member whose
     values pass would pass the dense gate too. ``norms`` holds each member's |A| and |G|. The products and norms
     are stacked; the rest is float arithmetic.
+
+    ``rounding``, for a stack in real coordinates, holds each member's (alpha, gamma) of
+    :func:`_coordinate_rounding`. Rounding the change of coordinates then moves E and E' of the returned pair by at
+    most ``alpha |G| + |A| gamma`` each, which is added to |E| and |E'| and twice to their differences, so that m,
+    every bound and ``forward`` count it too.
     """
     n = a.shape[-1]
     with np.errstate(all="ignore"):
-        x = np.empty((2, *a.shape), dtype=np.complex128)
+        x = np.empty((2, *a.shape), dtype=a.dtype)
         np.matmul(g, a, out=x[0])
         np.matmul(a, g, out=x[1])
         x.reshape(2 * len(a), n * n)[:, :: n + 1] -= 1  # minus I on each contiguous n x n block: x = (E, E')
         hermitian = kind in ("moore_penrose", "dagger_drazin")  # axioms that ask GA and AG to be Hermitian
         # |E|, |E'|, then |E - E^H| and |E' - E'^H|, or |E' - E|; a nan in E or E' makes one of the latter nan
         sizes = np.concatenate([_norm(x), _norm(x - dagger(x) if hermitian else x[1:] - x[:1])])
-    rounding = 4 * (n + 2) * _EPS
+    rho = 4 * (n + 2) * _EPS
     out = []
-    for (e, e2, *exact), (na, ng) in zip(sizes.T.tolist(), norms.tolist()):
-        m = min(e, e2) + rounding * na * ng
+    for j, ((e, e2, *exact), (na, ng)) in enumerate(zip(sizes.T.tolist(), norms.tolist())):
+        if rounding is not None:
+            alpha, gamma = rounding[j]
+            moved = alpha * ng + na * gamma
+            e, e2, exact = e + moved, e2 + moved, [v + 2 * moved for v in exact]
+        m = min(e, e2) + rho * na * ng
         if kind == "moore_penrose":
             values = {"MP1": na * m, "MP2": ng * m, "MP3": exact[1], "MP4": exact[0]}
         elif kind == "dagger_drazin":
@@ -475,7 +639,7 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
     factors = _attempt(AxiomResidualError, _svd, a, tol)
     if isinstance(factors, AxiomResidualError):  # some member overflowed: factor each member alone
         if len(a) == 1:
-            return np.zeros((1, a.shape[2], a.shape[1]), dtype=np.complex128), [factors]
+            return np.zeros((1, a.shape[2], a.shape[1]), dtype=a.dtype), [factors]
         parts = [_by_svd(kind, m[None], tol) for m in a]
         return np.concatenate([inv for inv, _ in parts]), [res for _, results in parts for res in results]
     u, s, vh, r = factors

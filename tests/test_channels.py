@@ -475,6 +475,11 @@ class TestRandomChannels:
         with pytest.raises(ValueError, match=re.escape(message)):
             make(*args)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_haar_unitary_refuses_a_dimension_below_one(self, d):
+        with pytest.raises(ValueError, match=re.escape(f"dimension d must be positive, got {d}")):
+            chn.haar_unitary(d, 1)
+
     def test_numpy_integer_dimensions(self):
         two = np.int64(2)
         assert fro_dist(chn.random_cptp(two, np.int32(3), two, 5).super, chn.random_cptp(2, 3, 2, 5).super) == 0.0
@@ -568,6 +573,11 @@ class TestPartialTrace:
         # int() would truncate (2.7, 2) to (2, 2) and trace np.eye(4) down to a 2 x 2 result
         with pytest.raises(ValueError, match="subsystem dimension must be an integer"):
             chn.partial_trace(np.eye(4), dims, 1)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_haar_unitary_refuses_a_dimension_below_one(self, d):
+        with pytest.raises(ValueError, match=re.escape(f"dimension d must be positive, got {d}")):
+            chn.haar_unitary(d, 1)
 
     def test_numpy_integer_dimensions(self):
         m = random_complex(np.random.default_rng(22), 6, 6)

@@ -27,6 +27,8 @@ from chaninv.ginv import (
 )
 from chaninv.linalg import DEFAULT_TOL, Tolerances, dagger, fro_dist
 
+_EPS = np.finfo(float).eps
+
 ATOL = 1e-8
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -90,6 +92,47 @@ def corrupt_lu_route(monkeypatch, corrupt):
     monkeypatch.setattr(ginv, "_lu_route", corrupted)
 
 
+def judged(a):
+    """(x, rounded): the matrix :func:`ginv._certify` hands its judge for the single matrix a, and the flags with it.
+
+    For a Hermiticity-preserving a, A_r = Re A + Im(A) P_in and whether forming it rounded (it does not where
+    Im A = 0); for any other a, a itself and None.
+    """
+    if not ginv._hermiticity_preserving(a[None]):
+        return a, None
+    return ginv._real_coordinates(a[None])[0], [bool(a.imag.any())]
+
+
+def returned(a, g):
+    """The inverse :func:`ginv._certify` returns for a when its judge found g: g mapped back if a is HP."""
+    return ginv._complex_coordinates(g) if ginv._hermiticity_preserving(a[None]) else g
+
+
+def lu_values(kind, a, tol=DEFAULT_TOL):
+    """(lu, g, values, forward, double): a's LU route as :func:`ginv._certify` takes it, in the judge's coordinates,
+    with the rounding of the change of coordinates counted for an HP a."""
+    x, rounded = judged(a)
+    g, lu, norms = ginv._lu_route(x[None], tol)
+    rounding = None if rounded is None else ginv._coordinate_rounding(rounded, g, norms.tolist())
+    ((values, forward, double),) = ginv._lu_values(kind, x[None], g, norms, rounding)
+    return lu[0], g[0], values, forward, double
+
+
+def basis_terms(kind, a, g, k):
+    """The terms :func:`ginv._certify` adds to the dense values of a and its judge's inverse g at exponent k: those
+    of the change of coordinates for an HP a, else None."""
+    x, rounded = judged(a)
+    if rounded is None:
+        return None
+    sizes = [[float(ginv._norm(x)), float(ginv._norm(g))]]
+    ((alpha, gamma),) = ginv._coordinate_rounding(rounded, g[None], sizes)
+    return ginv._basis_terms(kind, *sizes[0], alpha, gamma, k)
+
+
+def plus_terms(residuals, terms):
+    return residuals if terms is None else {label: v + terms[label] for label, v in residuals.items()}
+
+
 def assert_at_least_dense(residuals, dense):
     """Each LU-route value is at least the dense residual's computed value: the bounds count its rounding too."""
     assert residuals.keys() == dense.keys()
@@ -108,7 +151,7 @@ def second_deflation_group_inverse(a, tol=DEFAULT_TOL):
         k, u, v = _core(a, tol)
         if k > 1:
             raise IndexTooLargeError(k)
-        inv = _core_inverse(a, u, v) if k else drazin_inverse(a, tol).inverse
+        inv = _core_inverse(a, u, v) if k else ginv._pinv(*ginv._svd(a[None], tol))[0]
     report = ginv._report("group", inv, _residuals("group", a, inv, [k]), tol, k, None, None, None)
     if isinstance(report, GinvError):
         raise report
@@ -127,16 +170,22 @@ def closed_form_gap(a, tol=DEFAULT_TOL):
 
 
 def assert_same_group_certificate(a):
-    """The closed-form (G^#)^# agrees with the second deflation it replaced, where that one certifies."""
-    old, old_gap = second_deflation_group_inverse(a)
+    """The closed-form (G^#)^# agrees with the second deflation it replaced, where that one certifies.
+
+    Both work in the judge's coordinates: for an HP a, the second deflation runs on A_r, its inverse is mapped back
+    and its residuals gain the rounding terms of the change of coordinates.
+    """
+    x, _ = judged(a)
+    old, old_gap = second_deflation_group_inverse(x)
     new = group_inverse(a)
     assert new.index == old.index
-    assert np.array_equal(new.inverse, old.inverse)
-    if lu_route_inverse(a) is None:
-        assert new.residuals == old.residuals
+    assert np.array_equal(new.inverse, returned(a, old.inverse))
+    dense = plus_terms(old.residuals, basis_terms("group", a, old.inverse, old.index))
+    if lu_route_inverse(x) is None:
+        assert new.residuals == dense
     else:  # values from E = GA - I and E' = AG - I, bounds among them
-        assert_at_least_dense(new.residuals, old.residuals)
-    assert abs(closed_form_gap(a) - old_gap) <= 1e-12
+        assert_at_least_dense(new.residuals, dense)
+    assert abs(closed_form_gap(x) - old_gap) <= 1e-12
     return new
 
 
@@ -407,14 +456,17 @@ class TestDeflationAgainstPowerRoute:
                 "index2_tp": lambda: index2_tp_super(d, rng),
                 "projector": lambda: chn.projector_channel((d - 1, 1) if seed else (1,) * d).super,
             }[family]()
-            k, oracle = power_route_core(a)
-            res = drazin_inverse(a)
-            assert drazin_index(a) == res.index == k
-            if family in ("reprepare", "index2_tp", "projector"):
-                assert k == {"reprepare": 1, "index2_tp": 2, "projector": 1}[family]
-            assert fro_dist(res.inverse, oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
-            if k <= 1:
-                assert_same_group_certificate(a)
+            # each superoperator but index2_tp's is HP and takes the real route; its 1j multiple, exact and not HP,
+            # keeps the complex route
+            for m in (1j * a, a):
+                k, oracle = power_route_core(m)
+                res = drazin_inverse(m)
+                assert drazin_index(m) == res.index == k
+                if family in ("reprepare", "index2_tp", "projector"):
+                    assert k == {"reprepare": 1, "index2_tp": 2, "projector": 1}[family]
+                assert fro_dist(res.inverse, oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
+                if k <= 1:
+                    assert_same_group_certificate(m)
 
     def test_small_singular_value_kept(self):
         # the power route squares 1e-6 under the cutoff and certifies index 2 with diag(1, 0, 0)
@@ -794,11 +846,24 @@ FAMILIES = ("invertible", "singular", "low_rank", "index2", "nilpotent", "zero",
             "low_rank_wide")
 
 
+def hp_member(seed, variant):
+    """An HP superoperator, which takes the real route: ``variant % 4`` picks a square one of full rank (4 x 4), a
+    square singular one (4 x 4, index 1), a rectangular one of full rank (9 x 4) or a rectangular singular one."""
+    rng = np.random.default_rng(seed)
+    rectangular = chn.random_cptp(2, 3, 2, rng).super
+    return [chn.random_cptp(2, 2, 2, rng).super, reprepare_super(2, rng), rectangular,
+            rectangular @ chn.projector_channel((1, 1)).super][variant % 4]
+
+
 def family_member(family, n, seed, rank=0):
     """An n x n (n x (n+1) if rectangular or wide) matrix of ``family``; huge ones overflow or certify at 1e200.
 
     A low-rank member has rank ``rank % n`` (``rank % (n + 1)`` if wide), so a stack of them can mix ranks.
+    Families "hp" and "hp_times_1j", which only the explicit examples use, ignore n: :func:`hp_member` and its 1j
+    multiple, which is exact and not HP but has the same singular values.
     """
+    if family in ("hp", "hp_times_1j"):
+        return (1j if family == "hp_times_1j" else 1) * hp_member(seed, rank)
     rng = np.random.default_rng(seed)
     if family == "invertible":
         return random_complex(rng, n, n)
@@ -832,6 +897,12 @@ def family_member(family, n, seed, rank=0):
 # stacks of ranks 1 and 2: a product over both triplets, the second weighted 0, changes the rank-1 member's last bits
 @example(kind="moore_penrose", n=3, members=[("low_rank", 0, 1, 0), ("low_rank", 0, 2, 0)])
 @example(kind="dagger_drazin", n=3, members=[("low_rank_wide", 0, 1, -30), ("low_rank_wide", 0, 2, 30)])
+# HP members of every shape and rank, each next to its 1j multiple: the first are judged in real coordinates, the
+# second in complex ones, though they share a stack
+@example(kind="moore_penrose", n=4, members=[(f, 7, v, 0) for v in range(4) for f in ("hp", "hp_times_1j")])
+@example(kind="drazin", n=4, members=[(f, 8, v, 0) for v in range(4) for f in ("hp", "hp_times_1j")])
+@example(kind="group", n=4, members=[(f, 9, v, 3) for v in range(4) for f in ("hp", "hp_times_1j")])
+@example(kind="dagger_drazin", n=4, members=[(f, 10, v, -3) for v in range(4) for f in ("hp", "hp_times_1j")])
 def test_certify_many_matches_single_calls(kind, n, members):
     # one stacked kernel per shape gives every member, bit for bit, what the single call gives it, whatever the
     # ranks, scales and refusals of its neighbours: the members share one size n, so a stack mixes ranks
@@ -1048,9 +1119,19 @@ def dense_lu_certificate(kind, a, g, tol=DEFAULT_TOL):
 
     Built from public parts alone: the residuals of :func:`verify_axioms`, gated first, then for the group kind
     the double-inverse residual |g^-1 - a| with g^-1 from ``np.linalg.inv``. A refusal carries the library's
-    message for that gate.
+    message for that gate. For an HP a, g is the LU inverse of A_r (:func:`judged`): the residuals are those of
+    (A_r, g) in real arithmetic and |g^-1 - A_r|, each with its rounding term of the change of coordinates, and the
+    report carries g mapped back.
     """
-    residuals, witness_k = verify_axioms(kind, a, g, tol)
+    x, rounded = judged(a)
+    terms = None
+    if rounded is None:
+        residuals, witness_k = verify_axioms(kind, a, g, tol)
+    else:
+        witness_k = None if kind == "moore_penrose" else 0
+        terms = basis_terms(kind, a, g, witness_k)
+        dense = _residuals(kind, x[None], g[None], [witness_k])
+        residuals = plus_terms({label: float(r[0]) for label, r in dense.items()}, terms)
     worst = float(np.max(list(residuals.values())))  # unlike max(), keeps a nan
     if not worst <= tol.residual_atol:
         return AxiomResidualError(
@@ -1060,12 +1141,12 @@ def dense_lu_certificate(kind, a, g, tol=DEFAULT_TOL):
     if kind == "group":
         with np.errstate(all="ignore"):
             try:
-                gap = np.linalg.norm(np.linalg.inv(g) - a)
+                gap = np.linalg.norm(np.linalg.inv(g) - x) + (terms["double"] if terms else 0.0)
             except np.linalg.LinAlgError:
                 gap = np.nan
         if not gap <= tol.residual_atol:
             return AxiomResidualError(f"group inverse double-inverse law violated: residual {gap:.3e}")
-    return GinvReport(kind, g, residuals, 0 if kind in ("drazin", "group") else None,
+    return GinvReport(kind, returned(a, g), residuals, 0 if kind in ("drazin", "group") else None,
                       witness_k if kind == "dagger_drazin" else None)
 
 
@@ -1092,11 +1173,19 @@ def fraction_inverse(rows):
 
 @settings(derandomize=True, deadline=None)
 @given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+    st.one_of(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+        ),
+        # M + P M P for an integer M at n = 4 (d = 2) is HP, and real, so its real route bounds |G - A^-1|, with G
+        # mapped back from real coordinates
+        st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4).map(
+            lambda m: (np.array(m) + vec_swapped(np.array(m))).tolist()
+        ),
     )
 )
 @example([[3]])  # fl(1/3) * 3 rounds to 1: E = 0, and only the rounding term bounds |G - 1/3|
+@example([[2, 0, 0, 1], [0, 3, 1, 0], [0, 1, 3, 0], [1, 0, 0, 2]])  # HP, with a G_r that need not commute with P
 def test_forward_error_bound_holds_against_the_exact_inverse(rows):
     exact = fraction_inverse(rows)
     assume(exact is not None)
@@ -1110,6 +1199,97 @@ def test_forward_error_bound_holds_against_the_exact_inverse(rows):
             for g, x in zip(g_row, x_row)
         )
         assert dist2 <= Fraction(rep.forward_error_bound) ** 2, kind
+
+
+def vec_swapped(m):
+    """P_out m P_in for an (d_out^2, d_in^2) matrix m, P the vec swap vec(X) -> vec(X^T), by index arithmetic."""
+    d_out, d_in = (int(round(np.sqrt(x))) for x in m.shape)
+    rows = [j * d_out + i for i in range(d_out) for j in range(d_out)]
+    cols = [j * d_in + i for i in range(d_in) for j in range(d_in)]
+    return m[np.ix_(rows, cols)]
+
+
+@pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+def test_inverse_of_an_hp_input_is_hp(kind):
+    # the map back makes every returned inverse of an HP superoperator HP bit for bit: P_in G P_out == conj(G)
+    supers = [hp_member(seed, variant) for seed in range(3) for variant in range(4)]
+    supers += [chn.random_ucptp(3, 3, 5).super, chn.projector_channel((2, 1)).super,
+               reprepare_super(3, np.random.default_rng(6))]
+    for s in supers:
+        assert np.array_equal(vec_swapped(s), s.conj())
+        if kind in ("drazin", "group") and s.shape[0] != s.shape[1]:
+            continue
+        g = SINGLE_CALLS[kind](s).inverse
+        assert np.array_equal(vec_swapped(g), g.conj()), s.shape
+
+
+class TestRealCoordinates:
+    # A = U diag(1, 1, 2, c) U^H at d = 2, U = ((1 + i) I + (1 - i) P) / 2: complex, HP and dyadic, so A_r is the
+    # diagonal exactly and every kernel residual in real coordinates is exactly 0. Each reported value is then the
+    # rounding term of the change of coordinates alone: A moves by u |A| (Im A != 0) and G by u |G| (G_r does not
+    # commute with P), u = eps / 2
+    P = np.eye(4)[[0, 2, 1, 3]]
+    U = ((1 + 1j) * np.eye(4) + (1 - 1j) * P) / 2
+
+    def hp_dyadic(self, c):
+        return self.U @ np.diag([1.0, 1.0, 2.0, c]) @ dagger(self.U)
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_lu_values_count_the_change_of_coordinates(self, kind):
+        # E = GA - I = 0 exactly; the change of coordinates moves E and E' by u |A||G| + |A| u |G| = eps |A||G|
+        a = self.hp_dyadic(1.0)
+        assert np.array_equal(ginv._real_coordinates(a[None])[0], np.diag([1.0, 1.0, 2.0, 1.0]))
+        rep = SINGLE_CALLS[kind](a)
+        na, ng = np.sqrt(7.0), np.sqrt(3.25)
+        moved = _EPS * na * ng
+        m = moved + 4 * (4 + 2) * _EPS * na * ng
+        want = {"moore_penrose": {"MP1": na * m, "MP2": ng * m, "MP3": 2 * moved, "MP4": 2 * moved},
+                "drazin": {"D1": moved, "D2": ng * m, "D3": 2 * moved},
+                "group": {"G1": na * m, "G2": ng * m, "G3": 2 * moved},
+                "dagger_drazin": {"Dd1": moved, "Dd2": ng * m, "Dd3": 2 * moved, "Dd4": 2 * moved}}[kind]
+        assert rep.residuals == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert rep.forward_error_bound == pytest.approx(ng * m / (1 - m), rel=1e-12, abs=0.0)
+        assert np.array_equal(rep.inverse @ a, np.eye(4))  # G is the exact inverse
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_dense_values_count_the_change_of_coordinates(self, kind):
+        # singular, so the SVD route; index 1, so D1 and Dd1 at k = 1: |G A^2 - A| has two factors A and one G
+        # against one A, |G F P - P| three F and one G against two
+        a = self.hp_dyadic(0.0)
+        rep = SINGLE_CALLS[kind](a)
+        na, ng, u = np.sqrt(6.0), 1.5, _EPS / 2
+        outer, inner, pair = u * (3 * na**2 * ng + na), u * (3 * na * ng**2 + ng), 4 * u * na * ng
+        want = {"moore_penrose": {"MP1": outer, "MP2": inner, "MP3": pair, "MP4": pair},
+                "drazin": {"D1": outer, "D2": inner, "D3": pair},
+                "group": {"G1": outer, "G2": inner, "G3": pair},
+                "dagger_drazin": {"Dd1": u * (4 * na**3 * ng + 2 * na**2), "Dd2": inner, "Dd3": pair,
+                                  "Dd4": pair}}[kind]
+        assert rep.residuals == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert (rep.index, rep.witness_k, rep.forward_error_bound) == (
+            (1, None, None) if kind in ("drazin", "group") else (None, 1 if kind == "dagger_drazin" else None, None))
+
+    @pytest.mark.parametrize("small, index", [(4.5e-10, 1), (3.5e-10, 2)])
+    def test_rank_decision_near_the_cutoff(self, small, index):
+        # A_r = diag(1, [[0, 1], [0, small]], 1): A^2 keeps rank 3 while small clears the cutoff rank_rtol * n *
+        # sigma_max = 4e-10, so the index is 1 above it and 2 below. A_r has A's singular values, so the real route
+        # makes the complex route's decision (its 1j multiple's): at index 2 the group inverse is refused for its
+        # index, at index 1 its certificate fails the absolute gate (|G| is about small^-2)
+        b = np.eye(4)
+        b[1, 1], b[1, 2], b[2, 2] = 0.0, 1.0, small
+        a = (b + self.P @ b @ self.P) / 2 + 1j * (b @ self.P - self.P @ b) / 2  # U b U^H, HP bit for bit
+        assert ginv._hermiticity_preserving(a[None]) == [0]
+        assert np.array_equal(ginv._real_coordinates(a[None])[0], b)
+        for m in (a, 1j * a):
+            assert drazin_index(m) == index
+            error = IndexTooLargeError if index == 2 else AxiomResidualError
+            with pytest.raises(error):
+                group_inverse(m)
+
+    def test_exact_change_of_coordinates_adds_nothing(self):
+        # a real P-symmetric input is its own A_r, and a diagonal one has a G_r that commutes with P: neither
+        # change of coordinates rounds, so the values are the kernels' own
+        rep = drazin_inverse(np.diag([1e200, 0.0, 0.0, 0.0]))
+        assert rep.residuals == {"D1": 0.0, "D2": 0.0, "D3": 0.0}
 
 
 @settings(derandomize=True, deadline=None)
@@ -1136,60 +1316,74 @@ def test_lu_certificate_keeps_the_dense_verdict(n, j, seed):
 
 class TestLuCertificate:
     # a random_cptp superoperator at d = 3; at 2^-14 its bounds |G| m fail the absolute gate while the dense
-    # residuals pass
+    # residuals pass. It is HP, so it takes the real route; its 1j multiple, exact and not HP, has the same singular
+    # values and keeps the complex route. Every test asserts the same on both
     A = chn.random_cptp(3, 3, 2, 41).super
+    ROUTES = {"complex": 1j * A, "real": A}
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_two_products_at_unit_scale(self, kind):
-        g, lu, norms = ginv._lu_route(self.A[None], DEFAULT_TOL)
-        ((values, forward, double),) = ginv._lu_values(kind, self.A[None], g, norms)
-        assert all(v <= ATOL for v in values.values())
-        assert (double is not None) == (kind == "group") and (double or 0.0) <= ATOL
-        rep = SINGLE_CALLS[kind](self.A)
-        assert rep.residuals == values
-        assert rep.forward_error_bound == forward
-        assert fro_dist(rep.inverse, np.linalg.inv(self.A)) <= rep.forward_error_bound
+        for route, a in self.ROUTES.items():
+            lu, g, values, forward, double = lu_values(kind, a)
+            assert lu and all(v <= ATOL for v in values.values()), route
+            assert (double is not None) == (kind == "group") and (double or 0.0) <= ATOL
+            rep = SINGLE_CALLS[kind](a)
+            assert rep.residuals == values, route
+            assert rep.forward_error_bound == forward, route
+            assert np.array_equal(rep.inverse, returned(a, g)), route
+            assert fro_dist(rep.inverse, np.linalg.inv(a)) <= rep.forward_error_bound, route
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_fallback_keeps_the_dense_certificate(self, kind):
-        a = 2.0**-14 * self.A
-        g, lu, norms = ginv._lu_route(a[None], DEFAULT_TOL)
-        ((values, forward, _),) = ginv._lu_values(kind, a[None], g, norms)
-        assert lu[0] and not all(v <= ATOL for v in values.values())
-        want = dense_lu_certificate(kind, a, g[0])
-        rep = SINGLE_CALLS[kind](a)
-        assert (rep.index, rep.witness_k, rep.residuals) == (want.index, want.witness_k, want.residuals)
-        assert np.array_equal(rep.inverse, want.inverse)
-        assert rep.forward_error_bound == forward
+        for route, a in self.ROUTES.items():
+            a = 2.0**-14 * a
+            lu, g, values, forward, _ = lu_values(kind, a)
+            assert lu and not all(v <= ATOL for v in values.values()), route
+            want = dense_lu_certificate(kind, a, g)
+            rep = SINGLE_CALLS[kind](a)
+            assert (rep.index, rep.witness_k, rep.residuals) == (want.index, want.witness_k, want.residuals), route
+            assert np.array_equal(rep.inverse, want.inverse), route
+            assert rep.forward_error_bound == forward, route
+
+    @staticmethod
+    def corrupted(a, size, seed):
+        """The judge's inverse of a off by ``size`` relative, in a random direction: complex on the complex route,
+        real on the real one; and the inverse returned for it."""
+        x, rounded = judged(a)
+        r = random_complex(np.random.default_rng(seed), *x.shape)
+        r = r if rounded is None else r.real
+        g = np.linalg.inv(x)
+        bad = g + size * np.linalg.norm(g) * r / np.linalg.norm(r)
+        return x, bad, returned(a, bad)
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_gate_refuses_a_corrupted_inverse(self, monkeypatch, kind):
         # G off by 1e-6 relative, in a random direction, after the route is chosen: the values from E and E' refuse
-        # it, and so would the dense residuals
-        r = random_complex(np.random.default_rng(42), 9, 9)
-        g = np.linalg.inv(self.A)
-        bad = g + 1e-6 * np.linalg.norm(g) * r / np.linalg.norm(r)
-        norms = np.array([[np.linalg.norm(self.A), np.linalg.norm(bad)]])
-        ((values, _, _),) = ginv._lu_values(kind, self.A[None], bad[None], norms)
-        assert not all(v <= ATOL for v in values.values())
-        assert max(verify_axioms(kind, self.A, bad)[0].values()) > ATOL
-        corrupt_lu_route(monkeypatch, lambda g: bad[None])
-        with pytest.raises(AxiomResidualError, match=f"{kind} inverse failed its axiom gate"):
-            SINGLE_CALLS[kind](self.A)
+        # it, and so would the dense residuals of the returned pair
+        for route, a in self.ROUTES.items():
+            x, bad, shown = self.corrupted(a, 1e-6, 42)
+            norms = np.array([[np.linalg.norm(x), np.linalg.norm(bad)]])
+            ((values, _, _),) = ginv._lu_values(kind, x[None], bad[None], norms)
+            assert not all(v <= ATOL for v in values.values()), route
+            assert max(verify_axioms(kind, a, shown)[0].values()) > ATOL, route
+            with monkeypatch.context() as patch:
+                corrupt_lu_route(patch, lambda g: bad[None])
+                with pytest.raises(AxiomResidualError, match=f"{kind} inverse failed its axiom gate"):
+                    SINGLE_CALLS[kind](a)
 
     def test_fallback_keeps_the_axiom_refusal_over_the_double_inverse_law(self, monkeypatch):
         # at 2^-14 the bounds fail, so G reaches the dense fallback; corrupted after the route is chosen, it fails
         # G1 and the double-inverse law alike, and the axiom gate is the one that speaks
-        a = 2.0**-14 * self.A
-        _, lu, _ = ginv._lu_route(a[None], DEFAULT_TOL)
-        r = random_complex(np.random.default_rng(43), 9, 9)
-        g = np.linalg.inv(a)
-        bad = g + 1e-2 * np.linalg.norm(g) * r / np.linalg.norm(r)
-        assert lu[0] and verify_axioms("group", a, bad)[0]["G1"] > ATOL
-        assert np.linalg.norm(np.linalg.inv(bad) - a) > ATOL
-        corrupt_lu_route(monkeypatch, lambda g: bad[None])
-        with pytest.raises(AxiomResidualError, match="group inverse failed its axiom gate"):
-            group_inverse(a)
+        for route, a in self.ROUTES.items():
+            a = 2.0**-14 * a
+            _, lu, _ = ginv._lu_route(judged(a)[0][None], DEFAULT_TOL)
+            _, bad, shown = self.corrupted(a, 1e-2, 43)
+            assert lu[0] and verify_axioms("group", a, shown)[0]["G1"] > ATOL, route
+            assert np.linalg.norm(np.linalg.inv(shown) - a) > ATOL, route
+            with monkeypatch.context() as patch:
+                corrupt_lu_route(patch, lambda g: bad[None])
+                with pytest.raises(AxiomResidualError, match="group inverse failed its axiom gate"):
+                    group_inverse(a)
 
     def test_group_at_index_zero_makes_one_lu(self, monkeypatch):
         calls = []
@@ -1200,16 +1394,18 @@ class TestLuCertificate:
             return inv(m)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
-        rep = group_inverse(self.A)
-        assert rep.index == 0 and calls == [(1, 9, 9)]
+        for route, a in self.ROUTES.items():
+            calls.clear()
+            rep = group_inverse(a)
+            assert rep.index == 0 and calls == [(1, 9, 9)], route
 
     @pytest.mark.parametrize("route", ["svd", "lu_fallback"])
     def test_group_at_index_zero_inverts_the_returned_inverse(self, monkeypatch, route):
         # the double-inverse law |G^-1 - A| at index 0 comes from one LU of the G that is returned, on either route
-        # where the bounds from E and E' do not settle it
-        a = np.diag([1.0, 3e-10]).astype(complex) if route == "svd" else 2.0**-14 * self.A
-        g, lu, norms = ginv._lu_route(a[None], DEFAULT_TOL)
-        assert lu[0] == (route == "lu_fallback")
+        # where the bounds from E and E' do not settle it; in real coordinates, of the G_r that is mapped back
+        inputs = [np.diag([1.0, 3e-10]).astype(complex)] if route == "svd" else \
+            [2.0**-14 * a for a in self.ROUTES.values()]
+        expected = [lu_values("group", a) for a in inputs]
         calls = []
         lu_inverse = ginv._lu_inverse
 
@@ -1218,22 +1414,27 @@ class TestLuCertificate:
             return lu_inverse(m)
 
         monkeypatch.setattr(ginv, "_lu_inverse", recording)
-        rep = group_inverse(a)
-        assert [c.tobytes() for c in calls] == [a[None].tobytes(), rep.inverse[None].tobytes()]
-        if route == "svd":
-            assert (rep.index, rep.forward_error_bound) == (0, None)
-            assert rep.residuals == {"G2": 0.0, "G3": 0.0, "G1": 0.0}
-            assert np.array_equal(rep.inverse, np.diag([1.0, 1 / 3e-10]))
-        else:
-            want = dense_lu_certificate("group", a, g[0])
-            assert (rep.index, rep.residuals) == (want.index, want.residuals)
-            assert np.array_equal(rep.inverse, want.inverse)
-            assert rep.forward_error_bound == ginv._lu_values("group", a[None], g, norms)[0][1]
+        for a, (lu, g, _, forward, _) in zip(inputs, expected):
+            assert lu == (route == "lu_fallback")
+            calls.clear()
+            rep = group_inverse(a)
+            assert len(calls) == 2 and calls[0].tobytes() == judged(a)[0][None].tobytes()
+            assert np.array_equal(rep.inverse, returned(a, calls[1][0]))
+            if route == "svd":
+                assert (rep.index, rep.forward_error_bound) == (0, None)
+                assert rep.residuals == {"G2": 0.0, "G3": 0.0, "G1": 0.0}
+                assert np.array_equal(rep.inverse, np.diag([1.0, 1 / 3e-10]))
+            else:
+                want = dense_lu_certificate("group", a, g)
+                assert (rep.index, rep.residuals) == (want.index, want.residuals)
+                assert np.array_equal(rep.inverse, want.inverse)
+                assert rep.forward_error_bound == forward
 
     def test_every_value_is_a_python_float(self):
         # on the LU bounds (A), the LU fallback (2^-14 A) and the SVD route (a singular and an ill-conditioned member)
-        mats = [self.A, 2.0**-14 * self.A, np.diag([1.0] * 8 + [0.0]), np.diag([1.0, 3e-10])]
-        bound_types = [float, float, type(None), type(None)]
+        mats = [*self.ROUTES.values(), *(2.0**-14 * a for a in self.ROUTES.values()), np.diag([1.0] * 8 + [0.0]),
+                np.diag([1.0, 3e-10])]
+        bound_types = [float, float, float, float, type(None), type(None)]
         for kind, fn in SINGLE_CALLS.items():
             for reps in ([fn(m) for m in mats], certify_many(kind, mats)):
                 for rep, bound_type in zip(reps, bound_types):

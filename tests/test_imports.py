@@ -215,9 +215,9 @@ def test_one_function_builds_every_certificate():
 
 
 @pytest.mark.parametrize("callee, sites", [
-    ("_residuals", {"verify_axioms", "_certify"}),
-    ("_report", {"_certify"}),
-    ("_lu_inverse", {"_lu_route", "_certify"}),  # the route's inverses, then every index-0 group member's G^-1
+    ("_residuals", {"verify_axioms", "_judge"}),
+    ("_report", {"_judge"}),
+    ("_lu_inverse", {"_lu_route", "_judge"}),  # the route's inverses, then every index-0 group member's G^-1
     ("_core", {"deflate", "drazin_index", "verify_axioms"}),  # every Drazin index, and verify_axioms' exponents
 ])
 def test_one_function_judges_every_stack(callee, sites):
