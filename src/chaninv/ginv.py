@@ -18,20 +18,23 @@ complex matrices). Each comes from one factorization.
   ``A^D = u_r (v_r^H A u_r)^{-1} v_r^H``; no power of A is formed.
 * Real coordinates, around both routes: a member of shape (d_out^2, d_in^2)
   that is the superoperator of a Hermiticity-preserving (HP) map, as every
-  channel is, qualifies when ``P_out A P_in == conj(A)`` holds bit for bit,
-  P the vec swap vec(X) -> vec(X^T). It is certified as the real matrix
-  ``A_r = Re A + Im(A) P_in``, which is exactly ``U_out^H A U_in`` for the
-  unitary ``U = ((1 + i) I + (1 - i) P) / 2``, so both routes run in float64
-  on it. Its inverse is mapped back as
+  channel is, qualifies when ``P_out A P_in == conj(A)`` holds entry for
+  entry under == (a signed zero matches either sign), P the vec swap
+  vec(X) -> vec(X^T), and its A_r below is finite. It is certified as the
+  real matrix ``A_r = Re A + Im(A) P_in``, which is exactly
+  ``U_out^H A U_in`` for the unitary ``U = ((1 + i) I + (1 - i) P) / 2``, so
+  both routes run in float64 on it. Its inverse is mapped back as
   ``G = (G_r + P G_r P) / 2 + i (G_r P - P G_r) / 2``, and
-  ``P G P == conj(G)`` holds bit for bit: the inverse of an HP map is HP by
-  construction. Both maps round each entry at most once (by at most u |A|_F
-  and u |G|_F in all, u = eps / 2, and not at all where Im A = 0 or where
-  G_r commutes with P). Every value reported on this route adds the
-  first-order change of its axiom's residual under those two moves
-  (:func:`_basis_terms`; on the LU route, through E and E', below), so that
-  it holds for the returned pair (A, G). Every other member keeps the
-  complex path, bit for bit.
+  ``P G P == conj(G)`` holds entry for entry under ==: the inverse of an HP
+  map is HP by construction. Both maps round each entry at most once (by at
+  most u |A|_F and u |G|_F in all, u = eps / 2). Forming A_r does not round
+  where Im A = 0, and for such an A mapping back does not round where G_r
+  commutes with P. Every value reported on this route adds the first-order
+  change of its axiom's residual under those two moves (:func:`_basis_terms`,
+  from norms kept at unit scale by :func:`_sizes`, so that no term over- or
+  underflows where it is a float; on the LU route, through E and E', below),
+  so that it holds for the returned pair (A, G). Every other member keeps
+  the complex path, bit for bit.
 
 Every returned inverse is self-certifying: the defining-axiom residuals are
 computed and enforced against ``Tolerances.residual_atol``, so a successful
@@ -98,6 +101,7 @@ from .linalg import (  # noqa: F401
 
 _EPS = float(np.finfo(float).eps)  # a Python float, so the LU-route values are too
 _U = _EPS / 2  # the unit roundoff
+_SMALL = math.sqrt(np.finfo(float).tiny) / _EPS  # a Frobenius norm above it loses nothing to squares that underflow
 
 KIND_AXIOMS = {
     "moore_penrose": ("MP1", "MP2", "MP3", "MP4"),
@@ -347,13 +351,21 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
 
     The coordinate stage. A member that :func:`_hermiticity_preserving` selects is judged by :func:`_judge` in real
     coordinates, as ``A_r = U_out^H A U_in`` (:func:`_real_coordinates`), and its report carries its inverse mapped
-    back; every other member is judged as it is. Each member is routed on its own test.
+    back; every other member, and one whose A_r is not finite, is judged as it is. Each member is routed on its own
+    test.
     """
     hp = _hermiticity_preserving(a)
+    if hp:
+        members = a[_rows(hp, len(a))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            real = _real_coordinates(members)
+        finite = np.isfinite(real).all(axis=(1, 2))
+        # an infinite entry of A, or sigma_max(A) > DBL_MAX, makes A_r non-finite: the complex path refuses the member
+        if not finite.all():
+            hp, members, real = [i for i, f in zip(hp, finite.tolist()) if f], members[finite], real[finite]
     if not hp:
         return _judge(kind, a, tol)
-    members = a[_rows(hp, len(a))]
-    out = dict(zip(hp, _judge(kind, _real_coordinates(members), tol, members.imag.any(axis=(1, 2)).tolist())))
+    out = dict(zip(hp, _judge(kind, real, tol, members.imag.any(axis=(1, 2)).tolist())))
     rest = [i for i in range(len(a)) if i not in out]
     if rest:
         out.update(zip(rest, _judge(kind, a[_rows(rest, len(a))], tol)))
@@ -361,22 +373,21 @@ def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
 
 
 def _hermiticity_preserving(a: np.ndarray) -> list:
-    """Rows of the stack ``a`` whose members are Hermiticity-preserving superoperators, bit for bit.
+    """Rows of the stack ``a`` whose members are exactly Hermiticity-preserving superoperators.
 
-    A member of shape (d_out^2, d_in^2) qualifies when ``P_out A P_in == conj(A)`` holds entry by entry, P the vec
-    swap vec(X) -> vec(X^T): a reshape to (d_out, d_out, d_in, d_in) and a swap of each index pair. P_out fixes
-    index 0, so row 0 of A, as a d_in x d_in matrix, must be Hermitian: that screen comes first and rules out most
-    other members in d_in^2 comparisons. A stack with a side that is 0 or not a perfect square has none.
+    A member of shape (d_out^2, d_in^2) qualifies when ``P_out A P_in == conj(A)`` holds entry by entry under ==, P
+    the vec swap vec(X) -> vec(X^T): a reshape to (d_out, d_out, d_in, d_in) and a swap of each index pair. Both
+    vec swaps fix index 0, so A[0, 0] must be real: that one-entry screen comes first and rules out most other
+    members, such as a complex non-HP superoperator, at no cost per entry. A stack with a side that is 0 or not a
+    perfect square has none.
     """
     if not all(n and math.isqrt(n) ** 2 == n for n in a.shape[1:]):
         return []
-    t = _vec_pairs(a)
-    first = t[:, 0, 0]
-    rows = np.flatnonzero((first == first.conj().swapaxes(-1, -2)).all(axis=(1, 2)))
-    if not rows.size:
+    rows = [i for i, x in enumerate(a[:, 0, 0].imag.tolist()) if not x]  # lists: a NumPy reduction costs 1-2 us
+    if not rows:
         return []
-    s = t[rows]
-    return rows[(s.transpose(0, 2, 1, 4, 3) == s.conj()).all(axis=(1, 2, 3, 4))].tolist()
+    s = _vec_pairs(a)[rows]
+    return [i for i, hp in zip(rows, (s.transpose(0, 2, 1, 4, 3) == s.conj()).all(axis=(1, 2, 3, 4)).tolist()) if hp]
 
 
 def _real_coordinates(a: np.ndarray) -> np.ndarray:
@@ -392,8 +403,9 @@ def _complex_coordinates(g: np.ndarray) -> np.ndarray:
     """``G = U_in G_r U_out^H = (G_r + P G_r P) / 2 + i (G_r P - P G_r) / 2`` for a real inverse G_r, or a stack.
 
     Each entry is one add or subtract of halved entries of G_r (halving is exact), and the swapped entry is the same
-    sum, or the negated difference, of the same two numbers: ``P_in G P_out == conj(G)`` holds bit for bit, so G is
-    HP by construction. The result owns its data.
+    sum, or the negated difference, of the same two numbers: ``P_in G P_out == conj(G)`` holds entry for entry under
+    == (not byte for byte: an entry's imaginary part x - x is +0.0, where conj gives -0.0), so G is HP by
+    construction. The result owns its data.
     """
     half = 0.5 * _vec_pairs(g)
     out = np.empty(g.shape, dtype=np.complex128)
@@ -416,39 +428,73 @@ def _coordinate_rounding(rounded: list, g: np.ndarray, norms: list) -> list:
     Forming A_r and mapping G_r back round each entry at most once, by at most u |A| and u |G| in all (u = eps / 2).
     ``rounded`` says whether forming A_r rounded at all: not where Im A = 0. Mapping G_r back does not round where
     G_r commutes with the vec swaps, ``P_in G_r P_out == G_r``: every sum is then an exact 2x and every difference 0.
-    ``norms`` holds each member's (|A|, |G|).
+    That is checked only where Im A = 0, as a real HP map commutes with the swaps and so does its inverse; elsewhere
+    gamma is u |G|. ``norms`` holds each member's (|A|, |G|), or both at a common scale (:func:`_sizes`), which alpha
+    and gamma are then taken at.
     """
-    t = _vec_pairs(g)
-    fixed = (t == t.transpose(0, 2, 1, 4, 3)).all(axis=(1, 2, 3, 4)).tolist()
-    return [(_U * na if r else 0.0, 0.0 if f else _U * ng) for r, f, (na, ng) in zip(rounded, fixed, norms)]
+    real = [j for j, r in enumerate(rounded) if not r]
+    fixed = set()
+    if real:
+        t = _vec_pairs(g[real])
+        fixed = {j for j, f in zip(real, (t == t.transpose(0, 2, 1, 4, 3)).all(axis=(1, 2, 3, 4)).tolist()) if f}
+    return [(_U * na if r else 0.0, 0.0 if j in fixed else _U * ng)
+            for j, (r, (na, ng)) in enumerate(zip(rounded, norms))]
 
 
-def _power_of(x: float, e: int) -> float:
-    return math.prod([x] * e)  # inf on overflow, where ** raises
+def _sizes(a: np.ndarray, g: np.ndarray) -> tuple:
+    """(sizes, scales) for the pairs (A, G) of two real stacks: each pair's [a, g] and s with |A|_F = a 2^s and
+    |G|_F = g 2^-s, floats wherever the rounding terms of :func:`_basis_terms` are.
+
+    s is 0, and a and g are :func:`_norm`'s values, unless the sum of squares of A or G over- or underflows. There
+    that member is scaled by 2^-e, e the exponent of its largest entry, before its norm is taken, and s is A's e:
+    a is then between 1/2 and sqrt(N) and g about cond(A) / a, so the terms are taken at unit scale.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        x, e = np.array([_norm(a), _norm(g)]), np.zeros((2, len(a)), dtype=int)
+        for side, i in zip(*np.nonzero(~((x > _SMALL) & (x < math.inf)))):
+            m = (a, g)[side][i]
+            top = np.abs(m).max()
+            if 0 < top < math.inf:
+                e[side, i] = math.frexp(top)[1]
+                x[side, i] = _norm(np.ldexp(m, -e[side, i]))
+        x[1] = np.ldexp(x[1], e[1] + e[0])
+    return x.T.tolist(), e[0].tolist()
 
 
-def _basis_terms(kind: str, a: float, g: float, alpha: float, gamma: float, k: int | None) -> dict:
+def _basis_terms(kind: str, a: float, g: float, alpha: float, gamma: float, k: int | None, scale: int = 0) -> dict:
     """The first-order change of each axiom's residual, and of the group's double-inverse law (key "double"), when A
-    moves by ``alpha`` and G by ``gamma`` in Frobenius norm, with |A|_F = a and |G|_F = g.
+    moves by ``alpha`` and G by ``gamma`` in Frobenius norm, with |A|_F = a 2^scale and |G|_F = g 2^-scale
+    (:func:`_sizes`), and alpha and gamma taken at that scale.
 
     Each residual is a difference of products of A and G (Higham, ch. 3): one term per factor, bounded by
     submultiplicativity. D1 and Dd1 are taken at the exponent k. The double law |G^-1 - A| moves by alpha + a^2 gamma,
-    as G^-1 = A to first order. Every term is 0.0 where alpha and gamma are, whatever a and g.
+    as G^-1 = A to first order. Every term is 0.0 where alpha and gamma are, whatever a and g. A residual that is
+    homogeneous of degree p in A (A -> tA, G -> G/t multiplies it by t^p) has its term multiplied by 2^(p scale),
+    which is exact, or inf where the term overflows: at scale 0 it is the term itself.
     """
-    def moved(x, y):  # alpha x + gamma y, with no 0 * inf
-        return (alpha * x if alpha else 0.0) + (gamma * y if gamma else 0.0)
+    def at(term, p):  # term 2^(p scale)
+        with suppress(OverflowError):
+            return math.ldexp(term, p * scale)
+        return math.inf
 
-    outer = moved(2 * a * g + 1, a * a)  # |AGA - A|
-    inner = moved(g * g, 2 * a * g + 1)  # |GAG - G|
-    pair = 2 * moved(g, a)  # |X - X^H| for X = AG or GA, and |AG - GA|
+    def moved(x, y):  # alpha prod(x) + gamma prod(y), multiplied from alpha and gamma on: no 0 * inf, and no
+        # overflow or underflow of a partial product such as a^2 or g^2 where the term itself is representable
+        return (math.prod(x, start=alpha) if alpha else 0.0) + (math.prod(y, start=gamma) if gamma else 0.0)
+
+    ag = 2 * a * g + 1  # a g is at least 1 and about cond(A)
+    outer = moved([ag], [a, a])  # |AGA - A|
+    inner = moved([g, g], [ag])  # |GAG - G|
+    pair = 2 * moved([g], [a])  # |X - X^H| for X = AG or GA, and |AG - GA|
+    outer, inner = at(outer, 1), at(inner, -1)
     if kind == "moore_penrose":
         return {"MP1": outer, "MP2": inner, "MP3": pair, "MP4": pair}
     if kind == "group":
-        return {"G1": outer, "G2": inner, "G3": pair, "double": moved(1.0, a * a)}
+        return {"G1": outer, "G2": inner, "G3": pair, "double": at(moved([], [a, a]), 1)}
     # |G A^(e+1) - A^e| has e + 1 factors A and one G against e factors A; |G F P^e - P^e|, with P = F^H F, and its
-    # twin |Q^e F G - Q^e| have 2e + 1 factors F and one G against 2e. A None exponent's D1 or Dd1 is nan anyway
+    # twin |Q^e F G - Q^e| have 2e + 1 factors F and one G against 2e: A moves it by alpha ((e + 1) g a^e +
+    # e a^(e-1)). A None exponent's D1 or Dd1 is nan anyway
     e = (k or 0) * (1 if kind == "drazin" else 2)
-    power = moved((e + 1) * g * _power_of(a, e) + (e * _power_of(a, e - 1) if e else 0.0), _power_of(a, e + 1))
+    power = at(moved([(e + 1) * g * a + e] + [a] * (e - 1) if e else [g], [a] * (e + 1)), e)
     if kind == "drazin":
         return {"D1": power, "D2": inner, "D3": pair}
     return {"Dd1": power, "Dd2": inner, "Dd3": pair, "Dd4": pair}
@@ -513,15 +559,14 @@ def _judge(kind: str, a: np.ndarray, tol: Tolerances, rounded: list | None = Non
         residuals = _residuals(kind, a[rows], h, [out[i][0] for i in live])
         shown = h
         if rounded is not None:
-            with np.errstate(over="ignore"):
-                sizes = np.array([_norm(a[rows]), _norm(h)]).T.tolist()
+            sizes, scales = _sizes(a[rows], h)
             rounding = _coordinate_rounding([rounded[i] for i in live], h, sizes)
             shown = _complex_coordinates(h)
         for j, i in enumerate(live):
             k, double = out[i]
             values = {label: float(res[j]) for label, res in residuals.items()}
             if rounded is not None:
-                terms = _basis_terms(kind, *sizes[j], *rounding[j], k)
+                terms = _basis_terms(kind, *sizes[j], *rounding[j], k, scales[j])
                 values = {label: v + terms[label] for label, v in values.items()}
                 double = double + terms["double"] if isinstance(double, float) else double
             out[i] = _report(kind, shown[j], values, tol, *labelled(k), forward.get(i), double)

@@ -574,11 +574,6 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="subsystem dimension must be an integer"):
             chn.partial_trace(np.eye(4), dims, 1)
 
-    @pytest.mark.parametrize("d", [0, -1])
-    def test_haar_unitary_refuses_a_dimension_below_one(self, d):
-        with pytest.raises(ValueError, match=re.escape(f"dimension d must be positive, got {d}")):
-            chn.haar_unitary(d, 1)
-
     def test_numpy_integer_dimensions(self):
         m = random_complex(np.random.default_rng(22), 6, 6)
         got = chn.partial_trace(m, (np.int64(2), np.int32(3)), 1)

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -124,9 +125,9 @@ def basis_terms(kind, a, g, k):
     x, rounded = judged(a)
     if rounded is None:
         return None
-    sizes = [[float(ginv._norm(x)), float(ginv._norm(g))]]
+    sizes, (scale,) = ginv._sizes(x[None], g[None])
     ((alpha, gamma),) = ginv._coordinate_rounding(rounded, g[None], sizes)
-    return ginv._basis_terms(kind, *sizes[0], alpha, gamma, k)
+    return ginv._basis_terms(kind, *sizes[0], alpha, gamma, k, scale)
 
 
 def plus_terms(residuals, terms):
@@ -1211,7 +1212,7 @@ def vec_swapped(m):
 
 @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
 def test_inverse_of_an_hp_input_is_hp(kind):
-    # the map back makes every returned inverse of an HP superoperator HP bit for bit: P_in G P_out == conj(G)
+    # the map back makes every returned inverse of an HP superoperator HP entry for entry: P_in G P_out == conj(G)
     supers = [hp_member(seed, variant) for seed in range(3) for variant in range(4)]
     supers += [chn.random_ucptp(3, 3, 5).super, chn.projector_channel((2, 1)).super,
                reprepare_super(3, np.random.default_rng(6))]
@@ -1276,7 +1277,7 @@ class TestRealCoordinates:
         # index, at index 1 its certificate fails the absolute gate (|G| is about small^-2)
         b = np.eye(4)
         b[1, 1], b[1, 2], b[2, 2] = 0.0, 1.0, small
-        a = (b + self.P @ b @ self.P) / 2 + 1j * (b @ self.P - self.P @ b) / 2  # U b U^H, HP bit for bit
+        a = (b + self.P @ b @ self.P) / 2 + 1j * (b @ self.P - self.P @ b) / 2  # U b U^H, HP entry for entry
         assert ginv._hermiticity_preserving(a[None]) == [0]
         assert np.array_equal(ginv._real_coordinates(a[None])[0], b)
         for m in (a, 1j * a):
@@ -1290,6 +1291,69 @@ class TestRealCoordinates:
         # change of coordinates rounds, so the values are the kernels' own
         rep = drazin_inverse(np.diag([1e200, 0.0, 0.0, 0.0]))
         assert rep.residuals == {"D1": 0.0, "D2": 0.0, "D3": 0.0}
+
+    # a complex HP channel that is not diagonal: forming A_r and mapping G_r back both round. Scaled by 2^j its sums of
+    # squares overflow (j = 600, 1020) or underflow (j = -565); at 2^1020 its Frobenius norm exceeds DBL_MAX
+    S = chn.random_cptp(2, 2, 2, 1).super
+    SCALES = [-565, -20, 0, 22, 600, 1020]
+
+    def scaled(self, j):
+        top = math.frexp(np.abs(self.S).max())[1]  # so that the largest entry stays finite at j = 1020
+        return np.ldexp(self.S.real, j - top) + 1j * np.ldexp(self.S.imag, j - top)
+
+    def test_norms_of_the_rounding_terms_do_not_overflow(self):
+        # |A| = a 2^s and |G| = g 2^-s with a and g floats, at every scale; at unit scale s = 0 and they are _norm's
+        a = ginv._real_coordinates(self.S[None])
+        g = np.linalg.inv(a)
+        top = math.frexp(np.abs(self.S).max())[1]
+        for j in self.SCALES:
+            (sizes,), (s,) = ginv._sizes(np.ldexp(a, j - top), np.ldexp(g, top - j))
+            assert math.ldexp(sizes[0], s) == pytest.approx(math.ldexp(np.linalg.norm(a), j - top), rel=1e-14)
+            assert math.ldexp(sizes[1], -s) == pytest.approx(math.ldexp(np.linalg.norm(g), top - j), rel=1e-14)
+        assert ginv._sizes(a, g) == ([[float(ginv._norm(a[0])), float(ginv._norm(g[0]))]], [0])
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_rounding_terms_scale_with_their_residuals(self, kind):
+        # A -> tA, G -> G/t multiplies a residual of degree p in A, and its rounding term, by t^p: the terms at 2^j
+        # are those at unit scale times 2^(p j), neither 0 by underflow nor inf by overflow where that is a float
+        g = np.linalg.inv(ginv._real_coordinates(self.S[None])[0])
+        unit = basis_terms(kind, self.S, g, 0)
+        degree = {"MP1": 1, "G1": 1, "double": 1, "MP2": -1, "D2": -1, "G2": -1, "Dd2": -1}
+        for j in self.SCALES:
+            top = math.frexp(np.abs(self.S).max())[1]
+            terms = basis_terms(kind, self.scaled(j), np.ldexp(g, top - j), 0)
+            for label, term in terms.items():
+                want = unit[label] * 2.0 ** (degree.get(label, 0) * (j - top))
+                assert term == pytest.approx(want, rel=1e-13), (j, label)
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_extreme_scales_keep_the_complex_verdict(self, kind):
+        # the real route accepts and refuses what the complex route, on the 1j multiple, does: far from unit scale
+        # the axioms of degree 0 (D1, D3, Dd1, Dd3, Dd4 at k = 0) pass while MP1/G1 or MP2/D2/G2/Dd2 overflow the gate
+        for j in [-565, 600, 1020]:
+            a = self.scaled(j)
+            real, complex_ = (certify_many(kind, [m])[0] for m in (a, 1j * a))
+            assert isinstance(real, GinvReport) == isinstance(complex_, GinvReport), j
+            if isinstance(real, GinvReport):
+                assert (real.index, real.witness_k) == (complex_.index, complex_.witness_k)
+            else:
+                assert type(real) is type(complex_)
+        certified = isinstance(certify_many(kind, [self.scaled(600)])[0], GinvReport)
+        assert certified == (kind in ("drazin", "dagger_drazin"))
+
+    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
+    def test_overflowing_real_coordinates_keep_the_complex_path(self, kind):
+        # Re A + Im(A) P_in overflows where sigma_max(A) > DBL_MAX: such a member is judged as it is, and refused
+        # with the complex path's message, that of its 1j multiple
+        a = np.eye(4, dtype=complex)
+        a[1, 1] = a[2, 2] = 1e308
+        a[1, 2], a[2, 1] = 1e308j, -1e308j
+        assert ginv._hermiticity_preserving(a[None]) == [0]
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(ginv._real_coordinates(a[None])).all()
+        got, want = certify_many(kind, [a, 1j * a])
+        assert isinstance(got, AxiomResidualError)
+        assert str(got) == str(want) == "computation overflowed: largest singular value is inf"
 
 
 @settings(derandomize=True, deadline=None)
