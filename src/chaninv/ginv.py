@@ -402,10 +402,10 @@ def _real_coordinates(a: np.ndarray) -> np.ndarray:
 def _complex_coordinates(g: np.ndarray) -> np.ndarray:
     """``G = U_in G_r U_out^H = (G_r + P G_r P) / 2 + i (G_r P - P G_r) / 2`` for a real inverse G_r, or a stack.
 
-    Each entry is one add or subtract of halved entries of G_r (halving is exact), and the swapped entry is the same
-    sum, or the negated difference, of the same two numbers: ``P_in G P_out == conj(G)`` holds entry for entry under
-    == (not byte for byte: an entry's imaginary part x - x is +0.0, where conj gives -0.0), so G is HP by
-    construction. The result owns its data.
+    Each entry is one add or subtract of halved entries of G_r (halving is exact unless it lands below the smallest
+    normal float), and the swapped entry is the same sum, or the negated difference, of the same two numbers:
+    ``P_in G P_out == conj(G)`` holds entry for entry under == (not byte for byte: an entry's imaginary part x - x is
+    +0.0, where conj gives -0.0), so G is HP by construction. The result owns its data.
     """
     half = 0.5 * _vec_pairs(g)
     out = np.empty(g.shape, dtype=np.complex128)
@@ -481,7 +481,7 @@ def _basis_terms(kind: str, a: float, g: float, alpha: float, gamma: float, k: i
         # overflow or underflow of a partial product such as a^2 or g^2 where the term itself is representable
         return (math.prod(x, start=alpha) if alpha else 0.0) + (math.prod(y, start=gamma) if gamma else 0.0)
 
-    ag = 2 * a * g + 1  # a g is at least 1 and about cond(A)
+    ag = 2 * a * g + 1  # a g is about cond(A) at any scale
     outer = moved([ag], [a, a])  # |AGA - A|
     inner = moved([g, g], [ag])  # |GAG - G|
     pair = 2 * moved([g], [a])  # |X - X^H| for X = AG or GA, and |AG - GA|
