@@ -1330,16 +1330,14 @@ class TestRealCoordinates:
     def test_extreme_scales_keep_the_complex_verdict(self, kind):
         # the real route accepts and refuses what the complex route, on the 1j multiple, does: far from unit scale
         # the axioms of degree 0 (D1, D3, Dd1, Dd3, Dd4 at k = 0) pass while MP1/G1 or MP2/D2/G2/Dd2 overflow the gate
-        for j in [-565, 600, 1020]:
-            a = self.scaled(j)
+        for a in [self.scaled(-565), 1e200 * self.S, self.scaled(1020)]:
             real, complex_ = (certify_many(kind, [m])[0] for m in (a, 1j * a))
-            assert isinstance(real, GinvReport) == isinstance(complex_, GinvReport), j
+            assert isinstance(real, GinvReport) == isinstance(complex_, GinvReport)
             if isinstance(real, GinvReport):
                 assert (real.index, real.witness_k) == (complex_.index, complex_.witness_k)
             else:
                 assert type(real) is type(complex_)
-        certified = isinstance(certify_many(kind, [self.scaled(600)])[0], GinvReport)
-        assert certified == (kind in ("drazin", "dagger_drazin"))
+        assert isinstance(certify_many(kind, [1e200 * self.S])[0], GinvReport) == (kind in ("drazin", "dagger_drazin"))
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_overflowing_real_coordinates_keep_the_complex_path(self, kind):
