@@ -20,8 +20,9 @@ complex matrices). Each comes from one factorization.
   that is the superoperator of a Hermiticity-preserving (HP) map, as every
   channel is, qualifies when ``P_out A P_in == conj(A)`` holds entry for
   entry under == (a signed zero matches either sign), P the vec swap
-  vec(X) -> vec(X^T), and its A_r below is finite. It is certified as the
-  real matrix ``A_r = Re A + Im(A) P_in``, which is exactly
+  vec(X) -> vec(X^T), and the real matrix ``A_r = Re A + Im(A) P_in`` has a
+  Frobenius norm strictly between about 6.7e-139 and 1.5e138 (see
+  :func:`_certify`). It is certified as A_r, which is exactly
   ``U_out^H A U_in`` for the unitary ``U = ((1 + i) I + (1 - i) P) / 2``, so
   both routes run in float64 on it. Its inverse is mapped back as
   ``G = (G_r + P G_r P) / 2 + i (G_r P - P G_r) / 2``, and
@@ -30,11 +31,10 @@ complex matrices). Each comes from one factorization.
   most u |A|_F and u |G|_F in all, u = eps / 2). Forming A_r does not round
   where Im A = 0, and for such an A mapping back does not round where G_r
   commutes with P. Every value reported on this route adds the first-order
-  change of its axiom's residual under those two moves (:func:`_basis_terms`,
-  from norms kept at unit scale by :func:`_sizes`, so that no term over- or
-  underflows where it is a float; on the LU route, through E and E', below),
-  so that it holds for the returned pair (A, G). Every other member keeps
-  the complex path, bit for bit.
+  change of its axiom's residual under those two moves (:func:`_basis_terms`;
+  on the LU route, through E and E', below), so that it holds for the
+  returned pair (A, G). Every other member, an HP one of larger or smaller
+  norm too, keeps the complex path, bit for bit.
 
 Every returned inverse is self-certifying: the defining-axiom residuals are
 computed and enforced against ``Tolerances.residual_atol``, so a successful
@@ -101,7 +101,8 @@ from .linalg import (  # noqa: F401
 
 _EPS = float(np.finfo(float).eps)  # a Python float, so the LU-route values are too
 _U = _EPS / 2  # the unit roundoff
-_SMALL = math.sqrt(np.finfo(float).tiny) / _EPS  # a Frobenius norm above it loses nothing to squares that underflow
+# a Frobenius norm above _SMALL loses nothing to squares that underflow; below 1 / _SMALL no square overflows
+_SMALL = math.sqrt(np.finfo(float).tiny) / _EPS
 
 KIND_AXIOMS = {
     "moore_penrose": ("MP1", "MP2", "MP3", "MP4"),
@@ -177,9 +178,10 @@ def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: np.ndarray) -> np.nda
     rank, so it does not depend on its neighbours' ranks; a member of rank 0 stays 0.
     """
     g = np.zeros((*u.shape[:-2], vh.shape[-1], u.shape[-2]), dtype=u.dtype)
-    for k in set(r.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma (about 1.6 MB)
-        m = r == k
-        g[m] = dagger(vh[m, :k]) @ ((1.0 / s[m, :k])[..., None] * dagger(u[m, :, :k]))
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 / s overflows on a subnormal s: the gate refuses inf or nan
+        for k in set(r.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma (about 1.6 MB)
+            m = r == k
+            g[m] = dagger(vh[m, :k]) @ ((1.0 / s[m, :k])[..., None] * dagger(u[m, :, :k]))
     return g
 
 
@@ -349,20 +351,20 @@ def _certify_all(kind: str, mats, tol: Tolerances) -> list:
 def _certify(kind: str, a: np.ndarray, tol: Tolerances) -> list:
     """GinvReport or GinvError for each member of the validated stack ``a`` (N, m, n), square for Drazin/group.
 
-    The coordinate stage. A member that :func:`_hermiticity_preserving` selects is judged by :func:`_judge` in real
-    coordinates, as ``A_r = U_out^H A U_in`` (:func:`_real_coordinates`), and its report carries its inverse mapped
-    back; every other member, and one whose A_r is not finite, is judged as it is. Each member is routed on its own
-    test.
+    The coordinate stage. A member that :func:`_hermiticity_preserving` selects, and whose A_r has a Frobenius norm
+    strictly between ``_SMALL`` and ``1 / _SMALL``, is judged by :func:`_judge` in real coordinates, as
+    ``A_r = U_out^H A U_in`` (:func:`_real_coordinates`), and its report carries its inverse mapped back; every other
+    member is judged as it is. In that range no entry of A_r overflows, |A_r|_F neither overflows nor loses precision
+    to squares that underflow, and |G|_F >= 1 / |A_r|_F does not underflow. Each member is routed on its own test.
     """
     hp = _hermiticity_preserving(a)
     if hp:
         members = a[_rows(hp, len(a))]
         with np.errstate(over="ignore", invalid="ignore"):
             real = _real_coordinates(members)
-        finite = np.isfinite(real).all(axis=(1, 2))
-        # an infinite entry of A, or sigma_max(A) > DBL_MAX, makes A_r non-finite: the complex path refuses the member
-        if not finite.all():
-            hp, members, real = [i for i, f in zip(hp, finite.tolist()) if f], members[finite], real[finite]
+            inside = [_SMALL < x < 1 / _SMALL for x in _norm(real).tolist()]  # a nan or inf norm is outside
+        if not all(inside):
+            hp, members, real = [i for i, x in zip(hp, inside) if x], members[inside], real[inside]
     if not hp:
         return _judge(kind, a, tol)
     out = dict(zip(hp, _judge(kind, real, tol, members.imag.any(axis=(1, 2)).tolist())))
@@ -429,8 +431,7 @@ def _coordinate_rounding(rounded: list, g: np.ndarray, norms: list) -> list:
     ``rounded`` says whether forming A_r rounded at all: not where Im A = 0. Mapping G_r back does not round where
     G_r commutes with the vec swaps, ``P_in G_r P_out == G_r``: every sum is then an exact 2x and every difference 0.
     That is checked only where Im A = 0, as a real HP map commutes with the swaps and so does its inverse; elsewhere
-    gamma is u |G|. ``norms`` holds each member's (|A|, |G|), or both at a common scale (:func:`_sizes`), which alpha
-    and gamma are then taken at.
+    gamma is u |G|. ``norms`` holds each member's (|A|, |G|).
     """
     real = [j for j, r in enumerate(rounded) if not r]
     fixed = set()
@@ -441,42 +442,14 @@ def _coordinate_rounding(rounded: list, g: np.ndarray, norms: list) -> list:
             for j, (r, (na, ng)) in enumerate(zip(rounded, norms))]
 
 
-def _sizes(a: np.ndarray, g: np.ndarray) -> tuple:
-    """(sizes, scales) for the pairs (A, G) of two real stacks: each pair's [a, g] and s with |A|_F = a 2^s and
-    |G|_F = g 2^-s, floats wherever the rounding terms of :func:`_basis_terms` are.
-
-    s is 0, and a and g are :func:`_norm`'s values, unless the sum of squares of A or G over- or underflows. There
-    that member is scaled by 2^-e, e the exponent of its largest entry, before its norm is taken, and s is A's e:
-    a is then between 1/2 and sqrt(N) and g about cond(A) / a, so the terms are taken at unit scale.
-    """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        x, e = np.array([_norm(a), _norm(g)]), np.zeros((2, len(a)), dtype=int)
-        for side, i in zip(*np.nonzero(~((x > _SMALL) & (x < math.inf)))):
-            m = (a, g)[side][i]
-            top = np.abs(m).max()
-            if 0 < top < math.inf:
-                e[side, i] = math.frexp(top)[1]
-                x[side, i] = _norm(np.ldexp(m, -e[side, i]))
-        x[1] = np.ldexp(x[1], e[1] + e[0])
-    return x.T.tolist(), e[0].tolist()
-
-
-def _basis_terms(kind: str, a: float, g: float, alpha: float, gamma: float, k: int | None, scale: int = 0) -> dict:
+def _basis_terms(kind: str, a: float, g: float, alpha: float, gamma: float, k: int | None) -> dict:
     """The first-order change of each axiom's residual, and of the group's double-inverse law (key "double"), when A
-    moves by ``alpha`` and G by ``gamma`` in Frobenius norm, with |A|_F = a 2^scale and |G|_F = g 2^-scale
-    (:func:`_sizes`), and alpha and gamma taken at that scale.
+    moves by ``alpha`` and G by ``gamma`` in Frobenius norm, with |A|_F = a and |G|_F = g.
 
     Each residual is a difference of products of A and G (Higham, ch. 3): one term per factor, bounded by
     submultiplicativity. D1 and Dd1 are taken at the exponent k. The double law |G^-1 - A| moves by alpha + a^2 gamma,
-    as G^-1 = A to first order. Every term is 0.0 where alpha and gamma are, whatever a and g. A residual that is
-    homogeneous of degree p in A (A -> tA, G -> G/t multiplies it by t^p) has its term multiplied by 2^(p scale),
-    which is exact, or inf where the term overflows: at scale 0 it is the term itself.
+    as G^-1 = A to first order. Every term is 0.0 where alpha and gamma are, whatever a and g.
     """
-    def at(term, p):  # term 2^(p scale)
-        with suppress(OverflowError):
-            return math.ldexp(term, p * scale)
-        return math.inf
-
     def moved(x, y):  # alpha prod(x) + gamma prod(y), multiplied from alpha and gamma on: no 0 * inf, and no
         # overflow or underflow of a partial product such as a^2 or g^2 where the term itself is representable
         return (math.prod(x, start=alpha) if alpha else 0.0) + (math.prod(y, start=gamma) if gamma else 0.0)
@@ -485,16 +458,15 @@ def _basis_terms(kind: str, a: float, g: float, alpha: float, gamma: float, k: i
     outer = moved([ag], [a, a])  # |AGA - A|
     inner = moved([g, g], [ag])  # |GAG - G|
     pair = 2 * moved([g], [a])  # |X - X^H| for X = AG or GA, and |AG - GA|
-    outer, inner = at(outer, 1), at(inner, -1)
     if kind == "moore_penrose":
         return {"MP1": outer, "MP2": inner, "MP3": pair, "MP4": pair}
     if kind == "group":
-        return {"G1": outer, "G2": inner, "G3": pair, "double": at(moved([], [a, a]), 1)}
+        return {"G1": outer, "G2": inner, "G3": pair, "double": moved([], [a, a])}
     # |G A^(e+1) - A^e| has e + 1 factors A and one G against e factors A; |G F P^e - P^e|, with P = F^H F, and its
     # twin |Q^e F G - Q^e| have 2e + 1 factors F and one G against 2e: A moves it by alpha ((e + 1) g a^e +
     # e a^(e-1)). A None exponent's D1 or Dd1 is nan anyway
     e = (k or 0) * (1 if kind == "drazin" else 2)
-    power = at(moved([(e + 1) * g * a + e] + [a] * (e - 1) if e else [g], [a] * (e + 1)), e)
+    power = moved([(e + 1) * g * a + e] + [a] * (e - 1) if e else [g], [a] * (e + 1))
     if kind == "drazin":
         return {"D1": power, "D2": inner, "D3": pair}
     return {"Dd1": power, "Dd2": inner, "Dd3": pair, "Dd4": pair}
@@ -559,14 +531,15 @@ def _judge(kind: str, a: np.ndarray, tol: Tolerances, rounded: list | None = Non
         residuals = _residuals(kind, a[rows], h, [out[i][0] for i in live])
         shown = h
         if rounded is not None:
-            sizes, scales = _sizes(a[rows], h)
-            rounding = _coordinate_rounding([rounded[i] for i in live], h, sizes)
+            with np.errstate(over="ignore"):  # |G|_F can pass 1e154 here, whose square overflows: inf, no warning
+                norms = np.array([_norm(a[rows]), _norm(h)]).T.tolist()
+            rounding = _coordinate_rounding([rounded[i] for i in live], h, norms)
             shown = _complex_coordinates(h)
         for j, i in enumerate(live):
             k, double = out[i]
             values = {label: float(res[j]) for label, res in residuals.items()}
             if rounded is not None:
-                terms = _basis_terms(kind, *sizes[j], *rounding[j], k, scales[j])
+                terms = _basis_terms(kind, *norms[j], *rounding[j], k)
                 values = {label: v + terms[label] for label, v in values.items()}
                 double = double + terms["double"] if isinstance(double, float) else double
             out[i] = _report(kind, shown[j], values, tol, *labelled(k), forward.get(i), double)
@@ -676,7 +649,7 @@ def _by_svd(kind: str, a: np.ndarray, tol: Tolerances):
     (k, double) or the GinvError that refuses it. k is the exponent of D1 or Dd1: the Drazin index for Drazin and
     group, for dagger-Drazin 0 when the member is square and of full rank, else 1, and None for Moore-Penrose.
     double is a group member's double-inverse residual at index 1 or the error forming (G^#)^# raised (else None:
-    :func:`_certify` forms it).
+    :func:`_judge` forms it).
 
     One stacked SVD gives every inverse through :func:`_pinv` but those of the singular Drazin and group members,
     which continue one at a time through the r x r blocks of :func:`_core` and :func:`_core_inverse`.

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 import warnings
 from fractions import Fraction
@@ -96,17 +97,21 @@ def corrupt_lu_route(monkeypatch, corrupt):
 def judged(a):
     """(x, rounded): the matrix :func:`ginv._certify` hands its judge for the single matrix a, and the flags with it.
 
-    For a Hermiticity-preserving a, A_r = Re A + Im(A) P_in and whether forming it rounded (it does not where
-    Im A = 0); for any other a, a itself and None.
+    For a Hermiticity-preserving a whose A_r = Re A + Im(A) P_in has a Frobenius norm strictly between ``_SMALL``
+    and ``1 / _SMALL``, A_r and whether forming it rounded (it does not where Im A = 0); for any other a, a itself
+    and None.
     """
-    if not ginv._hermiticity_preserving(a[None]):
-        return a, None
-    return ginv._real_coordinates(a[None])[0], [bool(a.imag.any())]
+    if ginv._hermiticity_preserving(a[None]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = ginv._real_coordinates(a[None])[0]
+            if ginv._SMALL < np.linalg.norm(x) < 1 / ginv._SMALL:
+                return x, [bool(a.imag.any())]
+    return a, None
 
 
 def returned(a, g):
-    """The inverse :func:`ginv._certify` returns for a when its judge found g: g mapped back if a is HP."""
-    return ginv._complex_coordinates(g) if ginv._hermiticity_preserving(a[None]) else g
+    """The inverse :func:`ginv._certify` returns for a when its judge found g: g mapped back if A_r judged a."""
+    return g if judged(a)[1] is None else ginv._complex_coordinates(g)
 
 
 def lu_values(kind, a, tol=DEFAULT_TOL):
@@ -125,9 +130,9 @@ def basis_terms(kind, a, g, k):
     x, rounded = judged(a)
     if rounded is None:
         return None
-    sizes, (scale,) = ginv._sizes(x[None], g[None])
-    ((alpha, gamma),) = ginv._coordinate_rounding(rounded, g[None], sizes)
-    return ginv._basis_terms(kind, *sizes[0], alpha, gamma, k, scale)
+    norms = np.array([ginv._norm(x[None]), ginv._norm(g[None])]).T.tolist()
+    ((alpha, gamma),) = ginv._coordinate_rounding(rounded, g[None], norms)
+    return ginv._basis_terms(kind, *norms[0], alpha, gamma, k)
 
 
 def plus_terms(residuals, terms):
@@ -824,11 +829,34 @@ class TestInternalOverflow:
             fn(1e308 * np.ones((n, n)))
 
 
+def subnormal_channel():
+    """A d = 2 channel's superoperator normalized by its largest entry and scaled by 2^-1040: its singular values
+    are subnormal, so their reciprocals overflow."""
+    s = chn.random_cptp(2, 2, 2, 0).super
+    s = s / np.abs(s).max()
+    return np.ldexp(s.real, -1040) + 1j * np.ldexp(s.imag, -1040)
+
+
+def hp_with_a_huge_drazin_inverse():
+    """U b U^H, U as in :class:`TestRealCoordinates`, for b = 1e-137 [[1, 0, 0, 0], [0, 1e-9, 1, 0], [0, 0, 0, 0],
+    [0, 0, 0, 1]]: an HP superoperator of index 1 with |A_r|_F = |b|_F, about 1.7e-137, inside the real route's
+    range, whose Drazin and group inverses have |G|_F about 1e155, so that the squares of |G|_F overflow."""
+    b = np.diag([1.0, 1e-9, 0.0, 1.0])
+    b[1, 2] = 1.0
+    b *= 1e-137
+    p = np.eye(4)[[0, 2, 1, 3]]
+    return (b + p @ b @ p) / 2 + 1j * (b @ p - p @ b) / 2
+
+
 class TestNoWarningsEscape:
-    # overflowed residuals and gram powers fail the gate without a NumPy RuntimeWarning
+    # overflowed residuals, gram powers, norms of the inverse and reciprocals of subnormal singular values fail the
+    # gate without a NumPy RuntimeWarning
     @pytest.mark.parametrize(
         "fn, m",
-        [(mp_inverse, np.diag([1.0, 2.0]) * 1e-300), (dagger_drazin, np.diag([1e200, 0.0]))],
+        [(mp_inverse, np.diag([1.0, 2.0]) * 1e-300), (dagger_drazin, np.diag([1e200, 0.0]))]
+        + [(fn, m) for m in (np.array([[2.0**-1074]]), subnormal_channel())
+           for fn in (mp_inverse, drazin_inverse, group_inverse, dagger_drazin)]
+        + [(drazin_inverse, hp_with_a_huge_drazin_inverse()), (group_inverse, hp_with_a_huge_drazin_inverse())],
     )
     def test_refused_without_warning(self, fn, m):
         with warnings.catch_warnings():
@@ -904,6 +932,9 @@ def family_member(family, n, seed, rank=0):
 @example(kind="drazin", n=4, members=[(f, 8, v, 0) for v in range(4) for f in ("hp", "hp_times_1j")])
 @example(kind="group", n=4, members=[(f, 9, v, 3) for v in range(4) for f in ("hp", "hp_times_1j")])
 @example(kind="dagger_drazin", n=4, members=[(f, 10, v, -3) for v in range(4) for f in ("hp", "hp_times_1j")])
+# HP members inside the real route's range next to ones outside it (2^-600 and 2^500 times one), which take the complex
+# path from the same stack
+@example(kind="group", n=4, members=[("hp", 11, 0, 0), ("hp", 11, 1, -600), ("hp", 11, 1, 0), ("hp", 11, 0, 500)])
 def test_certify_many_matches_single_calls(kind, n, members):
     # one stacked kernel per shape gives every member, bit for bit, what the single call gives it, whatever the
     # ranks, scales and refusals of its neighbours: the members share one size n, so a stack mixes ranks
@@ -920,13 +951,21 @@ def assert_single_call_result(kind, m, got):
     try:
         want = SINGLE_CALLS[kind](m)
     except (GinvError, ValueError) as exc:
-        assert (type(got), str(got)) == (type(exc), str(exc))
+        want = exc
+    assert_same_result(got, want)
+
+
+def assert_same_result(got, want):
+    """``got`` is ``want`` byte for byte: a report with the same fields and inverse bytes, or a refusal of the same
+    type and message."""
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
         return
     assert isinstance(got, GinvReport)
-    assert (got.kind, got.index, got.witness_k, got.forward_error_bound) == (
-        want.kind, want.index, want.witness_k, want.forward_error_bound)
+    assert (got.kind, got.index, got.witness_k, got.forward_error_bound, got.inverse.shape) == (
+        want.kind, want.index, want.witness_k, want.forward_error_bound, want.inverse.shape)
     assert list(got.residuals.items()) == list(want.residuals.items())
-    assert np.array_equal(got.inverse, want.inverse)
+    assert got.inverse.tobytes() == want.inverse.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
@@ -1289,69 +1328,58 @@ class TestRealCoordinates:
     def test_exact_change_of_coordinates_adds_nothing(self):
         # a real P-symmetric input is its own A_r, and a diagonal one has a G_r that commutes with P: neither
         # change of coordinates rounds, so the values are the kernels' own
-        rep = drazin_inverse(np.diag([1e200, 0.0, 0.0, 0.0]))
+        a = np.diag([2.0, 0.0, 0.0, 0.0])
+        assert judged(a)[1] == [False]
+        rep = drazin_inverse(a)
         assert rep.residuals == {"D1": 0.0, "D2": 0.0, "D3": 0.0}
 
-    # a complex HP channel that is not diagonal: forming A_r and mapping G_r back both round. Scaled by 2^j its sums of
-    # squares overflow (j = 600, 1020) or underflow (j = -565); at 2^1020 its Frobenius norm exceeds DBL_MAX
+    # a complex HP channel that is not diagonal: forming A_r and mapping G_r back both round
     S = chn.random_cptp(2, 2, 2, 1).super
-    SCALES = [-565, -20, 0, 22, 600, 1020]
 
     def scaled(self, j):
         top = math.frexp(np.abs(self.S).max())[1]  # so that the largest entry stays finite at j = 1020
         return np.ldexp(self.S.real, j - top) + 1j * np.ldexp(self.S.imag, j - top)
 
-    def test_norms_of_the_rounding_terms_do_not_overflow(self):
-        # |A| = a 2^s and |G| = g 2^-s with a and g floats, at every scale; at unit scale s = 0 and they are _norm's
-        a = ginv._real_coordinates(self.S[None])
-        g = np.linalg.inv(a)
-        top = math.frexp(np.abs(self.S).max())[1]
-        for j in self.SCALES:
-            (sizes,), (s,) = ginv._sizes(np.ldexp(a, j - top), np.ldexp(g, top - j))
-            assert math.ldexp(sizes[0], s) == pytest.approx(math.ldexp(np.linalg.norm(a), j - top), rel=1e-14)
-            assert math.ldexp(sizes[1], -s) == pytest.approx(math.ldexp(np.linalg.norm(g), top - j), rel=1e-14)
-        assert ginv._sizes(a, g) == ([[float(ginv._norm(a[0])), float(ginv._norm(g[0]))]], [0])
+    def straddling(self, past, bound):
+        """(before, after): multiples t S, t one ulp apart, whose |A_r|_F x is the last with ``past(x, bound)`` false
+        and the first with it true."""
+        def size(t):
+            return float(ginv._norm(ginv._real_coordinates((t * self.S)[None]))[0])
 
-    @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
-    def test_rounding_terms_scale_with_their_residuals(self, kind):
-        # A -> tA, G -> G/t multiplies a residual of degree p in A, and its rounding term, by t^p: the terms at 2^j
-        # are those at unit scale times 2^(p j), neither 0 by underflow nor inf by overflow where that is a float
-        g = np.linalg.inv(ginv._real_coordinates(self.S[None])[0])
-        unit = basis_terms(kind, self.S, g, 0)
-        degree = {"MP1": 1, "G1": 1, "double": 1, "MP2": -1, "D2": -1, "G2": -1, "Dd2": -1}
-        for j in self.SCALES:
-            top = math.frexp(np.abs(self.S).max())[1]
-            terms = basis_terms(kind, self.scaled(j), np.ldexp(g, top - j), 0)
-            for label, term in terms.items():
-                want = unit[label] * 2.0 ** (degree.get(label, 0) * (j - top))
-                assert term == pytest.approx(want, rel=1e-13), (j, label)
+        t = bound / size(1.0)
+        while past(size(t), bound):
+            t = np.nextafter(t, 0.0)
+        while not past(size(np.nextafter(t, math.inf)), bound):
+            t = np.nextafter(t, math.inf)
+        return t * self.S, np.nextafter(t, math.inf) * self.S
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_extreme_scales_keep_the_complex_verdict(self, kind):
-        # the real route accepts and refuses what the complex route, on the 1j multiple, does: far from unit scale
-        # the axioms of degree 0 (D1, D3, Dd1, Dd3, Dd4 at k = 0) pass while MP1/G1 or MP2/D2/G2/Dd2 overflow the gate
-        for a in [self.scaled(-565), 1e200 * self.S, self.scaled(1020)]:
-            real, complex_ = (certify_many(kind, [m])[0] for m in (a, 1j * a))
-            assert isinstance(real, GinvReport) == isinstance(complex_, GinvReport)
-            if isinstance(real, GinvReport):
-                assert (real.index, real.witness_k) == (complex_.index, complex_.witness_k)
-            else:
-                assert type(real) is type(complex_)
+        # only a member with _SMALL < |A_r|_F < 1 / _SMALL takes real coordinates: one just inside either bound gets
+        # the real judge's result mapped back, and one just outside, or far outside (2^-565 and 2^1020 times the
+        # channel, and 1e200 times it, where Drazin and dagger-Drazin certify), gets the complex judge's, byte for byte
+        low, high = self.straddling(operator.gt, ginv._SMALL), self.straddling(operator.ge, 1 / ginv._SMALL)
+        for a in (low[1], high[0]):
+            real = ginv._real_coordinates(a[None])
+            assert_same_result(certify_many(kind, [a])[0], ginv._judge(kind, real, DEFAULT_TOL, [True])[0])
+        for a in (low[0], high[1], self.scaled(-565), 1e200 * self.S, self.scaled(1020)):
+            assert ginv._hermiticity_preserving(a[None]) == [0]
+            assert_same_result(certify_many(kind, [a])[0], ginv._judge(kind, a[None], DEFAULT_TOL)[0])
         assert isinstance(certify_many(kind, [1e200 * self.S])[0], GinvReport) == (kind in ("drazin", "dagger_drazin"))
 
     @pytest.mark.parametrize("kind", list(SINGLE_CALLS))
     def test_overflowing_real_coordinates_keep_the_complex_path(self, kind):
         # Re A + Im(A) P_in overflows where sigma_max(A) > DBL_MAX: such a member is judged as it is, and refused
-        # with the complex path's message, that of its 1j multiple
+        # with the complex path's message, byte for byte
         a = np.eye(4, dtype=complex)
         a[1, 1] = a[2, 2] = 1e308
         a[1, 2], a[2, 1] = 1e308j, -1e308j
         assert ginv._hermiticity_preserving(a[None]) == [0]
         with np.errstate(over="ignore"):
             assert not np.isfinite(ginv._real_coordinates(a[None])).all()
-        got, want = certify_many(kind, [a, 1j * a])
-        assert isinstance(got, AxiomResidualError)
-        assert str(got) == str(want) == "computation overflowed: largest singular value is inf"
+        (got,) = certify_many(kind, [a])
+        assert_same_result(got, ginv._judge(kind, a[None], DEFAULT_TOL)[0])
+        assert str(got) == "computation overflowed: largest singular value is inf"
 
 
 @settings(derandomize=True, deadline=None)

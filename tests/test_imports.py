@@ -9,10 +9,13 @@ Every module-level private function, class or constant of the package is referen
 outside its own definition, so a helper a refactor stopped calling cannot survive it.
 
 ``GinvReport(...)`` is called once in ``ginv``, in ``_report``, the gate every route shares, so that no route
-builds a certificate past it. ``_report`` and the dense ``_residuals`` are called only where ``_certify`` judges a
+builds a certificate past it. ``_report`` and the dense ``_residuals`` are called only where ``_judge`` judges a
 stack (and ``_residuals`` in ``verify_axioms``), so that no route grows a gate or a residual stage of its own. The
 deflation ``_core`` is called only by ``_by_svd``'s ``deflate``, ``drazin_index`` and ``verify_axioms``, so that every
-Drazin index, and the exponent at which ``verify_axioms`` judges D1 or Dd1, comes from it.
+Drazin index, and the exponent at which ``verify_axioms`` judges D1 or Dd1, comes from it. The coordinate stage
+stays in two places: ``_hermiticity_preserving`` and ``_real_coordinates`` are called only from ``_certify``, which
+picks the members that take real coordinates, and ``_complex_coordinates``, ``_coordinate_rounding`` and
+``_basis_terms`` only from ``_judge``, which maps their inverses back and counts the rounding.
 
 No call of ``_run_checks`` in ``theorems`` sits inside a loop, so that each suite item checks all its instances
 in one call, one ``_certify_all`` call per kind and round, and the suite never goes back to checking them in chunks.
@@ -219,6 +222,11 @@ def test_one_function_builds_every_certificate():
     ("_report", {"_judge"}),
     ("_lu_inverse", {"_lu_route", "_judge"}),  # the route's inverses, then every index-0 group member's G^-1
     ("_core", {"deflate", "drazin_index", "verify_axioms"}),  # every Drazin index, and verify_axioms' exponents
+    ("_hermiticity_preserving", {"_certify"}),  # the coordinate stage: which members take real coordinates
+    ("_real_coordinates", {"_certify"}),
+    ("_complex_coordinates", {"_judge"}),  # and, for those, the inverse mapped back and the rounding counted
+    ("_coordinate_rounding", {"_judge"}),
+    ("_basis_terms", {"_judge"}),
 ])
 def test_one_function_judges_every_stack(callee, sites):
     assert set(call_sites((PACKAGE / "ginv.py").read_text(), callee)) == sites
